@@ -11,6 +11,7 @@ from .cachesim import (
     CacheConfig,
     CacheUnit,
     Feasibility,
+    SideStreams,
     SimStats,
     config_sim_seed,
     simulate,

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections import OrderedDict
+from array import array
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, FlagTextError, InfeasibleConfigError
@@ -127,7 +129,11 @@ def n_sets(size: int, block: int, assoc: int) -> int:
 
 
 def validate(config: CacheConfig) -> Feasibility:
-    """Check cache geometry: size must hold a whole number of full sets."""
+    """Check cache geometry: size must hold at least one full set.
+
+    Every domain is a power of two, so a set span no larger than the
+    cache always divides it.
+    """
     problems = []
     sides = (
         ("I-cache", config.isize, config.ibsize, config.iassoc),
@@ -138,10 +144,6 @@ def validate(config: CacheConfig) -> Feasibility:
         if span > size:
             problems.append(
                 f"{side}: block {block} B x {assoc} ways = {span} B exceeds cache size {size} B"
-            )
-        elif size % span:
-            problems.append(
-                f"{side}: cache size {size} B is not a whole multiple of the {span} B set span"
             )
     return Feasibility(not problems, tuple(problems))
 
@@ -175,6 +177,9 @@ class StepOutcome(NamedTuple):
 class CacheUnit:
     """Mutable state of one cache side ('i' or 'd') during a run.
 
+    The step-by-step reference engine: simulate's per-side engine must
+    match a CacheUnit replay of the same trace in every counter.
+
     Each set is an OrderedDict mapping tag -> dirty flag. LRU keeps the
     order by recency (least recent first), FIFO by fill order (first in
     first), random picks victims from the side's own generator. Fills,
@@ -201,7 +206,7 @@ class CacheUnit:
         self.fetch = fetch
         self.wback = wback
         self.n_sets = n_sets(size, block, assoc)
-        if self.n_sets < 1 or size % (block * assoc):
+        if self.n_sets < 1:
             raise InfeasibleConfigError(
                 f"{size} B cache cannot hold whole {block * assoc} B sets"
             )
@@ -267,35 +272,178 @@ class CacheUnit:
         return sum(1 for entries in self.sets for dirty in entries.values() if dirty)
 
 
+class SideStreams:
+    """A trace split once into its I-side and D-side access streams.
+
+    simulate accepts raw records or a SideStreams; callers that simulate
+    one trace many times build it once. Block streams are derived lazily
+    for each (side, block size) and kept; concurrent callers may derive
+    the same stream twice, and either copy is kept. Streams are compact
+    arrays: addresses and block numbers as unsigned 64-bit, write flags
+    as bytes.
+    """
+
+    def __init__(self, trace: Iterable[TraceRecord]):
+        iaddrs, daddrs, dwrites = array("Q"), array("Q"), bytearray()
+        for kind, address in trace:
+            if kind == 2:  # AccessKind.IFETCH
+                iaddrs.append(address)
+            else:
+                daddrs.append(address)
+                dwrites.append(kind == 1)  # AccessKind.WRITE
+        self.iaddrs = iaddrs
+        self.daddrs = daddrs
+        self.dwrites = bytes(dwrites)
+        self.writes = self.dwrites.count(1)
+        self._blocks: dict[tuple[str, int, bool], tuple[array, bytes]] = {}
+
+    @classmethod
+    def of(cls, trace) -> "SideStreams":
+        return trace if isinstance(trace, cls) else cls(trace)
+
+    def blocks(self, side: str, block: int, merge: bool) -> tuple[array, bytes]:
+        """Block numbers of one side's accesses and each one's write flag.
+
+        With merge, consecutive accesses to the same block become one entry
+        whose write flag is the OR of theirs.
+        """
+        key = (side, block, merge)
+        cached = self._blocks.get(key)
+        if cached is None:
+            shift = block.bit_length() - 1
+            if side == "i":
+                addrs, writes = self.iaddrs, bytes(len(self.iaddrs))
+            else:
+                addrs, writes = self.daddrs, self.dwrites
+            if merge:
+                runs, flags, last = array("Q"), bytearray(), -1
+                for address, write in zip(addrs, writes):
+                    b = address >> shift
+                    if b != last:
+                        runs.append(b)
+                        flags.append(write)
+                        last = b
+                    elif write:
+                        flags[-1] = 1
+                cached = (runs, bytes(flags))
+            else:
+                cached = (array("Q", [a >> shift for a in addrs]), writes)
+            self._blocks[key] = cached
+        return cached
+
+
+def _simulate_side(
+    streams: SideStreams,
+    side: str,
+    size: int,
+    block: int,
+    assoc: int,
+    repl: str,
+    fetch: str,
+    rng_seed: int | None,
+    write_back: bool,
+) -> SimStats:
+    """Run one side's stream; same semantics as CacheUnit, the reference.
+
+    Sets are keyed by block number (the tag is implied by the set) and
+    created on first touch. Random replacement keeps each set's fill order
+    in a list, so rng.choice draws the victims CacheUnit draws from its
+    OrderedDict. Only write-back sides track dirty blocks; write_throughs
+    is left to the caller.
+    """
+    n = n_sets(size, block, assoc)
+    # A run of accesses to one block is one access plus hits that change
+    # nothing but the dirty flag, unless a prefetch of the next block can
+    # land in the same set: a fully associative side with prefetch.
+    blocks, writes = streams.blocks(side, block, fetch == "d" or n > 1)
+    if not write_back:
+        writes = repeat(0)
+    choice = random.Random(rng_seed).choice if repl == "r" else None
+    mask = n - 1
+    sets: defaultdict[int, OrderedDict] = defaultdict(OrderedDict)
+    orders: defaultdict[int, list] = defaultdict(list)
+    lru = repl == "l"
+    misses = fills = write_backs = 0
+
+    def evict(entries: OrderedDict, idx: int) -> bool:
+        """Remove the victim of a full set; return its dirty flag."""
+        if choice is None:
+            return entries.popitem(last=False)[1]
+        order = orders[idx]
+        victim = choice(order)
+        order.remove(victim)
+        return entries.pop(victim)
+
+    always = fetch == "a"
+    prefetch = fetch != "d"
+    for b, w in zip(blocks, writes):
+        idx = b & mask
+        entries = sets[idx]
+        if b in entries:
+            if lru:
+                entries.move_to_end(b)
+            if w:
+                entries[b] = True
+            if not always:
+                continue
+        else:
+            misses += 1
+            if len(entries) >= assoc and evict(entries, idx):
+                write_backs += 1
+            entries[b] = w
+            if choice is not None:
+                orders[idx].append(b)
+            if not prefetch:
+                continue
+        b += 1
+        idx = b & mask
+        entries = sets[idx]
+        if b not in entries:
+            fills += 1
+            if len(entries) >= assoc and evict(entries, idx):
+                write_backs += 1
+            entries[b] = 0
+            if choice is not None:
+                orders[idx].append(b)
+    return SimStats(
+        accesses=len(streams.iaddrs if side == "i" else streams.daddrs),
+        demand_misses=misses,
+        prefetch_fills=fills,
+        write_backs=write_backs,
+        final_flush=sum(1 for entries in sets.values() for dirty in entries.values() if dirty),
+    )
+
+
 def simulate(
-    config: CacheConfig, trace: Iterable[TraceRecord], rng_seed: int = 0
+    config: CacheConfig, trace: Iterable[TraceRecord] | SideStreams, rng_seed: int = 0
 ) -> tuple[SimStats, SimStats]:
     """Run the trace through a split cache; return (I-cache, D-cache) stats.
 
     ifetch records go to the I-cache, reads and writes to the D-cache.
     rng_seed only influences results when a replacement policy is 'r';
     each side draws from its own generator derived from rng_seed.
+    trace is records or a SideStreams built from them; pass the latter to
+    simulate one trace many times.
     """
     verdict = validate(config)
     if not verdict:
         raise InfeasibleConfigError("; ".join(verdict.problems))
-    master = random.Random(rng_seed)
-    icache = CacheUnit(
-        "i", config.isize, config.ibsize, config.iassoc, config.irepl,
-        config.ifetch, rng=random.Random(master.getrandbits(64)),
+    streams = SideStreams.of(trace)
+    iseed = dseed = None
+    if "r" in (config.irepl, config.drepl):
+        master = random.Random(rng_seed)
+        iseed, dseed = master.getrandbits(64), master.getrandbits(64)
+    istats = _simulate_side(
+        streams, "i", config.isize, config.ibsize, config.iassoc, config.irepl,
+        config.ifetch, iseed, write_back=False,
     )
-    dcache = CacheUnit(
-        "d", config.dsize, config.dbsize, config.dassoc, config.drepl,
-        config.dfetch, wback=config.dwback, rng=random.Random(master.getrandbits(64)),
+    dstats = _simulate_side(
+        streams, "d", config.dsize, config.dbsize, config.dassoc, config.drepl,
+        config.dfetch, dseed, write_back=config.dwback == "a",
     )
-    iacc, dacc = icache._access, dcache._access
-    for kind, address in trace:
-        if kind == 2:
-            iacc(kind, address)
-        else:
-            dacc(kind, address)
-    dcache.stats.final_flush = dcache.count_dirty()
-    return icache.stats, dcache.stats
+    if config.dwback == "n":
+        dstats.write_throughs = streams.writes
+    return istats, dstats
 
 
 def config_sim_seed(config: CacheConfig, base: int = 0) -> int:

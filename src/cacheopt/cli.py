@@ -18,6 +18,7 @@ from pathlib import Path
 from .cachesim import (
     DEFAULT_BASELINE,
     CacheConfig,
+    SideStreams,
     config_sim_seed,
     simulate,
     validate,
@@ -225,10 +226,11 @@ def run_optimize(rc: RunConfig) -> dict:
     """Execute the multi-run campaign and write the result bundle."""
     grammar = parse_bnf(rc.grammar_text)
     rc.outdir.mkdir(parents=True, exist_ok=True)
+    streams = SideStreams.of(rc.trace)
 
     def new_evaluator() -> Evaluator:
         evaluator = Evaluator(
-            rc.trace, rc.table, rc.dram, rc.weights, rc.miss_mode,
+            streams, rc.table, rc.dram, rc.weights, rc.miss_mode,
             sim_seed_base=rc.seed,
         )
         evaluator.set_baseline(rc.baseline)
@@ -355,7 +357,7 @@ def cmd_optimize(args) -> None:
 
 
 def cmd_exhaustive(args) -> None:
-    trace = _load_trace(args)
+    trace = SideStreams(_load_trace(args))
     table = _load_char_table(args)
     dram = _load_dram(args)
     baseline_config = CacheConfig.from_flags(args.baseline_flags)

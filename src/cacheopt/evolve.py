@@ -16,7 +16,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .cachesim import CacheConfig, config_sim_seed, validate
+from .cachesim import CacheConfig, SideStreams, config_sim_seed, validate
 from .charmodel import CharTable, DramParams
 from .errors import MappingError, ValidationError
 from .grammar import Grammar, map_genotype
@@ -112,7 +112,7 @@ class Evaluator:
         miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
         sim_seed_base: int = 0,
     ):
-        self.trace = trace
+        self.streams = SideStreams.of(trace)
         self.table = table
         self.dram = dram
         self.weights = weights
@@ -128,7 +128,7 @@ class Evaluator:
     def set_baseline(self, config: CacheConfig) -> Metrics:
         """Simulate the normalization point; not counted against the memo."""
         metrics = config_metrics(
-            config, self.trace, self.table, self.dram, self.miss_mode,
+            config, self.streams, self.table, self.dram, self.miss_mode,
             rng_seed=config_sim_seed(config, self.sim_seed_base),
         )
         self.baseline_metrics = metrics
@@ -160,7 +160,7 @@ class Evaluator:
         if not validate(config):
             return EvalResult(False, None, INFEASIBLE_FITNESS)
         metrics = config_metrics(
-            config, self.trace, self.table, self.dram, self.miss_mode,
+            config, self.streams, self.table, self.dram, self.miss_mode,
             rng_seed=config_sim_seed(config, self.sim_seed_base),
         )
         with self._lock:

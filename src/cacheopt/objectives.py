@@ -170,6 +170,7 @@ def config_metrics(
 ) -> Metrics:
     """Simulate a feasible configuration and price it with the models.
 
+    trace is passed to simulate as is: records or a SideStreams.
     rng_seed defaults to the configuration's own stable seed so random
     replacement results do not depend on evaluation order.
     """

@@ -19,6 +19,7 @@ from .cachesim import (
     REPL_POLICIES,
     WRITE_POLICIES,
     CacheConfig,
+    SideStreams,
     config_sim_seed,
     validate,
 )
@@ -127,7 +128,7 @@ class ExhaustiveResult:
 
 def exhaustive(
     sub: Subspace,
-    trace: list[TraceRecord],
+    trace: list[TraceRecord] | SideStreams,
     table: CharTable,
     dram: DramParams,
     baseline: Metrics,
@@ -146,6 +147,7 @@ def exhaustive(
         raise SubspaceCapError(
             f"subspace holds {sub.cardinality()} points, above the cap of {cap}"
         )
+    streams = SideStreams.of(trace)
     ranked = []
     infeasible = []
     for config in sub.configs():
@@ -154,7 +156,7 @@ def exhaustive(
             infeasible.append((config, verdict.problems))
             continue
         metrics = config_metrics(
-            config, trace, table, dram, miss_mode,
+            config, streams, table, dram, miss_mode,
             rng_seed=config_sim_seed(config, sim_seed_base),
         )
         ranked.append(RankedConfig(config, metrics, fitness(metrics, baseline, weights)))
