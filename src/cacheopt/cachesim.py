@@ -25,21 +25,9 @@ REPL_POLICIES = ("l", "f", "r")  # LRU, FIFO, random
 FETCH_POLICIES = ("m", "d", "a")  # prefetch-on-miss, demand, always-prefetch
 WRITE_POLICIES = ("a", "n")  # write-back (copy-back), write-through
 
-FLAG_ORDER = (
-    "-l1-isize",
-    "-l1-ibsize",
-    "-l1-irepl",
-    "-l1-iassoc",
-    "-l1-ifetch",
-    "-l1-dsize",
-    "-l1-dbsize",
-    "-l1-drepl",
-    "-l1-dassoc",
-    "-l1-dfetch",
-    "-l1-dwback",
-)
-
-_FIELD_DOMAINS = {
+# The design space: each parameter's permitted values, in canonical flag
+# order. CacheConfig, Subspace, the CLI and the subspace grammar follow it.
+DOMAINS = {
     "isize": CACHE_SIZES,
     "ibsize": BLOCK_SIZES,
     "irepl": REPL_POLICIES,
@@ -52,6 +40,8 @@ _FIELD_DOMAINS = {
     "dfetch": FETCH_POLICIES,
     "dwback": WRITE_POLICIES,
 }
+
+FLAG_ORDER = tuple(f"-l1-{name}" for name in DOMAINS)
 
 
 @dataclass(frozen=True)
@@ -71,7 +61,7 @@ class CacheConfig:
     dwback: str
 
     def __post_init__(self):
-        for name, domain in _FIELD_DOMAINS.items():
+        for name, domain in DOMAINS.items():
             value = getattr(self, name)
             if value not in domain:
                 raise ConfigError(f"{name}={value!r} not in permitted set {domain}")
@@ -100,7 +90,7 @@ class CacheConfig:
         kwargs = {}
         for flag, raw in seen.items():
             name = flag[4:]
-            if isinstance(_FIELD_DOMAINS[name][0], int):
+            if isinstance(DOMAINS[name][0], int):
                 try:
                     kwargs[name] = int(raw)
                 except ValueError:

@@ -87,9 +87,10 @@ class CharTable:
             ) from None
         return row.access_time, row.access_energy
 
-    def check_complete(self) -> None:
-        """Require one row per grammar triple (8 sizes x 4 blocks x 8 assocs)."""
-        for key in ALL_TRIPLES:
+    def check_complete(self, triples: Iterable[tuple[int, int, int]] = ALL_TRIPLES) -> None:
+        """Require one row per triple; by default every grammar triple
+        (8 sizes x 4 blocks x 8 assocs)."""
+        for key in sorted(triples):
             if key not in self._table:
                 raise CharTableError(
                     f"missing characterization row for size={key[0]} "

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .cachesim import (
     DEFAULT_BASELINE,
+    DOMAINS,
     CacheConfig,
     SideStreams,
     config_sim_seed,
@@ -34,14 +35,9 @@ from .charmodel import (
 from .errors import CacheOptError, ValidationError
 from .evolve import Evaluator, EvolveResult, GEParams, evolve
 from .grammar import DEFAULT_GRAMMAR, parse_bnf
-from .objectives import FitnessWeights, MissMode, metrics_from_stats
+from .objectives import FitnessWeights, MissMode, config_metrics, metrics_from_stats
 from .oracle import Subspace, exhaustive
 from .trace import PROFILES, TraceRecord, gen_synthetic, parse_din, to_din
-
-_DOMAIN_FIELDS = (
-    "isize", "ibsize", "irepl", "iassoc", "ifetch",
-    "dsize", "dbsize", "drepl", "dassoc", "dfetch", "dwback",
-)
 
 
 @dataclass
@@ -65,11 +61,21 @@ class RunConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValidationError("runs must be >= 1")
-        verdict = validate(self.baseline)
-        if not verdict:
-            raise ValidationError(
-                "baseline configuration is infeasible: " + "; ".join(verdict.problems)
-            )
+        _check_baseline(self.baseline)
+
+
+def _check_baseline(config: CacheConfig) -> None:
+    verdict = validate(config)
+    if not verdict:
+        raise ValidationError(
+            "baseline configuration is infeasible: " + "; ".join(verdict.problems)
+        )
+
+
+def _baseline(args) -> CacheConfig:
+    config = CacheConfig.from_flags(args.baseline_flags)
+    _check_baseline(config)
+    return config
 
 
 def _fmt(value: float) -> str:
@@ -77,15 +83,12 @@ def _fmt(value: float) -> str:
 
 
 def _load_trace(args) -> list[TraceRecord]:
-    path = Path(args.trace)
-    with path.open() as fh:
+    cap = args.max_records
+    if cap is not None and cap < 0:
+        raise ValidationError(f"--max-records must be >= 0, got {cap}")
+    with Path(args.trace).open() as fh:
         records = parse_din(fh)
-    cap = getattr(args, "max_records", None)
-    if cap is not None:
-        if cap < 0:
-            raise ValidationError(f"--max-records must be >= 0, got {cap}")
-        records = records[:cap]
-    return records
+    return records if cap is None else records[:cap]
 
 
 def _load_char_table(args) -> CharTable:
@@ -171,19 +174,12 @@ def cmd_characterize(args) -> None:
 
 
 def cmd_simulate(args) -> None:
-    trace = _load_trace(args)
+    config = CacheConfig.from_flags(args.flags)
     table = _load_char_table(args)
     dram = _load_dram(args)
-    config = CacheConfig.from_flags(args.flags)
-    verdict = validate(config)
-    if not verdict:
-        raise ValidationError("infeasible configuration: " + "; ".join(verdict.problems))
+    trace = _load_trace(args)
     istats, dstats = simulate(config, trace, rng_seed=config_sim_seed(config, args.seed))
-    ichar = table.lookup(config.isize, config.ibsize, config.iassoc)
-    dchar = table.lookup(config.dsize, config.dbsize, config.dassoc)
-    metrics = metrics_from_stats(
-        istats, dstats, ichar, dchar, config, dram, MissMode(args.miss_mode)
-    )
+    metrics = metrics_from_stats(istats, dstats, table, config, dram, MissMode(args.miss_mode))
     rows = [
         ("icache_accesses", istats.accesses),
         ("icache_demand_misses", istats.demand_misses),
@@ -338,13 +334,17 @@ def cmd_optimize(args) -> None:
         codon_count=args.codon_count,
         rng_seed=args.seed,
     )
+    baseline = _baseline(args)
+    weights = FitnessWeights.from_time_weight(args.w_time)
+    table = _load_char_table(args)
+    dram = _load_dram(args)
     rc = RunConfig(
         trace=_load_trace(args),
-        table=_load_char_table(args),
-        dram=_load_dram(args),
-        baseline=CacheConfig.from_flags(args.baseline_flags),
+        table=table,
+        dram=dram,
+        baseline=baseline,
         params=params,
-        weights=FitnessWeights.from_time_weight(args.w_time),
+        weights=weights,
         miss_mode=MissMode(args.miss_mode),
         grammar_text=grammar_text,
         outdir=Path(args.outdir),
@@ -357,19 +357,11 @@ def cmd_optimize(args) -> None:
 
 
 def cmd_exhaustive(args) -> None:
-    trace = SideStreams(_load_trace(args))
-    table = _load_char_table(args)
-    dram = _load_dram(args)
-    baseline_config = CacheConfig.from_flags(args.baseline_flags)
-    verdict = validate(baseline_config)
-    if not verdict:
-        raise ValidationError(
-            "baseline configuration is infeasible: " + "; ".join(verdict.problems)
-        )
+    baseline_config = _baseline(args)
     weights = FitnessWeights.from_time_weight(args.w_time)
     miss_mode = MissMode(args.miss_mode)
     values = {}
-    for name in _DOMAIN_FIELDS:
+    for name in DOMAINS:
         raw = getattr(args, name)
         if raw is not None:
             parts = [p.strip() for p in raw.split(",") if p.strip()]
@@ -377,17 +369,19 @@ def cmd_exhaustive(args) -> None:
                 int(p) if p.isdigit() else p for p in parts
             )
     sub = Subspace(**values)
-    ichar = table.lookup(
-        baseline_config.isize, baseline_config.ibsize, baseline_config.iassoc
+    table = _load_char_table(args)
+    dram = _load_dram(args)
+    # Every row the baseline and the enumeration will look up, checked
+    # before anything is simulated.
+    table.check_complete(
+        sub.triples()
+        | {(baseline_config.isize, baseline_config.ibsize, baseline_config.iassoc),
+           (baseline_config.dsize, baseline_config.dbsize, baseline_config.dassoc)}
     )
-    dchar = table.lookup(
-        baseline_config.dsize, baseline_config.dbsize, baseline_config.dassoc
-    )
-    istats, dstats = simulate(
-        baseline_config, trace, rng_seed=config_sim_seed(baseline_config, args.seed)
-    )
-    baseline = metrics_from_stats(
-        istats, dstats, ichar, dchar, baseline_config, dram, miss_mode
+    trace = SideStreams(_load_trace(args))
+    baseline = config_metrics(
+        baseline_config, trace, table, dram, miss_mode,
+        rng_seed=config_sim_seed(baseline_config, args.seed),
     )
     result = exhaustive(
         sub, trace, table, dram, baseline, weights, miss_mode,
@@ -500,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_table_options(p)
     _add_dram_options(p)
     _add_model_options(p)
-    for name in _DOMAIN_FIELDS:
+    for name in DOMAINS:
         p.add_argument(f"--{name}", default=None, metavar="V1,V2,...",
                        help=f"allowed {name} values (default: full set)")
     p.add_argument("--cap", type=int, default=10_000)

@@ -42,7 +42,11 @@ def is_nonterminal(symbol: str) -> bool:
 
 @dataclass(frozen=True)
 class Grammar:
-    """Production rules keyed by nonterminal; alternative order is load order."""
+    """Production rules keyed by nonterminal; alternative order is load order.
+
+    parse_bnf rejects references to undefined nonterminals, so a symbol is
+    a nonterminal exactly when it is a key of rules.
+    """
 
     start: str
     rules: dict[str, tuple[tuple[str, ...], ...]]
@@ -58,7 +62,7 @@ class Grammar:
             for alts in self.rules.values()
             for alt in alts
             for sym in alt
-            if not is_nonterminal(sym)
+            if sym not in self.rules
         )
         return tuple(seen)
 
@@ -133,10 +137,10 @@ def map_genotype(codons: Sequence[int], grammar: Grammar, max_wraps: int = 3) ->
     pending: deque[str] = deque((grammar.start,))
     while pending:
         symbol = pending.popleft()
-        if not is_nonterminal(symbol):
+        alts = grammar.rules.get(symbol)
+        if alts is None:
             out.append(symbol)
             continue
-        alts = grammar.rules[symbol]
         k = len(alts)
         if root:
             root = False
@@ -163,7 +167,7 @@ def derivation_count(grammar: Grammar) -> int:
     visiting: set[str] = set()
 
     def count(symbol: str) -> int:
-        if not is_nonterminal(symbol):
+        if symbol not in grammar.rules:
             return 1
         if symbol in memo:
             return memo[symbol]

@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .cachesim import CacheConfig, SimStats, config_sim_seed, simulate, validate
+from .cachesim import CacheConfig, SimStats, config_sim_seed, simulate
 from .charmodel import CharTable, DramParams
-from .errors import InfeasibleConfigError, ValidationError
+from .errors import ValidationError
 
 #: Fitness assigned to structurally infeasible configurations. Finite so
 #: selection stays total-ordered; large enough that any feasible point wins.
@@ -148,12 +148,14 @@ def energy(
 def metrics_from_stats(
     istats: SimStats,
     dstats: SimStats,
-    ichar: tuple[float, float],
-    dchar: tuple[float, float],
+    table: CharTable,
     config: CacheConfig,
     dram: DramParams,
     miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
 ) -> Metrics:
+    """Price simulated counters with each side's characterization row."""
+    ichar = table.lookup(config.isize, config.ibsize, config.iassoc)
+    dchar = table.lookup(config.dsize, config.dbsize, config.dassoc)
     return Metrics(
         exec_time(istats, dstats, ichar, dchar, config, dram, miss_mode),
         energy(istats, dstats, ichar, dchar, config, dram, miss_mode),
@@ -168,21 +170,17 @@ def config_metrics(
     miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
     rng_seed: int | None = None,
 ) -> Metrics:
-    """Simulate a feasible configuration and price it with the models.
+    """Simulate a configuration and price it with the models.
 
-    trace is passed to simulate as is: records or a SideStreams.
+    trace is passed to simulate as is: records or a SideStreams. simulate
+    raises InfeasibleConfigError for an impossible geometry.
     rng_seed defaults to the configuration's own stable seed so random
     replacement results do not depend on evaluation order.
     """
-    verdict = validate(config)
-    if not verdict:
-        raise InfeasibleConfigError("; ".join(verdict.problems))
     if rng_seed is None:
         rng_seed = config_sim_seed(config)
     istats, dstats = simulate(config, trace, rng_seed=rng_seed)
-    ichar = table.lookup(config.isize, config.ibsize, config.iassoc)
-    dchar = table.lookup(config.dsize, config.dbsize, config.dassoc)
-    return metrics_from_stats(istats, dstats, ichar, dchar, config, dram, miss_mode)
+    return metrics_from_stats(istats, dstats, table, config, dram, miss_mode)
 
 
 def fitness(

@@ -7,109 +7,67 @@ two implementations cannot confirm each other's bugs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
-from .cachesim import (
-    ASSOCIATIVITIES,
-    BLOCK_SIZES,
-    CACHE_SIZES,
-    FETCH_POLICIES,
-    REPL_POLICIES,
-    WRITE_POLICIES,
-    CacheConfig,
-    SideStreams,
-    config_sim_seed,
-    validate,
-)
+from .cachesim import DOMAINS, CacheConfig, SideStreams, config_sim_seed, n_sets, validate
 from .charmodel import CharTable, DramParams
 from .errors import SubspaceCapError, ValidationError
 from .objectives import FitnessWeights, Metrics, MissMode, config_metrics, fitness
 from .trace import TraceRecord
-
-_DOMAINS = {
-    "isize": CACHE_SIZES,
-    "ibsize": BLOCK_SIZES,
-    "irepl": REPL_POLICIES,
-    "iassoc": ASSOCIATIVITIES,
-    "ifetch": FETCH_POLICIES,
-    "dsize": CACHE_SIZES,
-    "dbsize": BLOCK_SIZES,
-    "drepl": REPL_POLICIES,
-    "dassoc": ASSOCIATIVITIES,
-    "dfetch": FETCH_POLICIES,
-    "dwback": WRITE_POLICIES,
-}
-
-_SUBSPACE_NONTERMINALS = {
-    "isize": "<ISize>",
-    "ibsize": "<IBlock>",
-    "irepl": "<IRepl>",
-    "iassoc": "<IAssoc>",
-    "ifetch": "<IFetch>",
-    "dsize": "<DSize>",
-    "dbsize": "<DBlock>",
-    "drepl": "<DRepl>",
-    "dassoc": "<DAssoc>",
-    "dfetch": "<DFetch>",
-    "dwback": "<DWback>",
-}
 
 
 @dataclass(frozen=True)
 class Subspace:
     """Per-parameter allowed-value lists; defaults cover the full space."""
 
-    isize: tuple[int, ...] = CACHE_SIZES
-    ibsize: tuple[int, ...] = BLOCK_SIZES
-    irepl: tuple[str, ...] = REPL_POLICIES
-    iassoc: tuple[int, ...] = ASSOCIATIVITIES
-    ifetch: tuple[str, ...] = FETCH_POLICIES
-    dsize: tuple[int, ...] = CACHE_SIZES
-    dbsize: tuple[int, ...] = BLOCK_SIZES
-    drepl: tuple[str, ...] = REPL_POLICIES
-    dassoc: tuple[int, ...] = ASSOCIATIVITIES
-    dfetch: tuple[str, ...] = FETCH_POLICIES
-    dwback: tuple[str, ...] = WRITE_POLICIES
+    isize: tuple[int, ...] = DOMAINS["isize"]
+    ibsize: tuple[int, ...] = DOMAINS["ibsize"]
+    irepl: tuple[str, ...] = DOMAINS["irepl"]
+    iassoc: tuple[int, ...] = DOMAINS["iassoc"]
+    ifetch: tuple[str, ...] = DOMAINS["ifetch"]
+    dsize: tuple[int, ...] = DOMAINS["dsize"]
+    dbsize: tuple[int, ...] = DOMAINS["dbsize"]
+    drepl: tuple[str, ...] = DOMAINS["drepl"]
+    dassoc: tuple[int, ...] = DOMAINS["dassoc"]
+    dfetch: tuple[str, ...] = DOMAINS["dfetch"]
+    dwback: tuple[str, ...] = DOMAINS["dwback"]
 
     def __post_init__(self):
-        for f in fields(self):
-            values = tuple(getattr(self, f.name))
-            object.__setattr__(self, f.name, values)
+        for name, domain in DOMAINS.items():
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
             if not values:
-                raise ValidationError(f"subspace {f.name} must be nonempty")
+                raise ValidationError(f"subspace {name} must be nonempty")
             if len(set(values)) != len(values):
-                raise ValidationError(f"subspace {f.name} has duplicate values")
-            outside = [v for v in values if v not in _DOMAINS[f.name]]
+                raise ValidationError(f"subspace {name} has duplicate values")
+            outside = [v for v in values if v not in domain]
             if outside:
                 raise ValidationError(
-                    f"subspace {f.name} values {outside} outside permitted set {_DOMAINS[f.name]}"
+                    f"subspace {name} values {outside} outside permitted set {domain}"
                 )
 
     def cardinality(self) -> int:
-        n = 1
-        for f in fields(self):
-            n *= len(getattr(self, f.name))
-        return n
+        return math.prod(len(getattr(self, name)) for name in DOMAINS)
 
     def configs(self) -> Iterable[CacheConfig]:
-        names = [f.name for f in fields(self)]
-        for combo in product(*(getattr(self, name) for name in names)):
-            yield CacheConfig(**dict(zip(names, combo)))
+        for combo in product(*(getattr(self, name) for name in DOMAINS)):
+            yield CacheConfig(**dict(zip(DOMAINS, combo)))
+
+    def triples(self) -> set[tuple[int, int, int]]:
+        """(size, block, assoc) of the I and D sides of every feasible point,
+        i.e. the characterization rows that exhaustive looks up."""
+        iside = {t for t in product(self.isize, self.ibsize, self.iassoc) if n_sets(*t)}
+        dside = {t for t in product(self.dsize, self.dbsize, self.dassoc) if n_sets(*t)}
+        return iside | dside if iside and dside else set()
 
     def grammar_text(self) -> str:
         """BNF restricting the decoder to exactly this subspace."""
-        lines = [
-            "<DineroParams> ::= "
-            + " ".join(
-                f"-l1-{name} {_SUBSPACE_NONTERMINALS[name]}"
-                for name in _SUBSPACE_NONTERMINALS
-            )
-        ]
-        for name, nt in _SUBSPACE_NONTERMINALS.items():
-            alts = " | ".join(str(v) for v in getattr(self, name))
-            lines.append(f"{nt} ::= {alts}")
+        lines = ["<DineroParams> ::= " + " ".join(f"-l1-{name} <{name}>" for name in DOMAINS)]
+        for name in DOMAINS:
+            lines.append(f"<{name}> ::= " + " | ".join(str(v) for v in getattr(self, name)))
         return "\n".join(lines) + "\n"
 
 

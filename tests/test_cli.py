@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from cacheopt.charmodel import DramParams, surrogate_generate
+from cacheopt.charmodel import CharTable, DramParams, save_table, surrogate_generate
 from cacheopt.cli import main
 from cacheopt.cachesim import DEFAULT_BASELINE, simulate
 from cacheopt.objectives import metrics_from_stats
@@ -76,11 +76,7 @@ def test_simulate_repeat_trace_matches_library(tmp_path, capsys):
     # the CLI must price the counters exactly like the library
     table = surrogate_generate(0)
     istats, dstats = simulate(DEFAULT_BASELINE, parse_din(["2 0", "2 0"]))
-    expected = metrics_from_stats(
-        istats, dstats,
-        table.lookup(16384, 32, 4), table.lookup(16384, 32, 4),
-        DEFAULT_BASELINE, DramParams(),
-    )
+    expected = metrics_from_stats(istats, dstats, table, DEFAULT_BASELINE, DramParams())
     assert float(rows["exec_time_s"]) == expected.exec_time
     assert float(rows["energy_j"]) == expected.energy
 
@@ -109,6 +105,33 @@ def test_simulate_max_records(tmp_path, capsys):
     trace_path = write_trace(tmp_path / "t.din", n=100, profile="sequential")
     assert main(["simulate", "--trace", str(trace_path), "--max-records", "10"]) == 0
     assert "accesses=10" in capsys.readouterr().out
+
+
+OUT_OF_DOMAIN_FLAGS = DEFAULT_BASELINE.to_flags().replace("-l1-iassoc 4", "-l1-iassoc 3")
+INFEASIBLE_BASELINE = (
+    DEFAULT_BASELINE.to_flags()
+    .replace("-l1-dsize 16384", "-l1-dsize 512")
+    .replace("-l1-dassoc 4", "-l1-dassoc 128")
+)
+
+
+@pytest.mark.parametrize("args, named", [
+    (["simulate", "--max-records", "-1"], "--max-records"),
+    (["simulate", "--flags", OUT_OF_DOMAIN_FLAGS], "iassoc=3"),
+    (["optimize", "--max-records", "-2"], "--max-records"),
+    (["optimize", "--baseline-flags", OUT_OF_DOMAIN_FLAGS], "iassoc=3"),
+    (["optimize", "--baseline-flags", INFEASIBLE_BASELINE], "baseline configuration is infeasible"),
+    (["exhaustive", "--baseline-flags", INFEASIBLE_BASELINE], "D-cache"),
+    (["exhaustive", "--dassoc", "3"], "dassoc"),
+])
+def test_bad_flags_fail_before_trace_is_read(tmp_path, capsys, args, named):
+    if args[0] != "simulate":
+        args = [*args, "-o", str(tmp_path / "out")]
+    assert main([*args, "--trace", str(tmp_path / "absent.din")]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "absent.din" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_missing_trace_exit_2(tmp_path, capsys):
@@ -238,3 +261,35 @@ def test_exhaustive_cli_ranked_output(tmp_path):
     assert len(ranked) + len(infeasible) == 4
     fits = [float(r["fitness"]) for r in ranked]
     assert fits == sorted(fits)
+
+
+def test_exhaustive_ranks_default_baseline_at_one(tmp_path):
+    trace_path = write_trace(tmp_path / "t.din", n=300)
+    outdir = tmp_path / "exh"
+    assert main([
+        "exhaustive", "--trace", str(trace_path),
+        "--isize", "16384", "--ibsize", "32", "--irepl", "l,r", "--iassoc", "4",
+        "--ifetch", "d,m", "--dsize", "16384", "--dbsize", "32", "--drepl", "l",
+        "--dassoc", "4", "--dfetch", "d", "--dwback", "a,n", "-o", str(outdir),
+    ]) == 0
+    ranked = {r["phenotype"]: r["fitness"] for r in read_csv(outdir / "ranked.csv")}
+    assert len(ranked) == 8
+    assert ranked[DEFAULT_BASELINE.to_flags()] == "1.0"
+
+
+def test_exhaustive_missing_table_row_fails_before_simulating(tmp_path, capsys):
+    trace_path = write_trace(tmp_path / "t.din", n=100)
+    table_path = tmp_path / "chars.csv"
+    rows = [r for r in surrogate_generate(0).rows()
+            if (r.size, r.block, r.assoc) != (65536, 64, 8)]
+    save_table(CharTable(rows), table_path)
+    outdir = tmp_path / "exh"
+    rc = main([
+        "exhaustive", "--trace", str(trace_path), "--table", str(table_path),
+        "--isize", "512,65536", "--ibsize", "64", "--irepl", "l", "--iassoc", "8",
+        "--ifetch", "d", "--dsize", "512", "--dbsize", "8", "--drepl", "l",
+        "--dassoc", "1", "--dfetch", "d", "--dwback", "a", "-o", str(outdir),
+    ])
+    assert rc == 2
+    assert "size=65536 block=64 assoc=8" in capsys.readouterr().err
+    assert not (outdir / "ranked.csv").exists()

@@ -1,12 +1,16 @@
 import random
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cacheopt.cachesim import CacheConfig, DEFAULT_BASELINE, simulate
+from cacheopt import cachesim, objectives, oracle
+from cacheopt.cachesim import DOMAINS, FLAG_ORDER, CacheConfig, DEFAULT_BASELINE, simulate
 from cacheopt.charmodel import DramParams, surrogate_generate
-from cacheopt.errors import SubspaceCapError, ValidationError
+from cacheopt.errors import MappingError, SubspaceCapError, ValidationError
 from cacheopt.evolve import Evaluator, GEParams, evolve
-from cacheopt.grammar import parse_bnf
+from cacheopt.grammar import DEFAULT_GRAMMAR, map_genotype, parse_bnf
 from cacheopt.objectives import config_metrics
 from cacheopt.oracle import Subspace, exhaustive, reference_lru
 from cacheopt.trace import AccessKind, TraceRecord, gen_synthetic
@@ -50,6 +54,60 @@ def test_subspace_grammar_round_trip():
     assert derivation_count(grammar) == sub.cardinality() == 4
     config = CacheConfig.from_flags(map_genotype([1] * 11, grammar))
     assert config.isize == 65536 and config.dwback == "n"
+
+
+def test_domains_fix_every_parameter_order():
+    names = list(DOMAINS)
+    assert len(names) == 11
+    assert list(FLAG_ORDER) == [f"-l1-{name}" for name in names]
+    assert [f.name for f in fields(CacheConfig)] == names
+    assert [f.name for f in fields(Subspace)] == names
+    assert all(getattr(Subspace(), name) == DOMAINS[name] for name in names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    codons=st.lists(st.integers(0, 255), min_size=1, max_size=30),
+    max_wraps=st.integers(1, 4),
+)
+def test_full_subspace_grammar_decodes_like_default_grammar(codons, max_wraps):
+    """The literal DEFAULT_GRAMMAR and the grammar derived from DOMAINS
+    pick the same value at every decision."""
+    decoded = []
+    for text in (DEFAULT_GRAMMAR, Subspace().grammar_text()):
+        try:
+            decoded.append(map_genotype(codons, parse_bnf(text), max_wraps))
+        except MappingError:
+            decoded.append(None)
+    assert decoded[0] == decoded[1]
+
+
+def test_subspace_triples_are_the_feasible_side_geometries():
+    sub = small_subspace(isize=(512, 1024), ibsize=(64,), iassoc=(8, 16),
+                         dsize=(2048,), dbsize=(8,), dassoc=(1,))
+    # 512 B cannot hold 64 B x 16 ways
+    assert sub.triples() == {(512, 64, 8), (1024, 64, 8), (1024, 64, 16), (2048, 8, 1)}
+    # no feasible D side: no point is feasible, so nothing is looked up
+    assert small_subspace(dsize=(512,), dbsize=(64,), dassoc=(16,)).triples() == set()
+
+
+def test_exhaustive_checks_each_point_once(monkeypatch):
+    """One feasibility check per point, plus simulate's own guard."""
+    trace = gen_synthetic("mixed", 300, 4)
+    baseline = baseline_metrics(trace)
+    checked = []
+
+    def counting_validate(config):
+        checked.append(config)
+        return real_validate(config)
+
+    real_validate = cachesim.validate
+    for module in (cachesim, objectives, oracle):
+        monkeypatch.setattr(module, "validate", counting_validate, raising=False)
+    sub = small_subspace(isize=(512, 1024), ibsize=(64,), iassoc=(8, 16))
+    result = exhaustive(sub, trace, TABLE, DRAM, baseline)
+    assert (len(result.ranked), len(result.infeasible)) == (3, 1)
+    assert len(checked) == 4 + 3
 
 
 def test_exhaustive_two_point_space():
