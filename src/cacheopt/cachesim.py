@@ -267,10 +267,8 @@ class SideStreams:
 
     simulate accepts raw records or a SideStreams; callers that simulate
     one trace many times build it once. Block streams are derived lazily
-    for each (side, block size) and kept; concurrent callers may derive
-    the same stream twice, and either copy is kept. Streams are compact
-    arrays: addresses and block numbers as unsigned 64-bit, write flags
-    as bytes.
+    for each (side, block size) and kept. Streams are compact arrays:
+    addresses and block numbers as unsigned 64-bit, write flags as bytes.
     """
 
     def __init__(self, trace: Iterable[TraceRecord]):

@@ -54,13 +54,15 @@ class RunConfig:
     grammar_text: str
     outdir: Path
     runs: int = 10
-    jobs: int = 1
+    jobs: int = 1  # only 1: evaluation is serial; perfbench/worker.py still passes jobs=1
     shared_memo: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if self.runs < 1:
             raise ValidationError("runs must be >= 1")
+        if self.jobs != 1:
+            raise ValidationError(f"jobs must be 1 (evaluation is serial), got {self.jobs}")
         _check_baseline(self.baseline)
 
 
@@ -241,7 +243,7 @@ def run_optimize(rc: RunConfig) -> dict:
             total_sims += evaluator.stats().sim_invocations
             evaluator = new_evaluator()
         params = replace(rc.params, rng_seed=rc.seed + run)
-        result = evolve(params, grammar, evaluator, jobs=rc.jobs)
+        result = evolve(params, grammar, evaluator)
         outcomes.append(_RunOutcome(run, params.rng_seed, result))
         log_path = rc.outdir / f"run_{run:02d}_log.csv"
         with log_path.open("w", newline="") as fh:
@@ -323,6 +325,7 @@ def cmd_optimize(args) -> None:
     grammar_text = (
         Path(args.grammar).read_text() if args.grammar else DEFAULT_GRAMMAR
     )
+    parse_bnf(grammar_text)  # a bad grammar fails before any input is read
     params = GEParams(
         generations=args.generations,
         population=args.population,
@@ -349,7 +352,6 @@ def cmd_optimize(args) -> None:
         grammar_text=grammar_text,
         outdir=Path(args.outdir),
         runs=args.runs,
-        jobs=args.jobs,
         shared_memo=not args.no_shared_memo,
         seed=args.seed,
     )
@@ -369,6 +371,7 @@ def cmd_exhaustive(args) -> None:
                 int(p) if p.isdigit() else p for p in parts
             )
     sub = Subspace(**values)
+    sub.check_cap(args.cap)
     table = _load_char_table(args)
     dram = _load_dram(args)
     # Every row the baseline and the enumeration will look up, checked
@@ -483,7 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-wraps", type=int, default=3)
     p.add_argument("--codon-count", type=int, default=11)
     p.add_argument("--seed", type=int, default=0, help="master seed; run i uses seed+i")
-    p.add_argument("--jobs", type=int, default=1, help="parallel evaluations per generation")
     p.add_argument("--no-shared-memo", action="store_true",
                    help="give each run its own evaluation memo")
     p.add_argument("-o", "--outdir", required=True)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import random
 import statistics
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -95,12 +93,11 @@ class MemoStats:
 
 
 class Evaluator:
-    """Phenotype -> fitness, memoized; safe for concurrent callers.
+    """Phenotype -> fitness, memoized on the canonical key.
 
-    Each distinct feasible key is simulated exactly once: the first caller
-    claims the key and later callers (including concurrent ones) wait on
-    its result. Simulation seeds derive from the key text and sim_seed_base
-    so values never depend on evaluation order.
+    Each distinct feasible key is simulated exactly once; later lookups
+    return the stored result. Simulation seeds derive from the key text
+    and sim_seed_base so values never depend on evaluation order.
     """
 
     def __init__(
@@ -119,8 +116,7 @@ class Evaluator:
         self.miss_mode = miss_mode
         self.sim_seed_base = sim_seed_base
         self.baseline_metrics: Metrics | None = None
-        self._memo: dict[str, Future] = {}
-        self._lock = threading.Lock()
+        self._memo: dict[str, EvalResult] = {}
         self._feasible_keys = 0
         self._sim_invocations = 0
         self._memo_hits = 0
@@ -138,21 +134,11 @@ class Evaluator:
         if self.baseline_metrics is None:
             raise ValidationError("baseline metrics not set; call set_baseline first")
         key = memo_key(phenotype)
-        with self._lock:
-            existing = self._memo.get(key)
-            if existing is None:
-                fut: Future = Future()
-                self._memo[key] = fut
-            else:
-                self._memo_hits += 1
-        if existing is not None:
-            return existing.result()
-        try:
-            result = self._compute(key)
-        except BaseException as exc:
-            fut.set_exception(exc)
-            raise
-        fut.set_result(result)
+        result = self._memo.get(key)
+        if result is not None:
+            self._memo_hits += 1
+            return result
+        result = self._memo[key] = self._compute(key)
         return result
 
     def _compute(self, key: str) -> EvalResult:
@@ -163,19 +149,17 @@ class Evaluator:
             config, self.streams, self.table, self.dram, self.miss_mode,
             rng_seed=config_sim_seed(config, self.sim_seed_base),
         )
-        with self._lock:
-            self._feasible_keys += 1
-            self._sim_invocations += 1
+        self._feasible_keys += 1
+        self._sim_invocations += 1
         return EvalResult(True, metrics, fitness(metrics, self.baseline_metrics, self.weights))
 
     def stats(self) -> MemoStats:
-        with self._lock:
-            return MemoStats(
-                unique_keys=len(self._memo),
-                feasible_keys=self._feasible_keys,
-                sim_invocations=self._sim_invocations,
-                memo_hits=self._memo_hits,
-            )
+        return MemoStats(
+            unique_keys=len(self._memo),
+            feasible_keys=self._feasible_keys,
+            sim_invocations=self._sim_invocations,
+            memo_hits=self._memo_hits,
+        )
 
 
 def random_genotype(length: int, rng: random.Random) -> Genotype:
@@ -237,30 +221,20 @@ def _evaluate_population(
     grammar: Grammar,
     evaluator: Evaluator,
     max_wraps: int,
-    jobs: int,
 ) -> None:
-    todo = [ind for ind in population if ind.fitness is None]
-    for ind in todo:
+    for ind in population:
+        if ind.fitness is not None:
+            continue
         try:
             ind.phenotype = map_genotype(ind.genotype, grammar, max_wraps)
         except MappingError:
-            ind.phenotype = None
             ind.feasible = False
             ind.fitness = INFEASIBLE_FITNESS
-    todo = [ind for ind in todo if ind.phenotype is not None]
-
-    def apply(ind: Individual) -> None:
+            continue
         result = evaluator.evaluate(ind.phenotype)
         ind.feasible = result.feasible
         ind.metrics = result.metrics
         ind.fitness = result.fitness
-
-    if jobs > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(apply, todo))
-    else:
-        for ind in todo:
-            apply(ind)
 
 
 def _next_generation(
@@ -278,14 +252,12 @@ def _next_generation(
     return new_pop
 
 
-def evolve(
-    params: GEParams, grammar: Grammar, evaluator: Evaluator, jobs: int = 1
-) -> EvolveResult:
+def evolve(params: GEParams, grammar: Grammar, evaluator: Evaluator) -> EvolveResult:
     """Run the generational loop and return the best-ever individual.
 
     Per-seed deterministic: the log's fitness values and the best phenotype
-    depend only on (params, grammar, evaluator inputs), not on jobs. Ties
-    in best-ever tracking keep the earliest discovery.
+    depend only on (params, grammar, evaluator inputs). Ties in best-ever
+    tracking keep the earliest discovery.
     """
     rng = random.Random(params.rng_seed)
     population = [
@@ -295,7 +267,7 @@ def evolve(
     best_ever: Individual | None = None
     log: list[GenerationLog] = []
     for generation in range(1, params.generations + 1):
-        _evaluate_population(population, grammar, evaluator, params.max_wraps, jobs)
+        _evaluate_population(population, grammar, evaluator, params.max_wraps)
         for ind in population:
             if best_ever is None or ind.fitness < best_ever.fitness:
                 best_ever = ind

@@ -91,6 +91,43 @@ def _check_char(pair: tuple[float, float]) -> None:
             raise ValidationError(f"characterization value must be finite and >= 0, got {value!r}")
 
 
+def _price(
+    istats: SimStats,
+    dstats: SimStats,
+    ichar: tuple[float, float],
+    dchar: tuple[float, float],
+    config: CacheConfig,
+    dram: DramParams,
+    miss_mode: MissMode,
+) -> tuple[float, float]:
+    """(execution time, energy), with each side's inputs checked once."""
+    _check_counters(istats)
+    _check_counters(dstats)
+    _check_char(ichar)
+    _check_char(dchar)
+    im = _effective_misses(istats, miss_mode)
+    dm = _effective_misses(dstats, miss_mode)
+    t = (
+        istats.accesses * ichar[0]
+        + im * dram.access_time
+        + im * config.ibsize / dram.bandwidth
+        + dstats.accesses * dchar[0]
+        + dm * dram.access_time
+        + dm * config.dbsize / dram.bandwidth
+    )
+    i_dram = dram.access_power * (dram.access_time + config.ibsize / dram.bandwidth)
+    d_dram = dram.access_power * (dram.access_time + config.dbsize / dram.bandwidth)
+    e = (
+        istats.accesses * ichar[1]
+        + dstats.accesses * dchar[1]
+        + im * ichar[1] * config.ibsize
+        + dm * dchar[1] * config.dbsize
+        + im * i_dram
+        + dm * d_dram
+    )
+    return t, e
+
+
 def exec_time(
     istats: SimStats,
     dstats: SimStats,
@@ -101,20 +138,7 @@ def exec_time(
     miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
 ) -> float:
     """Execution time in seconds attributable to the cache subsystem."""
-    _check_counters(istats)
-    _check_counters(dstats)
-    _check_char(ichar)
-    _check_char(dchar)
-    im = _effective_misses(istats, miss_mode)
-    dm = _effective_misses(dstats, miss_mode)
-    return (
-        istats.accesses * ichar[0]
-        + im * dram.access_time
-        + im * config.ibsize / dram.bandwidth
-        + dstats.accesses * dchar[0]
-        + dm * dram.access_time
-        + dm * config.dbsize / dram.bandwidth
-    )
+    return _price(istats, dstats, ichar, dchar, config, dram, miss_mode)[0]
 
 
 def energy(
@@ -127,22 +151,7 @@ def energy(
     miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
 ) -> float:
     """Dynamic energy in joules attributable to the cache subsystem."""
-    _check_counters(istats)
-    _check_counters(dstats)
-    _check_char(ichar)
-    _check_char(dchar)
-    im = _effective_misses(istats, miss_mode)
-    dm = _effective_misses(dstats, miss_mode)
-    i_dram = dram.access_power * (dram.access_time + config.ibsize / dram.bandwidth)
-    d_dram = dram.access_power * (dram.access_time + config.dbsize / dram.bandwidth)
-    return (
-        istats.accesses * ichar[1]
-        + dstats.accesses * dchar[1]
-        + im * ichar[1] * config.ibsize
-        + dm * dchar[1] * config.dbsize
-        + im * i_dram
-        + dm * d_dram
-    )
+    return _price(istats, dstats, ichar, dchar, config, dram, miss_mode)[1]
 
 
 def metrics_from_stats(
@@ -156,10 +165,7 @@ def metrics_from_stats(
     """Price simulated counters with each side's characterization row."""
     ichar = table.lookup(config.isize, config.ibsize, config.iassoc)
     dchar = table.lookup(config.dsize, config.dbsize, config.dassoc)
-    return Metrics(
-        exec_time(istats, dstats, ichar, dchar, config, dram, miss_mode),
-        energy(istats, dstats, ichar, dchar, config, dram, miss_mode),
-    )
+    return Metrics(*_price(istats, dstats, ichar, dchar, config, dram, miss_mode))
 
 
 def config_metrics(

@@ -52,6 +52,12 @@ class Subspace:
     def cardinality(self) -> int:
         return math.prod(len(getattr(self, name)) for name in DOMAINS)
 
+    def check_cap(self, cap: int) -> None:
+        if self.cardinality() > cap:
+            raise SubspaceCapError(
+                f"subspace holds {self.cardinality()} points, above the cap of {cap}"
+            )
+
     def configs(self) -> Iterable[CacheConfig]:
         for combo in product(*(getattr(self, name) for name in DOMAINS)):
             yield CacheConfig(**dict(zip(DOMAINS, combo)))
@@ -101,10 +107,7 @@ def exhaustive(
     per-configuration seed derived from sim_seed_base (default 0). Ties in
     fitness are broken by canonical flag-text order.
     """
-    if sub.cardinality() > cap:
-        raise SubspaceCapError(
-            f"subspace holds {sub.cardinality()} points, above the cap of {cap}"
-        )
+    sub.check_cap(cap)
     streams = SideStreams.of(trace)
     ranked = []
     infeasible = []

@@ -3,9 +3,12 @@ import csv
 import pytest
 
 from cacheopt.charmodel import CharTable, DramParams, save_table, surrogate_generate
-from cacheopt.cli import main
+from cacheopt.cli import RunConfig, main
 from cacheopt.cachesim import DEFAULT_BASELINE, simulate
-from cacheopt.objectives import metrics_from_stats
+from cacheopt.errors import ValidationError
+from cacheopt.evolve import GEParams
+from cacheopt.grammar import DEFAULT_GRAMMAR
+from cacheopt.objectives import FitnessWeights, MissMode, metrics_from_stats
 from cacheopt.trace import parse_din
 
 ONE_POINT_GRAMMAR = """\
@@ -123,6 +126,7 @@ INFEASIBLE_BASELINE = (
     (["optimize", "--baseline-flags", INFEASIBLE_BASELINE], "baseline configuration is infeasible"),
     (["exhaustive", "--baseline-flags", INFEASIBLE_BASELINE], "D-cache"),
     (["exhaustive", "--dassoc", "3"], "dassoc"),
+    (["exhaustive"], "10616832 points, above the cap of 10000"),
 ])
 def test_bad_flags_fail_before_trace_is_read(tmp_path, capsys, args, named):
     if args[0] != "simulate":
@@ -132,6 +136,28 @@ def test_bad_flags_fail_before_trace_is_read(tmp_path, capsys, args, named):
     assert named in err
     assert "absent.din" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_optimize_bad_grammar_fails_before_trace_is_read(tmp_path, capsys):
+    grammar_path = tmp_path / "bad.bnf"
+    grammar_path.write_text("<A> ::= <B>\n")
+    assert main(["optimize", "--grammar", str(grammar_path),
+                 "--trace", str(tmp_path / "absent.din"), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "undefined nonterminal <B>" in err
+    assert "absent.din" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_config_accepts_only_one_job(tmp_path):
+    kwargs = dict(
+        trace=[], table=surrogate_generate(0), dram=DramParams(), baseline=DEFAULT_BASELINE,
+        params=GEParams(), weights=FitnessWeights(), miss_mode=MissMode.DEMAND_ONLY,
+        grammar_text=DEFAULT_GRAMMAR, outdir=tmp_path,
+    )
+    assert RunConfig(**kwargs, jobs=1).jobs == 1
+    with pytest.raises(ValidationError, match="jobs"):
+        RunConfig(**kwargs, jobs=2)
 
 
 def test_simulate_missing_trace_exit_2(tmp_path, capsys):
@@ -188,7 +214,7 @@ def test_optimize_outputs_and_best_count(tmp_path):
 def test_optimize_deterministic_outputs(tmp_path):
     trace_path = write_trace(tmp_path / "t.din", n=300)
     args = ["--trace", str(trace_path), "--runs", "2", "--generations", "3",
-            "--population", "6", "--seed", "1", "--jobs", "2"]
+            "--population", "6", "--seed", "1"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["optimize", *args, "-o", str(a)]) == 0
     assert main(["optimize", *args, "-o", str(b)]) == 0

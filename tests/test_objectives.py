@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import cacheopt.objectives
 from cacheopt.cachesim import DEFAULT_BASELINE, CacheConfig, SimStats
 from cacheopt.charmodel import DramParams, surrogate_generate
 from cacheopt.errors import ValidationError
@@ -164,6 +165,21 @@ def test_energy_rescaling_preserves_ordering():
             b2 = Metrics(baseline.exec_time, baseline.energy * scale)
             scaled.append(fitness(m2, b2))
         assert plain.index(min(plain)) == scaled.index(min(scaled))
+
+
+def test_config_metrics_checks_each_side_once(monkeypatch):
+    trace = gen_synthetic("mixed", 200, 1)
+    table = surrogate_generate(0)
+    checked = []
+    real = cacheopt.objectives._check_counters
+    monkeypatch.setattr(cacheopt.objectives, "_check_counters",
+                        lambda s: (checked.append(s), real(s)))
+    metrics = config_metrics(DEFAULT_BASELINE, trace, table, DRAM)
+    assert len(checked) == 2  # one I side, one D side
+    istats, dstats = checked
+    char = table.lookup(16384, 32, 4)  # the baseline's I and D rows
+    assert metrics.exec_time == exec_time(istats, dstats, char, char, DEFAULT_BASELINE, DRAM)
+    assert metrics.energy == energy(istats, dstats, char, char, DEFAULT_BASELINE, DRAM)
 
 
 def test_infeasible_sentinel_value():
