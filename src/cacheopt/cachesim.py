@@ -269,6 +269,12 @@ class SideStreams:
     one trace many times build it once. Block streams are derived lazily
     for each (side, block size) and kept. Streams are compact arrays:
     addresses and block numbers as unsigned 64-bit, write flags as bytes.
+
+    Each side's counters are memoized too, keyed on that side's geometry
+    and policies: the I-cache sees only ifetches and the D-cache only
+    reads and writes, so one side's counters never depend on the other
+    side's flags. Random-replacement sides are not stored, because their
+    seed comes from the full configuration.
     """
 
     def __init__(self, trace: Iterable[TraceRecord]):
@@ -284,6 +290,7 @@ class SideStreams:
         self.dwrites = bytes(dwrites)
         self.writes = self.dwrites.count(1)
         self._blocks: dict[tuple[str, int, bool], tuple[array, bytes]] = {}
+        self._counts: dict[tuple, tuple[int, ...]] = {}
 
     @classmethod
     def of(cls, trace) -> "SideStreams":
@@ -331,13 +338,39 @@ def _simulate_side(
     rng_seed: int | None,
     write_back: bool,
 ) -> SimStats:
+    """One side's counters, from the streams' memo or a fresh engine pass.
+
+    A hit returns a new SimStats, so a caller that mutates its result
+    cannot change a later one.
+    """
+    key = (side, size, block, assoc, repl, fetch, write_back)
+    counts = streams._counts.get(key)
+    if counts is None:
+        counts = _run_side(streams, side, size, block, assoc, repl, fetch, rng_seed, write_back)
+        if repl != "r":
+            streams._counts[key] = counts
+    return SimStats(*counts)
+
+
+def _run_side(
+    streams: SideStreams,
+    side: str,
+    size: int,
+    block: int,
+    assoc: int,
+    repl: str,
+    fetch: str,
+    rng_seed: int | None,
+    write_back: bool,
+) -> tuple[int, ...]:
     """Run one side's stream; same semantics as CacheUnit, the reference.
 
-    Sets are keyed by block number (the tag is implied by the set) and
-    created on first touch. Random replacement keeps each set's fill order
-    in a list, so rng.choice draws the victims CacheUnit draws from its
-    OrderedDict. Only write-back sides track dirty blocks; write_throughs
-    is left to the caller.
+    Returns the SimStats counters as a tuple, in field order. Sets are
+    keyed by block number (the tag is implied by the set) and created on
+    first touch. Random replacement keeps each set's fill order in a list,
+    so rng.choice draws the victims CacheUnit draws from its OrderedDict.
+    Only write-back sides track dirty blocks; a write-through D-side
+    counts every write as a write-through.
     """
     n = n_sets(size, block, assoc)
     # A run of accesses to one block is one access plus hits that change
@@ -393,12 +426,13 @@ def _simulate_side(
             entries[b] = 0
             if choice is not None:
                 orders[idx].append(b)
-    return SimStats(
-        accesses=len(streams.iaddrs if side == "i" else streams.daddrs),
-        demand_misses=misses,
-        prefetch_fills=fills,
-        write_backs=write_backs,
-        final_flush=sum(1 for entries in sets.values() for dirty in entries.values() if dirty),
+    return (
+        len(streams.iaddrs if side == "i" else streams.daddrs),
+        misses,
+        fills,
+        write_backs,
+        streams.writes if side == "d" and not write_back else 0,
+        sum(1 for entries in sets.values() for dirty in entries.values() if dirty),
     )
 
 
@@ -411,7 +445,7 @@ def simulate(
     rng_seed only influences results when a replacement policy is 'r';
     each side draws from its own generator derived from rng_seed.
     trace is records or a SideStreams built from them; pass the latter to
-    simulate one trace many times.
+    simulate one trace many times, so each distinct side runs once.
     """
     verdict = validate(config)
     if not verdict:
@@ -429,8 +463,6 @@ def simulate(
         streams, "d", config.dsize, config.dbsize, config.dassoc, config.drepl,
         config.dfetch, dseed, write_back=config.dwback == "a",
     )
-    if config.dwback == "n":
-        dstats.write_throughs = streams.writes
     return istats, dstats
 
 

@@ -89,8 +89,7 @@ def _load_trace(args) -> list[TraceRecord]:
     if cap is not None and cap < 0:
         raise ValidationError(f"--max-records must be >= 0, got {cap}")
     with Path(args.trace).open() as fh:
-        records = parse_din(fh)
-    return records if cap is None else records[:cap]
+        return parse_din(fh, max_records=cap)
 
 
 def _load_char_table(args) -> CharTable:

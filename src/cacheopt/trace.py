@@ -46,16 +46,21 @@ PROFILES = ("sequential", "loop", "strided", "random", "mixed")
 
 _MAX_ADDRESS = (1 << 64) - 1
 _HEX_RE = re.compile(r"(0[xX])?[0-9a-fA-F]+")
+_KINDS = {str(int(kind)): kind for kind in AccessKind}  # din label -> kind
 
 
-def parse_din(lines: Iterable[str]) -> list[TraceRecord]:
+def parse_din(lines: Iterable[str], max_records: int | None = None) -> list[TraceRecord]:
     """Parse classic din text: one `label hexaddr` pair per line.
 
     Empty lines and lines starting with `#` are skipped. Addresses are
-    hexadecimal with an optional 0x prefix and must fit in 64 bits.
+    hexadecimal with an optional 0x prefix and must fit in 64 bits. With
+    max_records, parsing stops once that many records are read; the lines
+    after them are not checked.
     """
     records = []
     for lineno, raw in enumerate(lines, start=1):
+        if len(records) == max_records:
+            break
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -65,14 +70,15 @@ def parse_din(lines: Iterable[str]) -> list[TraceRecord]:
                 f"expected 'label address' at line {lineno}, got {line!r}"
             )
         label, addr_text = fields
-        if label not in ("0", "1", "2"):
+        kind = _KINDS.get(label)
+        if kind is None:
             raise TraceError(f"invalid label at line {lineno}: {label!r}")
         if not _HEX_RE.fullmatch(addr_text):
             raise TraceError(f"invalid hexadecimal address at line {lineno}: {addr_text!r}")
         address = int(addr_text, 16)
         if address > _MAX_ADDRESS:
             raise TraceError(f"address out of 64-bit range at line {lineno}: {addr_text!r}")
-        records.append(TraceRecord(AccessKind(int(label)), address))
+        records.append(TraceRecord(kind, address))
     return records
 
 

@@ -110,6 +110,23 @@ def test_simulate_max_records(tmp_path, capsys):
     assert "accesses=10" in capsys.readouterr().out
 
 
+def test_simulate_max_records_stops_before_bad_lines(tmp_path, capsys):
+    """Only the first N records are parsed, so a bad line after them is
+    never read as a record."""
+    trace_path = write_trace(tmp_path / "t.din", n=20, profile="random")
+    lines = trace_path.read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.din"
+    bad.write_text("".join(lines) + "garbage\n")
+    head = tmp_path / "head.din"
+    head.write_text("".join(lines[:5]))
+    capsys.readouterr()
+    assert main(["simulate", "--trace", str(head)]) == 0
+    expected = capsys.readouterr().out
+    assert "accesses=5" not in expected  # both sides see some of the five
+    assert main(["simulate", "--trace", str(bad), "--max-records", "5"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 OUT_OF_DOMAIN_FLAGS = DEFAULT_BASELINE.to_flags().replace("-l1-iassoc 4", "-l1-iassoc 3")
 INFEASIBLE_BASELINE = (
     DEFAULT_BASELINE.to_flags()

@@ -110,6 +110,37 @@ def test_exhaustive_checks_each_point_once(monkeypatch):
     assert len(checked) == 4 + 3
 
 
+def test_exhaustive_runs_each_distinct_side_once(monkeypatch):
+    """The sweep_lru_demand shape: 720 points share 24 I-sides and 30
+    D-sides, so 54 engine passes; a random side still runs once per point."""
+    trace = gen_synthetic("mixed", 300, 5)
+    baseline = baseline_metrics(trace)
+    passes = []
+
+    def counting_run_side(streams, side, *args, **kwargs):
+        passes.append(side)
+        return real_run_side(streams, side, *args, **kwargs)
+
+    real_run_side = cachesim._run_side
+    monkeypatch.setattr(cachesim, "_run_side", counting_run_side)
+    sweep = dict(
+        isize=cachesim.CACHE_SIZES, ibsize=(32,), iassoc=(1, 4, 16),
+        dsize=cachesim.CACHE_SIZES, dbsize=(32,), dassoc=(4, 32), dwback=("a", "n"),
+    )
+    result = exhaustive(small_subspace(**sweep), trace, TABLE, DRAM, baseline)
+    assert (len(result.ranked), len(result.infeasible)) == (720, 48)
+    assert (passes.count("i"), passes.count("d")) == (24, 30)
+
+    passes.clear()
+    sub = small_subspace(
+        isize=(512, 1024), irepl=("r",), iassoc=(1, 4),
+        dsize=(512, 1024), dwback=("a", "n"),
+    )
+    result = exhaustive(sub, trace, TABLE, DRAM, baseline)
+    assert len(result.ranked) == 16
+    assert (passes.count("i"), passes.count("d")) == (16, 4)
+
+
 def test_exhaustive_two_point_space():
     trace = gen_synthetic("mixed", 1000, 2)
     result = exhaustive(

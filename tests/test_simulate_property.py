@@ -7,7 +7,8 @@ trace profile and seed, random replacement included.
 """
 
 import random
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,14 @@ from cacheopt.cachesim import (
     ASSOCIATIVITIES,
     BLOCK_SIZES,
     CACHE_SIZES,
+    DEFAULT_BASELINE,
     FETCH_POLICIES,
     REPL_POLICIES,
     WRITE_POLICIES,
     CacheConfig,
     CacheUnit,
     SideStreams,
+    config_sim_seed,
     n_sets,
     simulate,
 )
@@ -127,3 +130,70 @@ def test_trace_forms_give_equal_results(data, trace, rng_seed):
     assert simulate(config, (r for r in trace), rng_seed) == expected
     assert simulate(config, streams, rng_seed) == expected
     assert simulate(config, streams, rng_seed) == expected  # streams reused
+
+
+def spoil(stats) -> None:
+    """Overwrite every counter, as a careless caller might."""
+    for f in fields(stats):
+        setattr(stats, f.name, -1)
+
+
+@st.composite
+def crossed_points(draw, repl, fetch):
+    """Feasible points built from a few geometries and policy classes, so
+    sides repeat and often differ from one another in a single flag. The
+    first point's I-side and the second's D-side use (repl, fetch)."""
+    # Small caches evict, so a random side's counters depend on its seed.
+    size = draw(st.sampled_from(CACHE_SIZES[:3]))
+    block = draw(st.sampled_from(BLOCK_SIZES))
+    assoc = draw(st.sampled_from([a for a in ASSOCIATIVITIES if a * block <= size]))
+    values = [{v, draw(st.sampled_from(domain))} for v, domain in
+              zip((size, block, assoc), (CACHE_SIZES, BLOCK_SIZES, ASSOCIATIVITIES))]
+    geometries = [g for g in product(*values) if n_sets(*g)]
+    classes = [(repl, fetch), *draw(st.lists(st.sampled_from(CLASSES), min_size=1, max_size=2))]
+    side = st.tuples(st.sampled_from(geometries), st.sampled_from(classes))
+    rows = draw(st.lists(
+        st.tuples(side, side, st.sampled_from(WRITE_POLICIES)), min_size=2, max_size=24,
+    ))
+    points = [
+        CacheConfig(*igeo[:2], irepl, igeo[2], ifetch, *dgeo[:2], drepl, dgeo[2], dfetch, wback)
+        for (igeo, (irepl, ifetch)), (dgeo, (drepl, dfetch)), wback in rows
+    ]
+    points[0] = replace(points[0], irepl=repl, ifetch=fetch)
+    points[1] = replace(points[1], drepl=repl, dfetch=fetch)
+    return points
+
+
+@pytest.mark.parametrize("repl,fetch", CLASSES)
+@settings(max_examples=15, deadline=None)
+@given(
+    data=st.data(),
+    trace=st.builds(gen_synthetic, st.sampled_from(PROFILES), st.integers(100, 600),
+                    st.integers(0, 2**32 - 1)),
+    base=seeds,
+)
+def test_shared_side_memo_matches_fresh_streams(repl, fetch, data, trace, base):
+    """One SideStreams shared by many points, in any order, gives what a
+    fresh SideStreams per call gives; random sides mix with LRU/FIFO ones."""
+    shared = SideStreams(trace)
+    for config in data.draw(crossed_points(repl, fetch)):
+        seed = config_sim_seed(config, base)
+        got = simulate(config, shared, seed)
+        want = simulate(config, SideStreams(trace), seed)
+        assert [asdict(s) for s in got] == [asdict(s) for s in want], config.to_flags()
+        for stats in got:
+            spoil(stats)
+
+
+def test_mutating_a_result_leaves_the_side_memo_alone():
+    trace = gen_synthetic("mixed", 400, 1)
+    streams = SideStreams(trace)
+    config = replace(DEFAULT_BASELINE, dwback="n")
+    expected = [asdict(s) for s in simulate(config, streams)]
+    assert expected[1]["write_throughs"] > 0
+    for stats in simulate(config, streams):
+        spoil(stats)
+    assert [asdict(s) for s in simulate(config, streams)] == expected
+    # Another point with the same I-side reads the same stored counters.
+    istats, _ = simulate(replace(config, dsize=512), streams)
+    assert asdict(istats) == expected[0]

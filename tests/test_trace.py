@@ -50,6 +50,15 @@ def test_parse_rejects_extra_fields():
         parse_din(["2 4000 4"])
 
 
+def test_parse_max_records_counts_records_not_lines():
+    lines = ["# header", "2 4000", "", "1 0xff", "# note", "0 10", "garbage"]
+    assert [r.address for r in parse_din(lines, max_records=2)] == [0x4000, 0xFF]
+    assert len(parse_din(lines, max_records=3)) == 3  # "garbage" is never parsed
+    assert parse_din(lines, max_records=0) == []
+    with pytest.raises(TraceError, match="line 7"):
+        parse_din(lines, max_records=4)
+
+
 def test_din_round_trip():
     rng = random.Random(7)
     records = [
