@@ -445,7 +445,7 @@ def simulate(
     rng_seed only influences results when a replacement policy is 'r';
     each side draws from its own generator derived from rng_seed.
     trace is records or a SideStreams built from them; pass the latter to
-    simulate one trace many times, so each distinct side runs once.
+    simulate one trace many times, so each distinct LRU or FIFO side runs once.
     """
     verdict = validate(config)
     if not verdict:
