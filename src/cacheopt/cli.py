@@ -34,7 +34,7 @@ from .charmodel import (
 )
 from .errors import CacheOptError, ValidationError
 from .evolve import Evaluator, EvolveResult, GEParams, evolve
-from .grammar import DEFAULT_GRAMMAR, parse_bnf
+from .grammar import DEFAULT_GRAMMAR, Grammar, flat_template, parse_bnf
 from .objectives import FitnessWeights, MissMode, config_metrics, metrics_from_stats
 from .oracle import Subspace, exhaustive
 from .trace import PROFILES, TraceRecord, gen_synthetic, parse_din, to_din
@@ -72,6 +72,46 @@ def _check_baseline(config: CacheConfig) -> None:
         raise ValidationError(
             "baseline configuration is infeasible: " + "; ".join(verdict.problems)
         )
+
+
+def _side_triples(config: CacheConfig) -> set[tuple[int, int, int]]:
+    return {(config.isize, config.ibsize, config.iassoc),
+            (config.dsize, config.dbsize, config.dassoc)}
+
+
+def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]] | None:
+    """(size, block, assoc) of every feasible I and D side the grammar can
+    derive, or None unless the grammar is flat and states each geometry
+    flag once, as a terminal followed by a terminal or by a slot whose
+    alternatives are single tokens."""
+    template = flat_template(grammar)
+    if template is None:
+        return None
+    in_slots = {
+        token for item in template if isinstance(item, tuple)
+        for alt in item for token in alt.split()
+    }
+    values = {}
+    for name in ("isize", "ibsize", "iassoc", "dsize", "dbsize", "dassoc"):
+        flag = f"-l1-{name}"
+        after = [j + 1 for j, item in enumerate(template) if item == flag]
+        if len(after) != 1 or flag in in_slots or after[0] == len(template):
+            return None
+        follower = template[after[0]]
+        tokens = (follower,) if isinstance(follower, str) else follower
+        if any(" " in token for token in tokens):
+            return None
+        reached = set()
+        for token in tokens:
+            try:
+                reached.add(int(token))
+            except ValueError:
+                pass  # from_flags rejects it, so it never reaches a lookup
+        # Values outside the domain never reach one either: CacheConfig rejects them.
+        values[name] = tuple(v for v in DOMAINS[name] if v in reached)
+    if not all(values.values()):
+        return set()
+    return Subspace(**values).triples()
 
 
 def _baseline(args) -> CacheConfig:
@@ -324,7 +364,7 @@ def cmd_optimize(args) -> None:
     grammar_text = (
         Path(args.grammar).read_text() if args.grammar else DEFAULT_GRAMMAR
     )
-    parse_bnf(grammar_text)  # a bad grammar fails before any input is read
+    grammar = parse_bnf(grammar_text)  # a bad grammar fails before any input is read
     params = GEParams(
         generations=args.generations,
         population=args.population,
@@ -339,6 +379,10 @@ def cmd_optimize(args) -> None:
     baseline = _baseline(args)
     weights = FitnessWeights.from_time_weight(args.w_time)
     table = _load_char_table(args)
+    triples = _grammar_triples(grammar)
+    if triples is not None:
+        # A missing row fails here, not mid-campaign.
+        table.check_complete(triples | _side_triples(baseline))
     dram = _load_dram(args)
     rc = RunConfig(
         trace=_load_trace(args),
@@ -375,11 +419,7 @@ def cmd_exhaustive(args) -> None:
     dram = _load_dram(args)
     # Every row the baseline and the enumeration will look up, checked
     # before anything is simulated.
-    table.check_complete(
-        sub.triples()
-        | {(baseline_config.isize, baseline_config.ibsize, baseline_config.iassoc),
-           (baseline_config.dsize, baseline_config.dbsize, baseline_config.dassoc)}
-    )
+    table.check_complete(sub.triples() | _side_triples(baseline_config))
     trace = SideStreams(_load_trace(args))
     baseline = config_metrics(
         baseline_config, trace, table, dram, miss_mode,

@@ -1,10 +1,11 @@
 """Grammatical-evolution engine with a memoized phenotype evaluator.
 
 The loop is elitist generational replacement: binary tournament selection,
-single-point crossover, per-codon integer mutation. Fitness evaluation is
-memoized on the canonical phenotype flag text, so one evaluator never
-simulates the same configuration twice; evaluators may be shared across
-runs to pool that memo.
+single-point crossover, per-codon integer mutation. Each run decodes a
+distinct genotype once. Fitness evaluation is memoized on the canonical
+phenotype flag text, so one evaluator never simulates the same
+configuration twice; evaluators may be shared across runs to pool that
+memo.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cachesim import CacheConfig, SideStreams, config_sim_seed, validate
 from .charmodel import CharTable, DramParams
 from .errors import MappingError, ValidationError
-from .grammar import Grammar, map_genotype
+from .grammar import Grammar, flat_decoder, map_genotype
 from .objectives import (
     INFEASIBLE_FITNESS,
     FitnessWeights,
@@ -216,18 +217,42 @@ class EvolveResult:
     stats: MemoStats | None = None
 
 
+def _decoder(grammar: Grammar, max_wraps: int) -> Callable[[Genotype], str | None]:
+    """Genotype -> phenotype text, or None where decoding raises
+    MappingError, memoized on the codon tuple.
+
+    A flat grammar decodes through flat_decoder, any other through
+    map_genotype. Equal phenotypes share one string object.
+    """
+    flat = flat_decoder(grammar, max_wraps)
+    memo: dict[tuple[int, ...], str | None] = {}
+    texts: dict[str, str] = {}
+
+    def decode(genotype: Genotype) -> str | None:
+        key = tuple(genotype)
+        if key in memo:
+            return memo[key]
+        try:
+            text = flat(key) if flat else map_genotype(key, grammar, max_wraps)
+            text = texts.setdefault(text, text)
+        except MappingError:
+            text = None
+        memo[key] = text
+        return text
+
+    return decode
+
+
 def _evaluate_population(
     population: list[Individual],
-    grammar: Grammar,
+    decode: Callable[[Genotype], str | None],
     evaluator: Evaluator,
-    max_wraps: int,
 ) -> None:
     for ind in population:
         if ind.fitness is not None:
             continue
-        try:
-            ind.phenotype = map_genotype(ind.genotype, grammar, max_wraps)
-        except MappingError:
+        ind.phenotype = decode(ind.genotype)
+        if ind.phenotype is None:
             ind.feasible = False
             ind.fitness = INFEASIBLE_FITNESS
             continue
@@ -260,6 +285,7 @@ def evolve(params: GEParams, grammar: Grammar, evaluator: Evaluator) -> EvolveRe
     tracking keep the earliest discovery.
     """
     rng = random.Random(params.rng_seed)
+    decode = _decoder(grammar, params.max_wraps)
     population = [
         Individual(random_genotype(params.codon_count, rng))
         for _ in range(params.population)
@@ -267,7 +293,7 @@ def evolve(params: GEParams, grammar: Grammar, evaluator: Evaluator) -> EvolveRe
     best_ever: Individual | None = None
     log: list[GenerationLog] = []
     for generation in range(1, params.generations + 1):
-        _evaluate_population(population, grammar, evaluator, params.max_wraps)
+        _evaluate_population(population, decode, evaluator)
         for ind in population:
             if best_ever is None or ind.fitness < best_ever.fitness:
                 best_ever = ind

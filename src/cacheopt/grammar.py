@@ -6,6 +6,11 @@ expansion consumes one codon and picks alternative (codon mod k), except
 the root expansion of a single-alternative start rule, which is purely
 structural and consumes nothing. When codons run out the decoder wraps to
 codon 0, up to max_wraps passes over the genotype.
+
+A flat grammar (one start alternative whose nonterminals have only
+all-terminal alternatives, like DEFAULT_GRAMMAR) always makes the same
+decisions in the same order, so flat_decoder compiles it to one codon
+lookup per slot; map_genotype stays the general decoder.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import cycle
+from typing import Callable, Sequence
 
 from .errors import GrammarError, MappingError
 
@@ -155,6 +161,59 @@ def map_genotype(codons: Sequence[int], grammar: Grammar, max_wraps: int = 3) ->
         consumed += 1
         pending.extendleft(reversed(alts[codon % k]))
     return " ".join(out)
+
+
+def flat_template(grammar: Grammar) -> tuple[str | tuple[str, ...], ...] | None:
+    """The start rule's one alternative with each nonterminal (a slot)
+    replaced by the tuple of its alternatives' texts, or None unless the
+    grammar is flat: the start rule has exactly one alternative and every
+    nonterminal in it has only all-terminal alternatives. Terminals stay
+    plain strings."""
+    start_alts = grammar.rules[grammar.start]
+    if len(start_alts) != 1:
+        return None
+    template: list[str | tuple[str, ...]] = []
+    for symbol in start_alts[0]:
+        alts = grammar.rules.get(symbol)
+        if alts is None:
+            template.append(symbol)
+        elif any(sym in grammar.rules for alt in alts for sym in alt):
+            return None
+        else:
+            template.append(tuple(" ".join(alt) for alt in alts))
+    return tuple(template)
+
+
+def flat_decoder(grammar: Grammar, max_wraps: int = 3) -> Callable[[Sequence[int]], str] | None:
+    """A decoder equal to map_genotype(codons, grammar, max_wraps) for a
+    flat grammar, or None for any other grammar.
+
+    Slot j takes alternative codons[j % n] % k of its k; the picked texts
+    fill a precomputed template. It raises the same MappingError cases as
+    map_genotype, in the same order.
+    """
+    template = flat_template(grammar)
+    if template is None:
+        return None
+    slots = [item for item in template if isinstance(item, tuple)]
+    fmt = " ".join(
+        "{}" if isinstance(item, tuple) else item.replace("{", "{{").replace("}", "}}")
+        for item in template
+    )
+    n_slots = len(slots)
+
+    def decode(codons: Sequence[int]) -> str:
+        if not codons:
+            raise MappingError("empty genotype")
+        for c in codons:
+            if not 0 <= c <= 255:
+                raise MappingError(f"codon {c!r} outside the 8-bit range")
+        n = len(codons)
+        if n_slots > n * max_wraps:
+            raise MappingError(f"wrap limit exceeded: {max_wraps} passes over {n} codons")
+        return fmt.format(*[alts[c % len(alts)] for c, alts in zip(cycle(codons), slots)])
+
+    return decode
 
 
 def derivation_count(grammar: Grammar) -> int:

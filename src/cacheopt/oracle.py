@@ -116,9 +116,11 @@ def exhaustive(
         if not verdict:
             infeasible.append((config, verdict.problems))
             continue
+        # simulate reads the seed only for a random-replacement side.
+        seeded = "r" in (config.irepl, config.drepl)
         metrics = config_metrics(
             config, streams, table, dram, miss_mode,
-            rng_seed=config_sim_seed(config, sim_seed_base),
+            rng_seed=config_sim_seed(config, sim_seed_base) if seeded else 0,
         )
         ranked.append(RankedConfig(config, metrics, fitness(metrics, baseline, weights)))
     ranked.sort(key=lambda r: (r.fitness, r.config.to_flags()))

@@ -3,12 +3,13 @@ import csv
 import pytest
 
 from cacheopt.charmodel import CharTable, DramParams, save_table, surrogate_generate
-from cacheopt.cli import RunConfig, main
+from cacheopt.cli import RunConfig, _grammar_triples, main
 from cacheopt.cachesim import DEFAULT_BASELINE, simulate
 from cacheopt.errors import ValidationError
 from cacheopt.evolve import GEParams
-from cacheopt.grammar import DEFAULT_GRAMMAR
+from cacheopt.grammar import DEFAULT_GRAMMAR, parse_bnf
 from cacheopt.objectives import FitnessWeights, MissMode, metrics_from_stats
+from cacheopt.oracle import Subspace
 from cacheopt.trace import parse_din
 
 ONE_POINT_GRAMMAR = """\
@@ -336,3 +337,85 @@ def test_exhaustive_missing_table_row_fails_before_simulating(tmp_path, capsys):
     assert rc == 2
     assert "size=65536 block=64 assoc=8" in capsys.readouterr().err
     assert not (outdir / "ranked.csv").exists()
+
+
+# --- optimize: table check up front ---------------------------------------------
+
+def _table_without(tmp_path, triple):
+    table_path = tmp_path / "chars.csv"
+    rows = [r for r in surrogate_generate(0).rows() if (r.size, r.block, r.assoc) != triple]
+    save_table(CharTable(rows), table_path)
+    return table_path
+
+
+def test_grammar_triples_of_flat_grammars():
+    assert _grammar_triples(parse_bnf(DEFAULT_GRAMMAR)) == Subspace().triples()
+    sub = Subspace(isize=(512, 65536), ibsize=(64,), iassoc=(8, 16), dsize=(1024,),
+                   dbsize=(8, 16), dassoc=(1, 128))
+    assert _grammar_triples(parse_bnf(sub.grammar_text())) == sub.triples()
+    # A fixed terminal after the flag counts as its one value.
+    pinned = ONE_POINT_GRAMMAR.replace("-l1-dsize <S>", "-l1-dsize 512")
+    assert _grammar_triples(parse_bnf(pinned)) == {(16384, 32, 4), (512, 32, 4)}
+
+
+@pytest.mark.parametrize("grammar", [
+    # not flat
+    "<P> ::= <I> -l1-dsize 512\n<I> ::= -l1-isize <S>\n<S> ::= 512\n",
+    # a geometry flag inside a slot alternative
+    ONE_POINT_GRAMMAR.replace("-l1-dsize <S>", "<D>") + "<D> ::= -l1-dsize 512\n",
+    # a multi-token alternative after a geometry flag
+    ONE_POINT_GRAMMAR.replace("<A> ::= 4", "<A> ::= 4 | 8 -l1-x"),
+    # a geometry flag given twice
+    ONE_POINT_GRAMMAR.replace("-l1-dwback <W>", "-l1-dwback <W> -l1-isize 512"),
+])
+def test_grammar_triples_gives_up_on_other_shapes(grammar):
+    assert _grammar_triples(parse_bnf(grammar)) is None
+
+
+def test_optimize_missing_table_row_fails_before_reading_trace(tmp_path, capsys):
+    table_path = _table_without(tmp_path, (65536, 64, 8))
+    outdir = tmp_path / "run"
+    rc = main(["optimize", "--trace", str(tmp_path / "absent.din"),
+               "--table", str(table_path), "-o", str(outdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "size=65536 block=64 assoc=8" in err and "absent.din" not in err
+    assert not outdir.exists()
+
+
+def test_optimize_missing_table_row_fails_before_the_campaign(tmp_path, capsys):
+    trace_path = write_trace(tmp_path / "t.din", n=100)
+    table_path = _table_without(tmp_path, (65536, 64, 8))
+    grammar_path = tmp_path / "big.bnf"
+    grammar_path.write_text(ONE_POINT_GRAMMAR.replace(
+        "-l1-isize <S> -l1-ibsize <B>", "-l1-isize 65536 -l1-ibsize 64"
+    ).replace("-l1-iassoc <A>", "-l1-iassoc 8"))
+    outdir = tmp_path / "run"
+    rc = main(["optimize", "--trace", str(trace_path), "--table", str(table_path),
+               "--grammar", str(grammar_path), "--runs", "1", "--generations", "2",
+               "--population", "4", "-o", str(outdir)])
+    assert rc == 2
+    assert "size=65536 block=64 assoc=8" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_optimize_table_check_skips_unreachable_rows(tmp_path):
+    # The one-point grammar never reaches 65536/64/8, so its absence is fine.
+    trace_path = write_trace(tmp_path / "t.din", n=100)
+    table_path = _table_without(tmp_path, (65536, 64, 8))
+    grammar_path = tmp_path / "one.bnf"
+    grammar_path.write_text(ONE_POINT_GRAMMAR)
+    assert main(["optimize", "--trace", str(trace_path), "--table", str(table_path),
+                 "--grammar", str(grammar_path), "--runs", "1", "--generations", "2",
+                 "--population", "4", "-o", str(tmp_path / "run")]) == 0
+
+
+def test_optimize_non_flat_grammar_keeps_the_late_lookup(tmp_path, capsys):
+    # No reachable set is derived for a non-flat grammar, so the trace is read first.
+    table_path = _table_without(tmp_path, (65536, 64, 8))
+    grammar_path = tmp_path / "nested.bnf"
+    grammar_path.write_text(ONE_POINT_GRAMMAR.replace("<S> ::= 16384", "<S> ::= <T>\n<T> ::= 16384"))
+    rc = main(["optimize", "--trace", str(tmp_path / "absent.din"), "--table", str(table_path),
+               "--grammar", str(grammar_path), "-o", str(tmp_path / "run")])
+    assert rc == 2
+    assert "absent.din" in capsys.readouterr().err

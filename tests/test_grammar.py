@@ -1,13 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cacheopt.cachesim import CacheConfig
+from cacheopt.cachesim import DOMAINS, CacheConfig
 from cacheopt.errors import GrammarError, MappingError
+from cacheopt.evolve import _decoder
 from cacheopt.grammar import (
     DEFAULT_GRAMMAR,
     derivation_count,
+    flat_decoder,
     map_genotype,
     parse_bnf,
 )
+from cacheopt.oracle import Subspace
 
 CACHE_GRAMMAR = parse_bnf(DEFAULT_GRAMMAR)
 
@@ -123,3 +128,102 @@ def test_derivation_count_rejects_recursion():
     grammar = parse_bnf("<S> ::= <S> a | b\n")
     with pytest.raises(GrammarError, match="recursive"):
         derivation_count(grammar)
+
+
+# Flat: every slot alternative is terminals only, some of several tokens,
+# and one terminal carries format braces.
+MULTITOKEN_GRAMMAR = """\
+<P> ::= -l1-isize <S> <IR> -l1-iassoc <A> {x} <IR> <G> -l1-dwback <W> <One>
+<S> ::= 512 | 8192
+<IR> ::= -l1-irepl l | -l1-irepl r | -l1-irepl f
+<A> ::= 1 | 4 | 16
+<G> ::= -l1-dsize 2048 -l1-dbsize 32 | -l1-dbsize 16 -l1-dsize 512 | x
+<W> ::= a | n
+<One> ::= only
+"""
+
+# Not flat, each for a different reason.
+NON_FLAT_GRAMMARS = (
+    # a slot alternative holds a nonterminal
+    "<P> ::= <I> -l1-dwback <W>\n<I> ::= -l1-isize <S> | none\n<S> ::= 512 | 1024\n"
+    "<W> ::= a | n\n",
+    # the start rule has two alternatives
+    "<P> ::= a <W> | b\n<W> ::= a | n\n",
+    # recursive
+    "<S> ::= <A>\n<A> ::= <A> x | y\n",
+    "<S> ::= <S> a | b\n",
+)
+
+
+def _decode_or_none(decode, codons):
+    try:
+        return decode(codons)
+    except MappingError as exc:
+        return ("MappingError", str(exc))
+
+
+@st.composite
+def genotypes(draw):
+    """0-30 codons, now and then with a few outside 0-255."""
+    codons = draw(st.lists(st.integers(0, 255), max_size=30))
+    if codons and draw(st.integers(0, 4)) == 0:
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(codons) - 1))
+            codons[i] = draw(st.integers(-300, -1) | st.integers(256, 600))
+    return codons
+
+
+@st.composite
+def subspace_grammars(draw):
+    values = {
+        name: draw(st.lists(st.sampled_from(domain), min_size=1, max_size=len(domain),
+                            unique=True))
+        for name, domain in DOMAINS.items()
+    }
+    return Subspace(**values).grammar_text()
+
+
+GRAMMARS = st.sampled_from((DEFAULT_GRAMMAR, MULTITOKEN_GRAMMAR, *NON_FLAT_GRAMMARS)) | (
+    subspace_grammars()
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=GRAMMARS, codons=genotypes(), max_wraps=st.integers(1, 4))
+def test_decoders_agree_with_map_genotype(text, codons, max_wraps):
+    """flat_decoder raises or returns exactly what map_genotype does, and
+    evolve's memoized decoder gives map_genotype's text or None for its
+    MappingError, on first and on repeated lookups."""
+    grammar = parse_bnf(text)
+    expected = _decode_or_none(lambda c: map_genotype(c, grammar, max_wraps), codons)
+    flat = flat_decoder(grammar, max_wraps)
+    assert (flat is None) == (text in NON_FLAT_GRAMMARS)
+    if flat is not None:
+        assert _decode_or_none(flat, codons) == expected
+    decode = _decoder(grammar, max_wraps)
+    want = None if isinstance(expected, tuple) else expected
+    assert decode(codons) == want
+    assert decode(list(codons)) == want
+
+
+@pytest.mark.parametrize("text", NON_FLAT_GRAMMARS)
+def test_flat_decoder_refuses_non_flat_grammars(text):
+    assert flat_decoder(parse_bnf(text)) is None
+
+
+def test_flat_decoder_golden_and_wrap():
+    decode = flat_decoder(CACHE_GRAMMAR)
+    assert decode(GOLDEN_CODONS) == map_genotype(GOLDEN_CODONS, CACHE_GRAMMAR)
+    with pytest.raises(MappingError, match="wrap limit"):
+        flat_decoder(CACHE_GRAMMAR, max_wraps=2)([1] * 5)  # 11 slots > 5 x 2
+    # the range check comes before the wrap limit, as in map_genotype
+    with pytest.raises(MappingError, match="8-bit"):
+        flat_decoder(CACHE_GRAMMAR, max_wraps=1)([256])
+
+
+def test_memoized_decoder_shares_equal_phenotypes():
+    decode = _decoder(CACHE_GRAMMAR, 3)
+    a = decode([0] * 11)
+    b = decode([0] * 10 + [24])  # 24 picks alternative 0 of 2 too
+    assert a == b and a is b
+    assert decode([]) is None

@@ -141,6 +141,28 @@ def test_exhaustive_runs_each_distinct_side_once(monkeypatch):
     assert (passes.count("i"), passes.count("d")) == (16, 4)
 
 
+def test_exhaustive_seeds_only_points_with_a_random_side(monkeypatch):
+    """Flag text is hashed for a seed only where a side is random; the
+    results equal pricing every point with its own seed."""
+    trace = gen_synthetic("mixed", 300, 4)
+    baseline = baseline_metrics(trace)
+    seeded = []
+
+    def counting_seed(config, base=0):
+        seeded.append(config)
+        return real_seed(config, base)
+
+    real_seed = oracle.config_sim_seed
+    monkeypatch.setattr(oracle, "config_sim_seed", counting_seed)
+    sub = small_subspace(isize=(512, 1024), irepl=("l", "r"), drepl=("l", "f", "r"))
+    result = exhaustive(sub, trace, TABLE, DRAM, baseline, sim_seed_base=9)
+    assert len(result.ranked) == 12
+    assert len(seeded) == 8 and all("r" in (c.irepl, c.drepl) for c in seeded)
+    for r in result.ranked:
+        assert r.metrics == config_metrics(r.config, trace, TABLE, DRAM,
+                                           rng_seed=real_seed(r.config, 9))
+
+
 def test_exhaustive_two_point_space():
     trace = gen_synthetic("mixed", 1000, 2)
     result = exhaustive(
