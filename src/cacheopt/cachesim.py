@@ -271,10 +271,10 @@ class SideStreams:
     addresses and block numbers as unsigned 64-bit, write flags as bytes.
 
     Each side's counters are memoized too, keyed on that side's geometry
-    and policies: the I-cache sees only ifetches and the D-cache only
-    reads and writes, so one side's counters never depend on the other
-    side's flags. Random-replacement sides are not stored, because their
-    seed comes from the full configuration.
+    and policies, plus the seed base for a random-replacement side: the
+    I-cache sees only ifetches and the D-cache only reads and writes, and
+    a random side is seeded from its own flags, so one side's counters
+    never depend on the other side's flags.
     """
 
     def __init__(self, trace: Iterable[TraceRecord]):
@@ -335,7 +335,7 @@ def _simulate_side(
     assoc: int,
     repl: str,
     fetch: str,
-    rng_seed: int | None,
+    rng_seed: int,
     write_back: bool,
 ) -> SimStats:
     """One side's counters, from the streams' memo or a fresh engine pass.
@@ -343,12 +343,11 @@ def _simulate_side(
     A hit returns a new SimStats, so a caller that mutates its result
     cannot change a later one.
     """
-    key = (side, size, block, assoc, repl, fetch, write_back)
+    key = (side, size, block, assoc, repl, fetch, write_back, rng_seed if repl == "r" else 0)
     counts = streams._counts.get(key)
     if counts is None:
         counts = _run_side(streams, side, size, block, assoc, repl, fetch, rng_seed, write_back)
-        if repl != "r":
-            streams._counts[key] = counts
+        streams._counts[key] = counts
     return SimStats(*counts)
 
 
@@ -360,7 +359,7 @@ def _run_side(
     assoc: int,
     repl: str,
     fetch: str,
-    rng_seed: int | None,
+    rng_seed: int,
     write_back: bool,
 ) -> tuple[int, ...]:
     """Run one side's stream; same semantics as CacheUnit, the reference.
@@ -379,7 +378,8 @@ def _run_side(
     blocks, writes = streams.blocks(side, block, fetch == "d" or n > 1)
     if not write_back:
         writes = repeat(0)
-    choice = random.Random(rng_seed).choice if repl == "r" else None
+    seed = f"{rng_seed} {side} {size} {block} {assoc} {fetch}"  # see simulate
+    choice = random.Random(seed).choice if repl == "r" else None
     mask = n - 1
     sets: defaultdict[int, OrderedDict] = defaultdict(OrderedDict)
     orders: defaultdict[int, list] = defaultdict(list)
@@ -442,35 +442,31 @@ def simulate(
     """Run the trace through a split cache; return (I-cache, D-cache) stats.
 
     ifetch records go to the I-cache, reads and writes to the D-cache.
-    rng_seed only influences results when a replacement policy is 'r';
-    each side draws from its own generator derived from rng_seed.
+    rng_seed is a seed base, read only by a random-replacement side, whose
+    generator is random.Random(f"{rng_seed} {side} {size} {block} {assoc} {fetch}"):
+    its own flags, write policy left out, so it never depends on the other side.
     trace is records or a SideStreams built from them; pass the latter to
-    simulate one trace many times, so each distinct LRU or FIFO side runs once.
+    simulate one trace many times, so each distinct side runs once per seed base.
     """
     verdict = validate(config)
     if not verdict:
         raise InfeasibleConfigError("; ".join(verdict.problems))
     streams = SideStreams.of(trace)
-    iseed = dseed = None
-    if "r" in (config.irepl, config.drepl):
-        master = random.Random(rng_seed)
-        iseed, dseed = master.getrandbits(64), master.getrandbits(64)
     istats = _simulate_side(
         streams, "i", config.isize, config.ibsize, config.iassoc, config.irepl,
-        config.ifetch, iseed, write_back=False,
+        config.ifetch, rng_seed, write_back=False,
     )
     dstats = _simulate_side(
         streams, "d", config.dsize, config.dbsize, config.dassoc, config.drepl,
-        config.dfetch, dseed, write_back=config.dwback == "a",
+        config.dfetch, rng_seed, write_back=config.dwback == "a",
     )
     return istats, dstats
 
 
 def config_sim_seed(config: CacheConfig, base: int = 0) -> int:
-    """Deterministic per-configuration simulation seed.
+    """A seed hashed from a whole configuration's flag text and base.
 
-    Derived from the canonical flag text so a configuration's random
-    replacement behaviour is reproducible regardless of evaluation order.
+    No program path calls it; it is kept for perfbench and library callers.
     """
     digest = hashlib.sha256(config.to_flags().encode()).digest()
     return int.from_bytes(digest[:8], "big") ^ (base & ((1 << 64) - 1))

@@ -20,7 +20,6 @@ from .cachesim import (
     DOMAINS,
     CacheConfig,
     SideStreams,
-    config_sim_seed,
     simulate,
     validate,
 )
@@ -83,7 +82,8 @@ def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]] | None:
     """(size, block, assoc) of every feasible I and D side the grammar can
     derive, or None unless the grammar is flat and states each geometry
     flag once, as a terminal followed by a terminal or by a slot whose
-    alternatives are single tokens."""
+    alternatives are single tokens. Raises ValidationError for such a
+    value outside the flag's domain."""
     template = flat_template(grammar)
     if template is None:
         return None
@@ -104,13 +104,16 @@ def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]] | None:
         reached = set()
         for token in tokens:
             try:
-                reached.add(int(token))
+                value = int(token)  # as from_flags parses it
             except ValueError:
-                pass  # from_flags rejects it, so it never reaches a lookup
-        # Values outside the domain never reach one either: CacheConfig rejects them.
-        values[name] = tuple(v for v in DOMAINS[name] if v in reached)
-    if not all(values.values()):
-        return set()
+                value = None
+            if value not in DOMAINS[name]:
+                raise ValidationError(
+                    f"grammar gives {flag} the value {token!r}, "
+                    f"outside permitted set {DOMAINS[name]}"
+                )
+            reached.add(value)
+        values[name] = tuple(reached)
     return Subspace(**values).triples()
 
 
@@ -219,7 +222,7 @@ def cmd_simulate(args) -> None:
     table = _load_char_table(args)
     dram = _load_dram(args)
     trace = _load_trace(args)
-    istats, dstats = simulate(config, trace, rng_seed=config_sim_seed(config, args.seed))
+    istats, dstats = simulate(config, trace, rng_seed=args.seed)
     metrics = metrics_from_stats(istats, dstats, table, config, dram, MissMode(args.miss_mode))
     rows = [
         ("icache_accesses", istats.accesses),
@@ -365,6 +368,7 @@ def cmd_optimize(args) -> None:
         Path(args.grammar).read_text() if args.grammar else DEFAULT_GRAMMAR
     )
     grammar = parse_bnf(grammar_text)  # a bad grammar fails before any input is read
+    triples = _grammar_triples(grammar)
     params = GEParams(
         generations=args.generations,
         population=args.population,
@@ -379,7 +383,6 @@ def cmd_optimize(args) -> None:
     baseline = _baseline(args)
     weights = FitnessWeights.from_time_weight(args.w_time)
     table = _load_char_table(args)
-    triples = _grammar_triples(grammar)
     if triples is not None:
         # A missing row fails here, not mid-campaign.
         table.check_complete(triples | _side_triples(baseline))
@@ -421,10 +424,7 @@ def cmd_exhaustive(args) -> None:
     # before anything is simulated.
     table.check_complete(sub.triples() | _side_triples(baseline_config))
     trace = SideStreams(_load_trace(args))
-    baseline = config_metrics(
-        baseline_config, trace, table, dram, miss_mode,
-        rng_seed=config_sim_seed(baseline_config, args.seed),
-    )
+    baseline = config_metrics(baseline_config, trace, table, dram, miss_mode, args.seed)
     result = exhaustive(
         sub, trace, table, dram, baseline, weights, miss_mode,
         cap=args.cap, sim_seed_base=args.seed,

@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .cachesim import CacheConfig, SideStreams, config_sim_seed, validate
+from .cachesim import CacheConfig, SideStreams, validate
 from .charmodel import CharTable, DramParams
 from .errors import MappingError, ValidationError
 from .grammar import Grammar, flat_decoder, map_genotype
@@ -97,8 +97,9 @@ class Evaluator:
     """Phenotype -> fitness, memoized on the canonical key.
 
     Each distinct feasible key is simulated exactly once; later lookups
-    return the stored result. Simulation seeds derive from the key text
-    and sim_seed_base so values never depend on evaluation order.
+    return the stored result. sim_seed_base is simulate's seed base: a
+    random-replacement side is seeded from it and its own flags, so values
+    never depend on evaluation order.
     """
 
     def __init__(
@@ -125,8 +126,7 @@ class Evaluator:
     def set_baseline(self, config: CacheConfig) -> Metrics:
         """Simulate the normalization point; not counted against the memo."""
         metrics = config_metrics(
-            config, self.streams, self.table, self.dram, self.miss_mode,
-            rng_seed=config_sim_seed(config, self.sim_seed_base),
+            config, self.streams, self.table, self.dram, self.miss_mode, self.sim_seed_base
         )
         self.baseline_metrics = metrics
         return metrics
@@ -147,8 +147,7 @@ class Evaluator:
         if not validate(config):
             return EvalResult(False, None, INFEASIBLE_FITNESS)
         metrics = config_metrics(
-            config, self.streams, self.table, self.dram, self.miss_mode,
-            rng_seed=config_sim_seed(config, self.sim_seed_base),
+            config, self.streams, self.table, self.dram, self.miss_mode, self.sim_seed_base
         )
         self._feasible_keys += 1
         self._sim_invocations += 1

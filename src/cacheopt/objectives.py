@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .cachesim import CacheConfig, SimStats, config_sim_seed, simulate
+from .cachesim import CacheConfig, SimStats, simulate
 from .charmodel import CharTable, DramParams
 from .errors import ValidationError
 
@@ -174,17 +174,15 @@ def config_metrics(
     table: CharTable,
     dram: DramParams,
     miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
-    rng_seed: int | None = None,
+    rng_seed: int = 0,
 ) -> Metrics:
     """Simulate a configuration and price it with the models.
 
     trace is passed to simulate as is: records or a SideStreams. simulate
-    raises InfeasibleConfigError for an impossible geometry.
-    rng_seed defaults to the configuration's own stable seed so random
-    replacement results do not depend on evaluation order.
+    raises InfeasibleConfigError for an impossible geometry. rng_seed is
+    simulate's seed base: a random-replacement side is seeded from it and
+    its own flags, so results do not depend on evaluation order.
     """
-    if rng_seed is None:
-        rng_seed = config_sim_seed(config)
     istats, dstats = simulate(config, trace, rng_seed=rng_seed)
     return metrics_from_stats(istats, dstats, table, config, dram, miss_mode)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
-from .cachesim import DOMAINS, CacheConfig, SideStreams, config_sim_seed, n_sets, validate
+from .cachesim import DOMAINS, CacheConfig, SideStreams, n_sets, validate
 from .charmodel import CharTable, DramParams
 from .errors import SubspaceCapError, ValidationError
 from .objectives import FitnessWeights, Metrics, MissMode, config_metrics, fitness
@@ -103,9 +103,10 @@ def exhaustive(
 ) -> ExhaustiveResult:
     """Simulate every feasible point of the subspace once and rank it.
 
-    Deterministic and rng-free: random-replacement configurations use the
-    per-configuration seed derived from sim_seed_base (default 0). Ties in
-    fitness are broken by canonical flag-text order.
+    Deterministic and rng-free: sim_seed_base (default 0) is simulate's
+    seed base, so a random-replacement side is seeded from it and its own
+    flags, and each distinct side runs once. Ties in fitness are broken by
+    canonical flag-text order.
     """
     sub.check_cap(cap)
     streams = SideStreams.of(trace)
@@ -116,11 +117,8 @@ def exhaustive(
         if not verdict:
             infeasible.append((config, verdict.problems))
             continue
-        # simulate reads the seed only for a random-replacement side.
-        seeded = "r" in (config.irepl, config.drepl)
         metrics = config_metrics(
-            config, streams, table, dram, miss_mode,
-            rng_seed=config_sim_seed(config, sim_seed_base) if seeded else 0,
+            config, streams, table, dram, miss_mode, rng_seed=sim_seed_base
         )
         ranked.append(RankedConfig(config, metrics, fitness(metrics, baseline, weights)))
     ranked.sort(key=lambda r: (r.fitness, r.config.to_flags()))

@@ -372,6 +372,28 @@ def test_grammar_triples_gives_up_on_other_shapes(grammar):
     assert _grammar_triples(parse_bnf(grammar)) is None
 
 
+@pytest.mark.parametrize("old,new,named", [
+    ("<S> ::= 16384", "<S> ::= 3000 | 1024", "-l1-isize the value '3000'"),
+    ("<B> ::= 32", "<B> ::= 32 | big", "-l1-ibsize the value 'big'"),
+], ids=["isize-3000", "ibsize-big"])
+@pytest.mark.parametrize("trace_exists", [False, True])
+def test_optimize_grammar_value_outside_domain_fails_before_trace_is_read(
+    tmp_path, capsys, old, new, named, trace_exists
+):
+    trace_path = tmp_path / "t.din"
+    if trace_exists:
+        write_trace(trace_path, n=100)
+    grammar_path = tmp_path / "bad.bnf"
+    grammar_path.write_text(ONE_POINT_GRAMMAR.replace(old, new))
+    outdir = tmp_path / "run"
+    rc = main(["optimize", "--trace", str(trace_path), "--grammar", str(grammar_path),
+               "--runs", "1", "--generations", "2", "--population", "4", "-o", str(outdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err and "t.din" not in err
+    assert not outdir.exists()
+
+
 def test_optimize_missing_table_row_fails_before_reading_trace(tmp_path, capsys):
     table_path = _table_without(tmp_path, (65536, 64, 8))
     outdir = tmp_path / "run"

@@ -112,7 +112,8 @@ def test_exhaustive_checks_each_point_once(monkeypatch):
 
 def test_exhaustive_runs_each_distinct_side_once(monkeypatch):
     """The sweep_lru_demand shape: 720 points share 24 I-sides and 30
-    D-sides, so 54 engine passes; a random side still runs once per point."""
+    D-sides, so 54 engine passes; a random side runs once too, since it is
+    seeded from its own flags."""
     trace = gen_synthetic("mixed", 300, 5)
     baseline = baseline_metrics(trace)
     passes = []
@@ -138,29 +139,22 @@ def test_exhaustive_runs_each_distinct_side_once(monkeypatch):
     )
     result = exhaustive(sub, trace, TABLE, DRAM, baseline)
     assert len(result.ranked) == 16
-    assert (passes.count("i"), passes.count("d")) == (16, 4)
+    assert (passes.count("i"), passes.count("d")) == (4, 4)
 
 
-def test_exhaustive_seeds_only_points_with_a_random_side(monkeypatch):
-    """Flag text is hashed for a seed only where a side is random; the
-    results equal pricing every point with its own seed."""
+def test_exhaustive_prices_every_point_with_the_seed_base():
+    """Each ranked point equals pricing it alone with sim_seed_base as the
+    seed base, random sides included."""
     trace = gen_synthetic("mixed", 300, 4)
     baseline = baseline_metrics(trace)
-    seeded = []
-
-    def counting_seed(config, base=0):
-        seeded.append(config)
-        return real_seed(config, base)
-
-    real_seed = oracle.config_sim_seed
-    monkeypatch.setattr(oracle, "config_sim_seed", counting_seed)
-    sub = small_subspace(isize=(512, 1024), irepl=("l", "r"), drepl=("l", "f", "r"))
+    sub = small_subspace(
+        isize=(512, 1024), irepl=("l", "r"), iassoc=(4,), drepl=("l", "f", "r"), dassoc=(4,),
+        dwback=("a", "n"),
+    )
     result = exhaustive(sub, trace, TABLE, DRAM, baseline, sim_seed_base=9)
-    assert len(result.ranked) == 12
-    assert len(seeded) == 8 and all("r" in (c.irepl, c.drepl) for c in seeded)
+    assert len(result.ranked) == 24
     for r in result.ranked:
-        assert r.metrics == config_metrics(r.config, trace, TABLE, DRAM,
-                                           rng_seed=real_seed(r.config, 9))
+        assert r.metrics == config_metrics(r.config, trace, TABLE, DRAM, rng_seed=9)
 
 
 def test_exhaustive_two_point_space():

@@ -4,6 +4,9 @@ simulate runs each side over a prepared, run-merged block stream;
 CacheUnit is the reference engine that applies one record at a time. The
 two must agree on every SimStats field for every feasible configuration,
 trace profile and seed, random replacement included.
+
+A random-replacement side is seeded from the seed base and its own flags,
+write policy left out; replay spells that rule out on its own.
 """
 
 import random
@@ -25,26 +28,34 @@ from cacheopt.cachesim import (
     CacheConfig,
     CacheUnit,
     SideStreams,
-    config_sim_seed,
     n_sets,
     simulate,
 )
+from cacheopt import objectives
+from cacheopt.charmodel import DramParams, surrogate_generate
+from cacheopt.objectives import Metrics
+from cacheopt.oracle import Subspace, exhaustive
 from cacheopt.trace import PROFILES, AccessKind, gen_synthetic
 
 CLASSES = [(repl, fetch) for repl in REPL_POLICIES for fetch in FETCH_POLICIES]
 PROPERTY = settings(max_examples=40, deadline=None)
 
 
+def side_rng(base: int, side: str, size: int, block: int, assoc: int, fetch: str):
+    """The generator of one random-replacement side."""
+    return random.Random(f"{base} {side} {size} {block} {assoc} {fetch}")
+
+
 def replay(config: CacheConfig, trace, rng_seed: int):
     """simulate's result computed record by record with CacheUnit."""
-    master = random.Random(rng_seed)
     icache = CacheUnit(
         "i", config.isize, config.ibsize, config.iassoc, config.irepl, config.ifetch,
-        rng=random.Random(master.getrandbits(64)),
+        rng=side_rng(rng_seed, "i", config.isize, config.ibsize, config.iassoc, config.ifetch),
     )
     dcache = CacheUnit(
         "d", config.dsize, config.dbsize, config.dassoc, config.drepl, config.dfetch,
-        wback=config.dwback, rng=random.Random(master.getrandbits(64)),
+        wback=config.dwback,
+        rng=side_rng(rng_seed, "d", config.dsize, config.dbsize, config.dassoc, config.dfetch),
     )
     for record in trace:
         (icache if record.kind == AccessKind.IFETCH else dcache).step(record)
@@ -170,19 +181,76 @@ def crossed_points(draw, repl, fetch):
     data=st.data(),
     trace=st.builds(gen_synthetic, st.sampled_from(PROFILES), st.integers(100, 600),
                     st.integers(0, 2**32 - 1)),
-    base=seeds,
+    bases=st.lists(seeds, min_size=1, max_size=2),
 )
-def test_shared_side_memo_matches_fresh_streams(repl, fetch, data, trace, base):
-    """One SideStreams shared by many points, in any order, gives what a
-    fresh SideStreams per call gives; random sides mix with LRU/FIFO ones."""
+def test_shared_side_memo_matches_fresh_streams(repl, fetch, data, trace, bases):
+    """One SideStreams shared by many points and seed bases, in any order,
+    gives what a fresh SideStreams per call gives; random sides mix with
+    LRU/FIFO ones."""
     shared = SideStreams(trace)
     for config in data.draw(crossed_points(repl, fetch)):
-        seed = config_sim_seed(config, base)
+        seed = data.draw(st.sampled_from(bases))
         got = simulate(config, shared, seed)
         want = simulate(config, SideStreams(trace), seed)
         assert [asdict(s) for s in got] == [asdict(s) for s in want], config.to_flags()
         for stats in got:
             spoil(stats)
+
+
+@st.composite
+def random_side_subspaces(draw, fetch):
+    """Up to two values for each flag of a small-cache subspace; both
+    sides can be random with fetch, and both write policies appear."""
+    def some(domain):
+        return tuple(draw(st.sets(st.sampled_from(domain), min_size=1, max_size=2)))
+
+    def policies(domain, first):
+        return (first, *{draw(st.sampled_from(domain))} - {first})
+
+    return Subspace(
+        isize=some(CACHE_SIZES[:3]), ibsize=some(BLOCK_SIZES),
+        irepl=policies(REPL_POLICIES, "r"), iassoc=some(ASSOCIATIVITIES[:5]),
+        ifetch=policies(FETCH_POLICIES, fetch),
+        dsize=some(CACHE_SIZES[:3]), dbsize=some(BLOCK_SIZES),
+        drepl=policies(REPL_POLICIES, "r"), dassoc=some(ASSOCIATIVITIES[:5]),
+        dfetch=policies(FETCH_POLICIES, fetch), dwback=WRITE_POLICIES,
+    )
+
+
+@pytest.mark.parametrize("fetch", FETCH_POLICIES)
+@settings(max_examples=15, deadline=None)
+@given(
+    data=st.data(),
+    trace=st.builds(gen_synthetic, st.sampled_from(PROFILES), st.integers(100, 600),
+                    st.integers(0, 2**32 - 1)),
+    base=seeds,
+)
+def test_random_side_depends_only_on_its_own_flags(fetch, data, trace, base):
+    """As exhaustive prices a subspace, a random side's counters stay the
+    same whatever the other side's flags are, and a random D-side has the
+    same accesses, demand misses and prefetch fills under either write
+    policy."""
+    sub = data.draw(random_side_subspaces(fetch))
+    priced = []
+
+    def recording_simulate(config, trace, rng_seed=0):
+        result = simulate(config, trace, rng_seed)
+        priced.append((config, *result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(objectives, "simulate", recording_simulate)
+        exhaustive(sub, trace, surrogate_generate(1), DramParams(), Metrics(1.0, 1.0),
+                   sim_seed_base=base)
+    isides, dsides = {}, {}
+    for config, istats, dstats in priced:
+        if config.irepl == "r":
+            key = (config.isize, config.ibsize, config.iassoc, config.ifetch)
+            assert isides.setdefault(key, istats) == istats, config.to_flags()
+        if config.drepl == "r":
+            key = (config.dsize, config.dbsize, config.dassoc, config.dfetch)
+            counts = (dstats.accesses, dstats.demand_misses, dstats.prefetch_fills)
+            assert dsides.setdefault(key, counts) == counts, config.to_flags()
 
 
 def test_mutating_a_result_leaves_the_side_memo_alone():
