@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cacheopt import objectives
 from cacheopt.cachesim import (
     ASSOCIATIVITIES,
     BLOCK_SIZES,
@@ -31,7 +32,6 @@ from cacheopt.cachesim import (
     n_sets,
     simulate,
 )
-from cacheopt import objectives
 from cacheopt.charmodel import DramParams, surrogate_generate
 from cacheopt.objectives import Metrics
 from cacheopt.oracle import Subspace, exhaustive
@@ -39,6 +39,7 @@ from cacheopt.trace import PROFILES, AccessKind, gen_synthetic
 
 CLASSES = [(repl, fetch) for repl in REPL_POLICIES for fetch in FETCH_POLICIES]
 PROPERTY = settings(max_examples=40, deadline=None)
+TABLE = surrogate_generate(1)
 
 
 def side_rng(base: int, side: str, size: int, block: int, assoc: int, fetch: str):
@@ -240,8 +241,7 @@ def test_random_side_depends_only_on_its_own_flags(fetch, data, trace, base):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(objectives, "simulate", recording_simulate)
-        exhaustive(sub, trace, surrogate_generate(1), DramParams(), Metrics(1.0, 1.0),
-                   sim_seed_base=base)
+        exhaustive(sub, trace, TABLE, DramParams(), Metrics(1.0, 1.0), sim_seed_base=base)
     isides, dsides = {}, {}
     for config, istats, dstats in priced:
         if config.irepl == "r":
