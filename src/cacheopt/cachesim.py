@@ -12,7 +12,6 @@ import random
 from array import array
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, FlagTextError, InfeasibleConfigError
@@ -270,11 +269,11 @@ class SideStreams:
     for each (side, block size) and kept. Streams are compact arrays:
     addresses and block numbers as unsigned 64-bit, write flags as bytes.
 
-    Each side's counters are memoized too, keyed on that side's geometry
-    and policies, plus the seed base for a random-replacement side: the
-    I-cache sees only ifetches and the D-cache only reads and writes, and
-    a random side is seeded from its own flags, so one side's counters
-    never depend on the other side's flags.
+    Each side's engine counts are memoized too, keyed on its geometry,
+    replacement and fetch policy (not its write policy), plus the seed base
+    for a random side: the I-cache sees only ifetches and the D-cache only
+    reads and writes, and a random side is seeded from its own flags, so one
+    side's counters never depend on the other side's flags.
     """
 
     def __init__(self, trace: Iterable[TraceRecord]):
@@ -328,56 +327,44 @@ class SideStreams:
 
 
 def _simulate_side(
-    streams: SideStreams,
-    side: str,
-    size: int,
-    block: int,
-    assoc: int,
-    repl: str,
-    fetch: str,
-    rng_seed: int,
-    write_back: bool,
+    streams: SideStreams, side: str, size: int, block: int, assoc: int, repl: str,
+    fetch: str, rng_seed: int, write_back: bool,
 ) -> SimStats:
     """One side's counters, from the streams' memo or a fresh engine pass.
 
-    A hit returns a new SimStats, so a caller that mutates its result
-    cannot change a later one.
+    Both write policies read one write-back pass: write misses allocate and
+    dirty flags never pick a victim, so write-through only drops the
+    write-backs and flush and counts every write. A hit returns a new
+    SimStats, so a caller that mutates its result cannot change a later one.
     """
-    key = (side, size, block, assoc, repl, fetch, write_back, rng_seed if repl == "r" else 0)
+    key = (side, size, block, assoc, repl, fetch, rng_seed if repl == "r" else 0)
     counts = streams._counts.get(key)
     if counts is None:
-        counts = _run_side(streams, side, size, block, assoc, repl, fetch, rng_seed, write_back)
+        counts = _run_side(streams, side, size, block, assoc, repl, fetch, rng_seed)
         streams._counts[key] = counts
-    return SimStats(*counts)
+    accesses, misses, fills, write_backs, dirty = counts
+    if write_back:
+        return SimStats(accesses, misses, fills, write_backs, 0, dirty)
+    return SimStats(accesses, misses, fills, 0, streams.writes, 0)
 
 
 def _run_side(
-    streams: SideStreams,
-    side: str,
-    size: int,
-    block: int,
-    assoc: int,
-    repl: str,
-    fetch: str,
-    rng_seed: int,
-    write_back: bool,
-) -> tuple[int, ...]:
-    """Run one side's stream; same semantics as CacheUnit, the reference.
+    streams: SideStreams, side: str, size: int, block: int, assoc: int, repl: str,
+    fetch: str, rng_seed: int,
+) -> tuple[int, int, int, int, int]:
+    """Run one side's stream as write-back; same semantics as CacheUnit.
 
-    Returns the SimStats counters as a tuple, in field order. Sets are
-    keyed by block number (the tag is implied by the set) and created on
-    first touch. Random replacement keeps each set's fill order in a list,
-    so rng.choice draws the victims CacheUnit draws from its OrderedDict.
-    Only write-back sides track dirty blocks; a write-through D-side
-    counts every write as a write-through.
+    Returns (accesses, demand misses, prefetch fills, write-backs, dirty
+    blocks left). Sets are keyed by block number (the tag is implied by the
+    set) and created on first touch. Random replacement keeps each set's
+    fill order in a list, so rng.choice draws the victims CacheUnit draws
+    from its OrderedDict.
     """
     n = n_sets(size, block, assoc)
     # A run of accesses to one block is one access plus hits that change
     # nothing but the dirty flag, unless a prefetch of the next block can
     # land in the same set: a fully associative side with prefetch.
     blocks, writes = streams.blocks(side, block, fetch == "d" or n > 1)
-    if not write_back:
-        writes = repeat(0)
     seed = f"{rng_seed} {side} {size} {block} {assoc} {fetch}"  # see simulate
     choice = random.Random(seed).choice if repl == "r" else None
     mask = n - 1
@@ -431,7 +418,6 @@ def _run_side(
         misses,
         fills,
         write_backs,
-        streams.writes if side == "d" and not write_back else 0,
         sum(1 for entries in sets.values() for dirty in entries.values() if dirty),
     )
 
@@ -446,7 +432,8 @@ def simulate(
     generator is random.Random(f"{rng_seed} {side} {size} {block} {assoc} {fetch}"):
     its own flags, write policy left out, so it never depends on the other side.
     trace is records or a SideStreams built from them; pass the latter to
-    simulate one trace many times, so each distinct side runs once per seed base.
+    simulate one trace many times, so each distinct side runs once per seed
+    base; a D-side's `a` and `n` twins share that run.
     """
     verdict = validate(config)
     if not verdict:
@@ -454,7 +441,7 @@ def simulate(
     streams = SideStreams.of(trace)
     istats = _simulate_side(
         streams, "i", config.isize, config.ibsize, config.iassoc, config.irepl,
-        config.ifetch, rng_seed, write_back=False,
+        config.ifetch, rng_seed, write_back=True,
     )
     dstats = _simulate_side(
         streams, "d", config.dsize, config.dbsize, config.dassoc, config.drepl,

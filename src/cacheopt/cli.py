@@ -62,6 +62,8 @@ class RunConfig:
             raise ValidationError("runs must be >= 1")
         if self.jobs != 1:
             raise ValidationError(f"jobs must be 1 (evaluation is serial), got {self.jobs}")
+        if not self.trace:
+            raise ValidationError("the trace holds no records")
         _check_baseline(self.baseline)
 
 
@@ -82,8 +84,8 @@ def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]] | None:
     """(size, block, assoc) of every feasible I and D side the grammar can
     derive, or None unless the grammar is flat and states each geometry
     flag once, as a terminal followed by a terminal or by a slot whose
-    alternatives are single tokens. Raises ValidationError for such a
-    value outside the flag's domain."""
+    alternatives are single tokens. Raises ValidationError for a value
+    outside its flag's domain, for every flag stated in that shape."""
     template = flat_template(grammar)
     if template is None:
         return None
@@ -92,28 +94,30 @@ def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]] | None:
         for alt in item for token in alt.split()
     }
     values = {}
-    for name in ("isize", "ibsize", "iassoc", "dsize", "dbsize", "dassoc"):
+    for name, domain in DOMAINS.items():
         flag = f"-l1-{name}"
         after = [j + 1 for j, item in enumerate(template) if item == flag]
         if len(after) != 1 or flag in in_slots or after[0] == len(template):
-            return None
+            continue
         follower = template[after[0]]
         tokens = (follower,) if isinstance(follower, str) else follower
         if any(" " in token for token in tokens):
-            return None
+            continue
         reached = set()
         for token in tokens:
             try:
-                value = int(token)  # as from_flags parses it
+                value = type(domain[0])(token)  # int for geometry, as from_flags parses
             except ValueError:
                 value = None
-            if value not in DOMAINS[name]:
+            if value not in domain:
                 raise ValidationError(
                     f"grammar gives {flag} the value {token!r}, "
-                    f"outside permitted set {DOMAINS[name]}"
+                    f"outside permitted set {domain}"
                 )
             reached.add(value)
         values[name] = tuple(reached)
+    if not {"isize", "ibsize", "iassoc", "dsize", "dbsize", "dassoc"} <= values.keys():
+        return None
     return Subspace(**values).triples()
 
 
@@ -133,6 +137,14 @@ def _load_trace(args) -> list[TraceRecord]:
         raise ValidationError(f"--max-records must be >= 0, got {cap}")
     with Path(args.trace).open() as fh:
         return parse_din(fh, max_records=cap)
+
+
+def _load_campaign_trace(args) -> list[TraceRecord]:
+    """The trace of an optimize or exhaustive campaign, which needs a record."""
+    trace = _load_trace(args)
+    if not trace:
+        raise ValidationError(f"trace {args.trace} holds no records")
+    return trace
 
 
 def _load_char_table(args) -> CharTable:
@@ -388,7 +400,7 @@ def cmd_optimize(args) -> None:
         table.check_complete(triples | _side_triples(baseline))
     dram = _load_dram(args)
     rc = RunConfig(
-        trace=_load_trace(args),
+        trace=_load_campaign_trace(args),
         table=table,
         dram=dram,
         baseline=baseline,
@@ -423,7 +435,7 @@ def cmd_exhaustive(args) -> None:
     # Every row the baseline and the enumeration will look up, checked
     # before anything is simulated.
     table.check_complete(sub.triples() | _side_triples(baseline_config))
-    trace = SideStreams(_load_trace(args))
+    trace = SideStreams(_load_campaign_trace(args))
     baseline = config_metrics(baseline_config, trace, table, dram, miss_mode, args.seed)
     result = exhaustive(
         sub, trace, table, dram, baseline, weights, miss_mode,

@@ -119,8 +119,7 @@ class Evaluator:
         self.sim_seed_base = sim_seed_base
         self.baseline_metrics: Metrics | None = None
         self._memo: dict[str, EvalResult] = {}
-        self._feasible_keys = 0
-        self._sim_invocations = 0
+        self._sim_invocations = 0  # one per distinct feasible key
         self._memo_hits = 0
 
     def set_baseline(self, config: CacheConfig) -> Metrics:
@@ -149,14 +148,13 @@ class Evaluator:
         metrics = config_metrics(
             config, self.streams, self.table, self.dram, self.miss_mode, self.sim_seed_base
         )
-        self._feasible_keys += 1
         self._sim_invocations += 1
         return EvalResult(True, metrics, fitness(metrics, self.baseline_metrics, self.weights))
 
     def stats(self) -> MemoStats:
         return MemoStats(
             unique_keys=len(self._memo),
-            feasible_keys=self._feasible_keys,
+            feasible_keys=self._sim_invocations,
             sim_invocations=self._sim_invocations,
             memo_hits=self._memo_hits,
         )

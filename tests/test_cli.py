@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from cacheopt import objectives
 from cacheopt.charmodel import CharTable, DramParams, save_table, surrogate_generate
 from cacheopt.cli import RunConfig, _grammar_triples, main
 from cacheopt.cachesim import DEFAULT_BASELINE, simulate
@@ -10,7 +11,7 @@ from cacheopt.evolve import GEParams
 from cacheopt.grammar import DEFAULT_GRAMMAR, parse_bnf
 from cacheopt.objectives import FitnessWeights, MissMode, metrics_from_stats
 from cacheopt.oracle import Subspace
-from cacheopt.trace import parse_din
+from cacheopt.trace import AccessKind, TraceRecord, parse_din
 
 ONE_POINT_GRAMMAR = """\
 <DineroParams> ::= -l1-isize <S> -l1-ibsize <B> -l1-irepl <R> -l1-iassoc <A>
@@ -167,15 +168,57 @@ def test_optimize_bad_grammar_fails_before_trace_is_read(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_config_accepts_only_one_job(tmp_path):
-    kwargs = dict(
-        trace=[], table=surrogate_generate(0), dram=DramParams(), baseline=DEFAULT_BASELINE,
+def run_config_kwargs(tmp_path, trace):
+    return dict(
+        trace=trace, table=surrogate_generate(0), dram=DramParams(), baseline=DEFAULT_BASELINE,
         params=GEParams(), weights=FitnessWeights(), miss_mode=MissMode.DEMAND_ONLY,
         grammar_text=DEFAULT_GRAMMAR, outdir=tmp_path,
     )
+
+
+def test_run_config_accepts_only_one_job(tmp_path):
+    kwargs = run_config_kwargs(tmp_path, [TraceRecord(AccessKind.IFETCH, 0)])
     assert RunConfig(**kwargs, jobs=1).jobs == 1
     with pytest.raises(ValidationError, match="jobs"):
         RunConfig(**kwargs, jobs=2)
+
+
+def test_run_config_rejects_an_empty_trace(tmp_path):
+    with pytest.raises(ValidationError, match="no records"):
+        RunConfig(**run_config_kwargs(tmp_path, []))
+
+
+EXHAUSTIVE_POINT = [
+    "--isize", "512", "--ibsize", "32", "--irepl", "l", "--iassoc", "4", "--ifetch", "d",
+    "--dsize", "512", "--dbsize", "32", "--drepl", "l", "--dassoc", "4", "--dfetch", "d",
+    "--dwback", "a",
+]
+
+
+@pytest.mark.parametrize("command", [
+    ["optimize", "--runs", "1", "--generations", "2", "--population", "4"],
+    ["exhaustive", *EXHAUSTIVE_POINT],
+], ids=["optimize", "exhaustive"])
+@pytest.mark.parametrize("text,extra", [
+    ("", []),
+    ("# a comment\n\n", []),
+    (None, ["--max-records", "0"]),
+], ids=["empty", "comment-only", "max-records-0"])
+def test_campaign_on_an_empty_trace_fails_before_the_baseline(
+    tmp_path, capsys, monkeypatch, command, text, extra
+):
+    trace_path = tmp_path / "t.din"
+    if text is None:
+        write_trace(trace_path, n=50)
+    else:
+        trace_path.write_text(text)
+    monkeypatch.setattr(objectives, "simulate", None)  # any simulation fails the test
+    outdir = tmp_path / "run"
+    rc = main([*command, "--trace", str(trace_path), *extra, "-o", str(outdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"trace {trace_path} holds no records" in err
+    assert not outdir.exists()
 
 
 def test_simulate_missing_trace_exit_2(tmp_path, capsys):
@@ -375,7 +418,9 @@ def test_grammar_triples_gives_up_on_other_shapes(grammar):
 @pytest.mark.parametrize("old,new,named", [
     ("<S> ::= 16384", "<S> ::= 3000 | 1024", "-l1-isize the value '3000'"),
     ("<B> ::= 32", "<B> ::= 32 | big", "-l1-ibsize the value 'big'"),
-], ids=["isize-3000", "ibsize-big"])
+    ("<R> ::= l", "<R> ::= l | f | x", "-l1-irepl the value 'x'"),
+    ("<W> ::= a", "<W> ::= a | n | q", "-l1-dwback the value 'q'"),
+], ids=["isize-3000", "ibsize-big", "irepl-x", "dwback-q"])
 @pytest.mark.parametrize("trace_exists", [False, True])
 def test_optimize_grammar_value_outside_domain_fails_before_trace_is_read(
     tmp_path, capsys, old, new, named, trace_exists

@@ -111,9 +111,9 @@ def test_exhaustive_checks_each_point_once(monkeypatch):
 
 
 def test_exhaustive_runs_each_distinct_side_once(monkeypatch):
-    """The sweep_lru_demand shape: 720 points share 24 I-sides and 30
-    D-sides, so 54 engine passes; a random side runs once too, since it is
-    seeded from its own flags."""
+    """The sweep_lru_demand shape: 720 points share 24 I-sides and 15
+    D-sides, each under both write policies, so 39 engine passes; a random
+    side runs once too, since it is seeded from its own flags."""
     trace = gen_synthetic("mixed", 300, 5)
     baseline = baseline_metrics(trace)
     passes = []
@@ -130,7 +130,7 @@ def test_exhaustive_runs_each_distinct_side_once(monkeypatch):
     )
     result = exhaustive(small_subspace(**sweep), trace, TABLE, DRAM, baseline)
     assert (len(result.ranked), len(result.infeasible)) == (720, 48)
-    assert (passes.count("i"), passes.count("d")) == (24, 30)
+    assert (passes.count("i"), passes.count("d")) == (24, 15)
 
     passes.clear()
     sub = small_subspace(
@@ -139,7 +139,7 @@ def test_exhaustive_runs_each_distinct_side_once(monkeypatch):
     )
     result = exhaustive(sub, trace, TABLE, DRAM, baseline)
     assert len(result.ranked) == 16
-    assert (passes.count("i"), passes.count("d")) == (4, 4)
+    assert (passes.count("i"), passes.count("d")) == (4, 2)
 
 
 def test_exhaustive_prices_every_point_with_the_seed_base():

@@ -187,14 +187,19 @@ def crossed_points(draw, repl, fetch):
 def test_shared_side_memo_matches_fresh_streams(repl, fetch, data, trace, bases):
     """One SideStreams shared by many points and seed bases, in any order,
     gives what a fresh SideStreams per call gives; random sides mix with
-    LRU/FIFO ones."""
+    LRU/FIFO ones. Each point's write-policy twin, served from the pass the
+    point just stored, matches a CacheUnit replay."""
     shared = SideStreams(trace)
     for config in data.draw(crossed_points(repl, fetch)):
         seed = data.draw(st.sampled_from(bases))
         got = simulate(config, shared, seed)
         want = simulate(config, SideStreams(trace), seed)
         assert [asdict(s) for s in got] == [asdict(s) for s in want], config.to_flags()
-        for stats in got:
+        twin = replace(config, dwback="n" if config.dwback == "a" else "a")
+        twin_got = simulate(twin, shared, seed)
+        want = replay(twin, trace, seed)
+        assert [asdict(s) for s in twin_got] == [asdict(s) for s in want], twin.to_flags()
+        for stats in (*got, *twin_got):
             spoil(stats)
 
 
