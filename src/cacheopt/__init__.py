@@ -33,7 +33,6 @@ from .evolve import (
     GEParams,
     Individual,
     crossover,
-    evolve,
     memo_key,
     mutate,
     tournament,

@@ -12,6 +12,7 @@ import random
 from array import array
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
+from operator import attrgetter, contains
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, FlagTextError, InfeasibleConfigError
@@ -41,6 +42,10 @@ DOMAINS = {
 }
 
 FLAG_ORDER = tuple(f"-l1-{name}" for name in DOMAINS)
+_FLAGS_FORMAT = " ".join(f"{flag} {{}}" for flag in FLAG_ORDER)
+_DOMAIN_VALUES = tuple(DOMAINS.values())
+_KINDS = tuple(type(domain[0]) for domain in _DOMAIN_VALUES)  # int or str
+_config_values = attrgetter(*DOMAINS)  # a config's values in flag order
 
 
 @dataclass(frozen=True)
@@ -60,20 +65,25 @@ class CacheConfig:
     dwback: str
 
     def __post_init__(self):
-        for name, domain in DOMAINS.items():
-            value = getattr(self, name)
-            if value not in domain:
-                raise ConfigError(f"{name}={value!r} not in permitted set {domain}")
+        values = _config_values(self)
+        if not all(map(contains, _DOMAIN_VALUES, values)):
+            for (name, domain), value in zip(DOMAINS.items(), values):
+                if value not in domain:
+                    raise ConfigError(f"{name}={value!r} not in permitted set {domain}")
 
     def to_flags(self) -> str:
         """Render as simulator flag text in canonical flag order."""
-        values = [getattr(self, flag[4:]) for flag in FLAG_ORDER]
-        return " ".join(f"{flag} {value}" for flag, value in zip(FLAG_ORDER, values))
+        return _FLAGS_FORMAT.format(*_config_values(self))
 
     @classmethod
     def from_flags(cls, text: str) -> "CacheConfig":
         """Parse simulator flag text; inverse of to_flags (any flag order)."""
         tokens = text.split()
+        if tuple(tokens[::2]) == FLAG_ORDER:  # canonical order; a bad int is named below
+            try:
+                return cls(*[kind(raw) for kind, raw in zip(_KINDS, tokens[1::2])])
+            except ValueError:
+                pass
         if len(tokens) % 2:
             raise FlagTextError(f"flag text has a dangling token: {tokens[-1]!r}")
         seen: dict[str, str] = {}
@@ -117,24 +127,26 @@ def n_sets(size: int, block: int, assoc: int) -> int:
     return size // (block * assoc)
 
 
+_FEASIBLE = Feasibility(True)
+
+
 def validate(config: CacheConfig) -> Feasibility:
     """Check cache geometry: size must hold at least one full set.
 
     Every domain is a power of two, so a set span no larger than the
-    cache always divides it.
+    cache always divides it. Every feasible point shares one verdict.
     """
-    problems = []
+    if (config.ibsize * config.iassoc <= config.isize
+            and config.dbsize * config.dassoc <= config.dsize):
+        return _FEASIBLE
     sides = (
         ("I-cache", config.isize, config.ibsize, config.iassoc),
         ("D-cache", config.dsize, config.dbsize, config.dassoc),
     )
-    for side, size, block, assoc in sides:
-        span = block * assoc
-        if span > size:
-            problems.append(
-                f"{side}: block {block} B x {assoc} ways = {span} B exceeds cache size {size} B"
-            )
-    return Feasibility(not problems, tuple(problems))
+    return Feasibility(False, tuple(
+        f"{side}: block {block} B x {assoc} ways = {block * assoc} B exceeds cache size {size} B"
+        for side, size, block, assoc in sides if block * assoc > size
+    ))
 
 
 @dataclass

@@ -18,6 +18,7 @@ from pathlib import Path
 from .cachesim import (
     DEFAULT_BASELINE,
     DOMAINS,
+    FLAG_ORDER,
     CacheConfig,
     SideStreams,
     simulate,
@@ -80,6 +81,29 @@ def _side_triples(config: CacheConfig) -> set[tuple[int, int, int]]:
             (config.dsize, config.dbsize, config.dassoc)}
 
 
+def _parse_value(token: str, domain: tuple):
+    """token as a value of domain, parsed as from_flags parses it, or None."""
+    try:
+        value = type(domain[0])(token)  # int for geometry
+    except ValueError:
+        return None
+    return value if value in domain else None
+
+
+def _check_terminals(grammar: Grammar) -> None:
+    """Reject a terminal reachable from the start symbol that is neither a
+    flag nor a permitted value: no phenotype holding it would parse."""
+    seen, pending = set(), [grammar.start]
+    while pending:
+        symbol = pending.pop()
+        if symbol in grammar.rules and symbol not in seen:
+            seen.add(symbol)
+            pending.extend(sym for alt in grammar.rules[symbol] for sym in alt)
+        elif symbol not in grammar.rules and symbol not in FLAG_ORDER and all(
+                _parse_value(symbol, domain) is None for domain in DOMAINS.values()):
+            raise ValidationError(f"grammar terminal {symbol!r} is neither a flag nor a value")
+
+
 def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]] | None:
     """(size, block, assoc) of every feasible I and D side the grammar can
     derive, or None unless the grammar is flat and states each geometry
@@ -105,11 +129,8 @@ def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]] | None:
             continue
         reached = set()
         for token in tokens:
-            try:
-                value = type(domain[0])(token)  # int for geometry, as from_flags parses
-            except ValueError:
-                value = None
-            if value not in domain:
+            value = _parse_value(token, domain)
+            if value is None:
                 raise ValidationError(
                     f"grammar gives {flag} the value {token!r}, "
                     f"outside permitted set {domain}"
@@ -381,6 +402,7 @@ def cmd_optimize(args) -> None:
     )
     grammar = parse_bnf(grammar_text)  # a bad grammar fails before any input is read
     triples = _grammar_triples(grammar)
+    _check_terminals(grammar)
     params = GEParams(
         generations=args.generations,
         population=args.population,

@@ -133,12 +133,13 @@ class Evaluator:
     def evaluate(self, phenotype: str) -> EvalResult:
         if self.baseline_metrics is None:
             raise ValidationError("baseline metrics not set; call set_baseline first")
-        key = memo_key(phenotype)
-        result = self._memo.get(key)
-        if result is not None:
-            self._memo_hits += 1
-            return result
-        result = self._memo[key] = self._compute(key)
+        result = self._memo.get(phenotype)  # keys are canonical: a hit needs no memo_key
+        if result is None:
+            result = self._memo.get(key := memo_key(phenotype))
+            if result is None:
+                result = self._memo[key] = self._compute(key)
+                return result
+        self._memo_hits += 1
         return result
 
     def _compute(self, key: str) -> EvalResult:

@@ -20,6 +20,7 @@ here. Units are seconds, joules, watts, bytes, bytes/second throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,6 +31,9 @@ from .errors import ValidationError
 #: Fitness assigned to structurally infeasible configurations. Finite so
 #: selection stays total-ordered; large enough that any feasible point wins.
 INFEASIBLE_FITNESS = 1.0e9
+
+# [0, _MAX_FLOAT] passes; any other value, ints past float range too, takes the named check.
+_MAX_FLOAT = sys.float_info.max
 
 
 class MissMode(Enum):
@@ -50,10 +54,11 @@ class Metrics:
     energy: float  # joules
 
     def __post_init__(self):
-        for name in ("exec_time", "energy"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+        if not (0 <= self.exec_time <= _MAX_FLOAT and 0 <= self.energy <= _MAX_FLOAT):
+            for name in ("exec_time", "energy"):
+                value = getattr(self, name)
+                if not math.isfinite(value) or value < 0:
+                    raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,15 +84,17 @@ def _effective_misses(stats: SimStats, miss_mode: MissMode) -> int:
 
 
 def _check_counters(stats: SimStats) -> None:
-    for name in ("accesses", "demand_misses", "prefetch_fills"):
-        value = getattr(stats, name)
-        if value < 0 or not math.isfinite(value):
-            raise ValidationError(f"counter {name} must be finite and >= 0, got {value!r}")
+    if not (0 <= stats.accesses <= _MAX_FLOAT and 0 <= stats.demand_misses <= _MAX_FLOAT
+            and 0 <= stats.prefetch_fills <= _MAX_FLOAT):
+        for name in ("accesses", "demand_misses", "prefetch_fills"):
+            value = getattr(stats, name)
+            if value < 0 or not math.isfinite(value):
+                raise ValidationError(f"counter {name} must be finite and >= 0, got {value!r}")
 
 
 def _check_char(pair: tuple[float, float]) -> None:
     for value in pair:
-        if not math.isfinite(value) or value < 0:
+        if not 0 <= value <= _MAX_FLOAT and (not math.isfinite(value) or value < 0):
             raise ValidationError(f"characterization value must be finite and >= 0, got {value!r}")
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, starmap
 from typing import Iterable
 
 from .cachesim import DOMAINS, CacheConfig, SideStreams, n_sets, validate
@@ -59,8 +59,7 @@ class Subspace:
             )
 
     def configs(self) -> Iterable[CacheConfig]:
-        for combo in product(*(getattr(self, name) for name in DOMAINS)):
-            yield CacheConfig(**dict(zip(DOMAINS, combo)))
+        return starmap(CacheConfig, product(*(getattr(self, name) for name in DOMAINS)))
 
     def triples(self) -> set[tuple[int, int, int]]:
         """(size, block, assoc) of the I and D sides of every feasible point,

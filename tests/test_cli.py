@@ -486,3 +486,42 @@ def test_optimize_non_flat_grammar_keeps_the_late_lookup(tmp_path, capsys):
                "--grammar", str(grammar_path), "-o", str(tmp_path / "run")])
     assert rc == 2
     assert "absent.din" in capsys.readouterr().err
+
+
+def test_optimize_non_flat_grammar_with_an_impossible_terminal_fails_up_front(tmp_path, capsys):
+    grammar_path = tmp_path / "bad_nested.bnf"
+    grammar_path.write_text(
+        "<P> ::= <I> -l1-dsize 1024 -l1-dbsize 32 -l1-drepl l -l1-dassoc 4"
+        " -l1-dfetch d -l1-dwback a\n"
+        "<I> ::= -l1-isize <S> -l1-ibsize 32 -l1-irepl l -l1-iassoc 4 -l1-ifetch d\n"
+        "<S> ::= 1024 | 3000\n"
+    )
+    outdir = tmp_path / "run"
+    rc = main(["optimize", "--trace", str(tmp_path / "absent.din"),
+               "--grammar", str(grammar_path), "-o", str(outdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'3000'" in err and "absent.din" not in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("terminal", ["-l1-isize", "512", "0512", "l", "a", "128"])
+def test_optimize_non_flat_grammar_accepts_flags_and_values(tmp_path, capsys, terminal):
+    # Any flag or permitted value passes the up-front walk; the trace is read next.
+    grammar_path = tmp_path / "nested.bnf"
+    grammar_path.write_text(ONE_POINT_GRAMMAR.replace(
+        "<S> ::= 16384", f"<S> ::= <T>\n<T> ::= 16384 | <U>\n<U> ::= {terminal}"))
+    rc = main(["optimize", "--trace", str(tmp_path / "absent.din"),
+               "--grammar", str(grammar_path), "-o", str(tmp_path / "run")])
+    assert rc == 2
+    assert "absent.din" in capsys.readouterr().err
+
+
+def test_optimize_walk_skips_unreachable_rules(tmp_path, capsys):
+    grammar_path = tmp_path / "nested.bnf"
+    grammar_path.write_text(ONE_POINT_GRAMMAR.replace("<S> ::= 16384", "<S> ::= <T>\n<T> ::= 16384")
+                            + "<Unused> ::= 3000\n")
+    rc = main(["optimize", "--trace", str(tmp_path / "absent.din"),
+               "--grammar", str(grammar_path), "-o", str(tmp_path / "run")])
+    assert rc == 2
+    assert "absent.din" in capsys.readouterr().err

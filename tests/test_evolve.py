@@ -1,9 +1,9 @@
-import importlib
 import math
 import random
 
 import pytest
 
+import cacheopt.evolve as EVOLVE
 from cacheopt.cachesim import DEFAULT_BASELINE
 from cacheopt.charmodel import DramParams, surrogate_generate
 from cacheopt.errors import ValidationError
@@ -25,7 +25,6 @@ from cacheopt.oracle import Subspace
 from cacheopt.trace import gen_synthetic
 
 GRAMMAR = parse_bnf(DEFAULT_GRAMMAR)
-EVOLVE = importlib.import_module("cacheopt.evolve")  # the package re-exports evolve()
 
 
 def make_evaluator(trace_len=2000, trace_seed=3, table_seed=1, **kwargs) -> Evaluator:
@@ -47,6 +46,14 @@ class ScriptedRng:
 
     def randrange(self, n):
         return self.draws.pop(0)
+
+
+def test_module_import_is_not_hidden_by_the_loop_function():
+    import cacheopt.evolve as ev
+
+    assert ev is EVOLVE
+    assert ev.Evaluator is Evaluator
+    assert ev.evolve is evolve and callable(ev.evolve)
 
 
 # --- params ---------------------------------------------------------------

@@ -1,0 +1,177 @@
+"""Oracle tests for the per-point path: building, checking and pricing a
+design point.
+
+Each fast path is compared with the rule it replaces, written out here as
+it stood before: flag text joined pair by pair, the general flag parser
+(text in any other order), the per-side problem list of validate, and the
+named finiteness checks of the pricing inputs.
+"""
+
+import math
+import sys
+from itertools import product
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cacheopt.cachesim import (
+    ASSOCIATIVITIES,
+    BLOCK_SIZES,
+    CACHE_SIZES,
+    DEFAULT_BASELINE,
+    DOMAINS,
+    FLAG_ORDER,
+    CacheConfig,
+    SimStats,
+    validate,
+)
+from cacheopt.charmodel import DramParams, surrogate_generate
+from cacheopt.errors import ValidationError
+from cacheopt.evolve import Evaluator
+from cacheopt.objectives import Metrics, _check_char, _check_counters
+from cacheopt.trace import gen_synthetic
+
+configs = st.builds(CacheConfig, *(st.sampled_from(domain) for domain in DOMAINS.values()))
+
+
+def joined_flags(config: CacheConfig) -> str:
+    return " ".join(f"{flag} {getattr(config, flag[4:])}" for flag in FLAG_ORDER)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=configs, order=st.permutations(range(len(FLAG_ORDER))))
+def test_to_flags_matches_joined_pairs_and_round_trips(config, order):
+    text = config.to_flags()
+    assert text == joined_flags(config)
+    assert CacheConfig.from_flags(text) == config
+    pairs = text.split()
+    shuffled = " ".join(f"{pairs[2 * i]} {pairs[2 * i + 1]}" for i in order)
+    assert CacheConfig.from_flags(shuffled) == config
+
+
+def raised(call, *args):
+    """(type, message) of the exception call raises, or None."""
+    try:
+        call(*args)
+    except Exception as exc:  # the type itself is compared
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    config=configs,
+    name=st.sampled_from(list(DOMAINS)),
+    bad=st.sampled_from(["3000", "big", "1024.0", "-4", "0x20", "q", "7"]),
+    order=st.permutations(range(len(FLAG_ORDER))),
+)
+def test_canonical_text_with_a_bad_value_fails_as_any_order_does(config, name, bad, order):
+    pairs = [(flag, bad if flag[4:] == name else str(getattr(config, flag[4:])))
+             for flag in FLAG_ORDER]
+    assume(list(order) != sorted(order))  # the other order takes the general parser
+    canonical = " ".join(f"{flag} {value}" for flag, value in pairs)
+    shuffled = " ".join(f"{pairs[i][0]} {pairs[i][1]}" for i in order)
+    fast = raised(CacheConfig.from_flags, canonical)
+    assert fast is not None and issubclass(fast[0], ValidationError)
+    assert fast == raised(CacheConfig.from_flags, shuffled)
+    assert name in fast[1]
+
+
+def listed_problems(config: CacheConfig) -> tuple[str, ...]:
+    """validate's problem list, computed side by side as it always was."""
+    problems = []
+    for side, size, block, assoc in (
+        ("I-cache", config.isize, config.ibsize, config.iassoc),
+        ("D-cache", config.dsize, config.dbsize, config.dassoc),
+    ):
+        span = block * assoc
+        if span > size:
+            problems.append(
+                f"{side}: block {block} B x {assoc} ways = {span} B exceeds cache size {size} B"
+            )
+    return tuple(problems)
+
+
+def test_validate_verdict_matches_the_problem_list_on_every_geometry_pair():
+    geometries = list(product(CACHE_SIZES, BLOCK_SIZES, ASSOCIATIVITIES))
+    for (isize, ibsize, iassoc), (dsize, dbsize, dassoc) in product(geometries, repeat=2):
+        config = CacheConfig(isize, ibsize, "l", iassoc, "d", dsize, dbsize, "l", dassoc, "d", "a")
+        verdict = validate(config)
+        problems = listed_problems(config)
+        assert (bool(verdict), verdict.feasible, verdict.problems) == (
+            not problems, not problems, problems
+        )
+
+
+# The finiteness checks as they stood, each value tested by name.
+def named_check_counters(stats):
+    for name in ("accesses", "demand_misses", "prefetch_fills"):
+        value = getattr(stats, name)
+        if value < 0 or not math.isfinite(value):
+            raise ValidationError(f"counter {name} must be finite and >= 0, got {value!r}")
+
+
+def named_check_char(pair):
+    for value in pair:
+        if not math.isfinite(value) or value < 0:
+            raise ValidationError(f"characterization value must be finite and >= 0, got {value!r}")
+
+
+def named_metrics(exec_time, energy):
+    for name, value in (("exec_time", exec_time), ("energy", energy)):
+        if not math.isfinite(value) or value < 0:
+            raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+BIG = int(sys.float_info.max)
+EDGES = [math.nan, math.inf, -math.inf, -1, -0.0, 0, 0.0, 10**400, -(10**400),
+         BIG, BIG + 1, 2**1024, sys.float_info.max, 5e-324, True]
+values = st.one_of(st.sampled_from(EDGES), st.floats(), st.integers(),
+                   st.integers(min_value=BIG - 10, max_value=2**1025))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=values, b=values, c=values)
+def test_counter_checks_raise_as_the_named_check(a, b, c):
+    stats = SimStats(accesses=a, demand_misses=b, prefetch_fills=c)
+    assert raised(_check_counters, stats) == raised(named_check_counters, stats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=values, b=values)
+def test_characterization_and_metrics_checks_raise_as_the_named_check(a, b):
+    assert raised(_check_char, (a, b)) == raised(named_check_char, (a, b))
+    assert raised(Metrics, a, b) == raised(named_metrics, a, b)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1, 10**400])
+def test_bad_pricing_inputs_still_raise(value):
+    assert raised(_check_counters, SimStats(accesses=value)) is not None
+    assert raised(_check_char, (1.0, value)) is not None
+    assert raised(Metrics, value, 1.0) is not None
+    if value == 10**400:  # too large for a float, as math.isfinite says
+        assert raised(Metrics, value, 1.0) == (OverflowError, "int too large to convert to float")
+
+
+TRACE = gen_synthetic("mixed", 200, 5)
+TABLE = surrogate_generate(1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=configs, gaps=st.lists(st.sampled_from([" ", "  ", "\t", " \n "]),
+                                     min_size=23, max_size=23),
+       canonical_first=st.booleans())
+def test_canonical_and_spaced_phenotypes_share_one_memo_key(config, gaps, canonical_first):
+    evaluator = Evaluator(TRACE, TABLE, DramParams())
+    evaluator.set_baseline(DEFAULT_BASELINE)
+    text = config.to_flags()
+    spaced = gaps[0] + "".join(token + gap for token, gap in zip(text.split(), gaps[1:]))
+    assert spaced != text
+    order = [text, spaced, text, spaced] if canonical_first else [spaced, text, spaced, text]
+    results = [evaluator.evaluate(phenotype) for phenotype in order]
+    assert all(result is results[0] for result in results)
+    stats = evaluator.stats()
+    assert stats.unique_keys == 1
+    assert stats.memo_hits == 3
+    assert stats.sim_invocations == int(results[0].feasible)
