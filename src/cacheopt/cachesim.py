@@ -44,8 +44,13 @@ DOMAINS = {
 FLAG_ORDER = tuple(f"-l1-{name}" for name in DOMAINS)
 _FLAGS_FORMAT = " ".join(f"{flag} {{}}" for flag in FLAG_ORDER)
 _DOMAIN_VALUES = tuple(DOMAINS.values())
-_KINDS = tuple(type(domain[0]) for domain in _DOMAIN_VALUES)  # int or str
 _config_values = attrgetter(*DOMAINS)  # a config's values in flag order
+
+# Each parameter's permitted values by the one spelling to_flags renders:
+# flag text spells an integer as str(value), so "016384" or "16_384" is no
+# value and one configuration has one flag text.
+VALUE_TOKENS = {name: {str(v): v for v in domain} for name, domain in DOMAINS.items()}
+_TOKEN_VALUES = tuple(VALUE_TOKENS.values())
 
 
 @dataclass(frozen=True)
@@ -77,13 +82,15 @@ class CacheConfig:
 
     @classmethod
     def from_flags(cls, text: str) -> "CacheConfig":
-        """Parse simulator flag text; inverse of to_flags (any flag order)."""
+        """Parse simulator flag text; inverse of to_flags (any flag order).
+
+        An integer must be written as to_flags writes it.
+        """
         tokens = text.split()
-        if tuple(tokens[::2]) == FLAG_ORDER:  # canonical order; a bad int is named below
-            try:
-                return cls(*[kind(raw) for kind, raw in zip(_KINDS, tokens[1::2])])
-            except ValueError:
-                pass
+        if tuple(tokens[::2]) == FLAG_ORDER:  # canonical order; a bad value is named below
+            values = list(map(dict.get, _TOKEN_VALUES, tokens[1::2]))
+            if None not in values:
+                return cls(*values)
         if len(tokens) % 2:
             raise FlagTextError(f"flag text has a dangling token: {tokens[-1]!r}")
         seen: dict[str, str] = {}
@@ -99,13 +106,20 @@ class CacheConfig:
         kwargs = {}
         for flag, raw in seen.items():
             name = flag[4:]
-            if isinstance(DOMAINS[name][0], int):
+            if raw in VALUE_TOKENS[name]:
+                kwargs[name] = VALUE_TOKENS[name][raw]
+            elif isinstance(DOMAINS[name][0], str):
+                kwargs[name] = raw  # outside the domain: __post_init__ names it
+            else:
                 try:
-                    kwargs[name] = int(raw)
+                    value = int(raw)
                 except ValueError:
                     raise FlagTextError(f"{flag} expects an integer, got {raw!r}") from None
-            else:
-                kwargs[name] = raw
+                if str(value) != raw:
+                    raise FlagTextError(
+                        f"{flag} expects an integer in plain decimal, got {raw!r} (write {value})"
+                    )
+                kwargs[name] = value
         return cls(**kwargs)
 
 
@@ -346,9 +360,13 @@ def _simulate_side(
 
     Both write policies read one write-back pass: write misses allocate and
     dirty flags never pick a victim, so write-through only drops the
-    write-backs and flush and counts every write. A hit returns a new
+    write-backs and flush and counts every write. A direct-mapped side has
+    one victim whatever its replacement policy, so its `l`, `f` and `r`
+    twins share one FIFO pass, seed base dropped. A hit returns a new
     SimStats, so a caller that mutates its result cannot change a later one.
     """
+    if assoc == 1:
+        repl = "f"
     key = (side, size, block, assoc, repl, fetch, rng_seed if repl == "r" else 0)
     counts = streams._counts.get(key)
     if counts is None:
@@ -367,71 +385,157 @@ def _run_side(
     """Run one side's stream as write-back; same semantics as CacheUnit.
 
     Returns (accesses, demand misses, prefetch fills, write-backs, dirty
-    blocks left). Sets are keyed by block number (the tag is implied by the
-    set) and created on first touch. Random replacement keeps each set's
-    fill order in a list, so rng.choice draws the victims CacheUnit draws
-    from its OrderedDict.
+    blocks left). Blocks are keyed by block number (the tag is implied by
+    the set). The side's flags pick one loop: LRU keeps a dict per set in
+    recency order; FIFO and random keep one dict of resident blocks and a
+    fill-order list per set. Each has a demand-fetch and a prefetch loop.
     """
     n = n_sets(size, block, assoc)
     # A run of accesses to one block is one access plus hits that change
     # nothing but the dirty flag, unless a prefetch of the next block can
     # land in the same set: a fully associative side with prefetch.
     blocks, writes = streams.blocks(side, block, fetch == "d" or n > 1)
-    seed = f"{rng_seed} {side} {size} {block} {assoc} {fetch}"  # see simulate
-    choice = random.Random(seed).choice if repl == "r" else None
     mask = n - 1
-    sets: defaultdict[int, OrderedDict] = defaultdict(OrderedDict)
-    orders: defaultdict[int, list] = defaultdict(list)
-    lru = repl == "l"
-    misses = fills = write_backs = 0
+    if repl == "l":
+        if fetch == "d":
+            counts = _lru_demand(blocks, writes, mask, assoc)
+        else:
+            counts = _lru_prefetch(blocks, writes, mask, assoc, fetch == "a")
+    else:
+        seed = f"{rng_seed} {side} {size} {block} {assoc} {fetch}"  # see simulate
+        rng = random.Random(seed) if repl == "r" else None
+        if fetch == "d":
+            counts = _fill_order_demand(blocks, writes, mask, assoc, rng)
+        else:
+            counts = _fill_order_prefetch(blocks, writes, mask, assoc, fetch == "a", rng)
+    return (len(streams.iaddrs if side == "i" else streams.daddrs), *counts)
 
-    def evict(entries: OrderedDict, idx: int) -> bool:
-        """Remove the victim of a full set; return its dirty flag."""
-        if choice is None:
-            return entries.popitem(last=False)[1]
-        order = orders[idx]
-        victim = choice(order)
-        order.remove(victim)
-        return entries.pop(victim)
 
-    always = fetch == "a"
-    prefetch = fetch != "d"
+# Each loop returns (demand misses, prefetch fills, write-backs, dirty blocks
+# left). An LRU set is a dict of block -> dirty flag in recency order: a hit
+# pops and re-inserts its block, and the first key is the victim.
+
+
+def _lru_demand(blocks: array, writes: bytes, mask: int, assoc: int) -> tuple[int, ...]:
+    sets: defaultdict[int, dict] = defaultdict(dict)
+    misses = write_backs = 0
     for b, w in zip(blocks, writes):
-        idx = b & mask
-        entries = sets[idx]
+        entries = sets[b & mask]
         if b in entries:
-            if lru:
-                entries.move_to_end(b)
-            if w:
-                entries[b] = True
+            entries[b] = entries.pop(b) or w  # now the most recent
+        else:
+            misses += 1
+            if len(entries) >= assoc and entries.pop(next(iter(entries))):
+                write_backs += 1
+            entries[b] = w
+    return misses, 0, write_backs, sum(map(sum, map(dict.values, sets.values())))
+
+
+def _lru_prefetch(
+    blocks: array, writes: bytes, mask: int, assoc: int, always: bool,
+) -> tuple[int, ...]:
+    """Prefetch the next block on a miss, or on every access when always."""
+    sets: defaultdict[int, dict] = defaultdict(dict)
+    misses = fills = write_backs = 0
+    for b, w in zip(blocks, writes):
+        entries = sets[b & mask]
+        if b in entries:
+            entries[b] = entries.pop(b) or w
             if not always:
                 continue
         else:
             misses += 1
-            if len(entries) >= assoc and evict(entries, idx):
+            if len(entries) >= assoc and entries.pop(next(iter(entries))):
                 write_backs += 1
             entries[b] = w
-            if choice is not None:
-                orders[idx].append(b)
-            if not prefetch:
-                continue
         b += 1
-        idx = b & mask
-        entries = sets[idx]
+        entries = sets[b & mask]
         if b not in entries:
             fills += 1
-            if len(entries) >= assoc and evict(entries, idx):
+            if len(entries) >= assoc and entries.pop(next(iter(entries))):
                 write_backs += 1
             entries[b] = 0
-            if choice is not None:
-                orders[idx].append(b)
-    return (
-        len(streams.iaddrs if side == "i" else streams.daddrs),
-        misses,
-        fills,
-        write_backs,
-        sum(1 for entries in sets.values() for dirty in entries.values() if dirty),
-    )
+    return misses, fills, write_backs, sum(map(sum, map(dict.values, sets.values())))
+
+
+# FIFO and random keep one dict of resident block -> dirty flag for the side
+# (a block maps to one set, so a hit needs no set) and a fill-order list per
+# set. FIFO, passed no rng, evicts the head of a full set's list. Random
+# evicts the block rng.choice(order) would pick, the draw CacheUnit makes
+# from its OrderedDict: a full set holds exactly assoc blocks, so
+# getrandbits(k) with k = assoc.bit_length(), redrawn until below assoc.
+
+
+def _fill_order_demand(
+    blocks: array, writes: bytes, mask: int, assoc: int, rng: random.Random | None,
+) -> tuple[int, ...]:
+    resident: dict[int, int] = {}
+    orders: defaultdict[int, list] = defaultdict(list)
+    getrandbits, k = (rng.getrandbits, assoc.bit_length()) if rng is not None else (None, 0)
+    misses = write_backs = 0
+    for b, w in zip(blocks, writes):
+        if b in resident:
+            if w:
+                resident[b] = True
+        else:
+            misses += 1
+            order = orders[b & mask]
+            if len(order) >= assoc:
+                i = 0
+                if k:
+                    i = getrandbits(k)
+                    while i >= assoc:
+                        i = getrandbits(k)
+                if resident.pop(order.pop(i)):
+                    write_backs += 1
+            resident[b] = w
+            order.append(b)
+    return misses, 0, write_backs, sum(resident.values())
+
+
+def _fill_order_prefetch(
+    blocks: array, writes: bytes, mask: int, assoc: int, always: bool,
+    rng: random.Random | None,
+) -> tuple[int, ...]:
+    """Prefetch the next block on a miss, or on every access when always."""
+    resident: dict[int, int] = {}
+    orders: defaultdict[int, list] = defaultdict(list)
+    getrandbits, k = (rng.getrandbits, assoc.bit_length()) if rng is not None else (None, 0)
+    misses = fills = write_backs = 0
+    for b, w in zip(blocks, writes):
+        if b in resident:
+            if w:
+                resident[b] = True
+            if not always:
+                continue
+        else:
+            misses += 1
+            order = orders[b & mask]
+            if len(order) >= assoc:
+                i = 0
+                if k:
+                    i = getrandbits(k)
+                    while i >= assoc:
+                        i = getrandbits(k)
+                if resident.pop(order.pop(i)):
+                    write_backs += 1
+            resident[b] = w
+            order.append(b)
+        b += 1
+        if b not in resident:
+            fills += 1
+            order = orders[b & mask]
+            if len(order) >= assoc:
+                i = 0
+                if k:
+                    i = getrandbits(k)
+                    while i >= assoc:
+                        i = getrandbits(k)
+                if resident.pop(order.pop(i)):
+                    write_backs += 1
+            resident[b] = 0
+            order.append(b)
+    return misses, fills, write_backs, sum(resident.values())
 
 
 def simulate(

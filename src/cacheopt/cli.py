@@ -19,6 +19,7 @@ from .cachesim import (
     DEFAULT_BASELINE,
     DOMAINS,
     FLAG_ORDER,
+    VALUE_TOKENS,
     CacheConfig,
     SideStreams,
     simulate,
@@ -81,35 +82,75 @@ def _side_triples(config: CacheConfig) -> set[tuple[int, int, int]]:
             (config.dsize, config.dbsize, config.dassoc)}
 
 
-def _parse_value(token: str, domain: tuple):
-    """token as a value of domain, parsed as from_flags parses it, or None."""
-    try:
-        value = type(domain[0])(token)  # int for geometry
-    except ValueError:
-        return None
-    return value if value in domain else None
-
-
 def _check_terminals(grammar: Grammar) -> None:
-    """Reject a terminal reachable from the start symbol that is neither a
-    flag nor a permitted value: no phenotype holding it would parse."""
-    seen, pending = set(), [grammar.start]
-    while pending:
-        symbol = pending.pop()
-        if symbol in grammar.rules and symbol not in seen:
-            seen.add(symbol)
-            pending.extend(sym for alt in grammar.rules[symbol] for sym in alt)
-        elif symbol not in grammar.rules and symbol not in FLAG_ORDER and all(
-                _parse_value(symbol, domain) is None for domain in DOMAINS.values()):
-            raise ValidationError(f"grammar terminal {symbol!r} is neither a flag nor a value")
+    """Reject a grammar that can derive flag text from_flags cannot parse.
+
+    Over the rules reachable from the start symbol: every terminal that can
+    come right after a flag (the FIRST set of the next symbol, or the rule's
+    FOLLOW set when the flag ends its alternative) must be a value of that
+    flag, and the phenotype must not end with a flag. Every other terminal
+    must be a flag or a value of some flag. No alternative is empty, so no
+    symbol derives nothing.
+    """
+    rules = grammar.rules
+    reachable = [grammar.start]
+    for symbol in reachable:  # grows as it is walked
+        for alt in rules[symbol]:
+            for sym in alt:
+                if sym in rules and sym not in reachable:
+                    reachable.append(sym)
+    first = {symbol: set() for symbol in reachable}  # terminals a symbol can begin with
+    follow = {symbol: set() for symbol in reachable}  # ... can come next; None: the end
+    follow[grammar.start].add(None)
+
+    def first_of(symbol: str) -> set:
+        return first[symbol] if symbol in rules else {symbol}
+
+    changed = True
+    while changed:  # grow both to their fixed point
+        changed = False
+        for symbol in reachable:
+            for alt in rules[symbol]:
+                grows = [(first[symbol], first_of(alt[0]))] + [
+                    (follow[sym], follow[symbol] if nxt is None else first_of(nxt))
+                    for sym, nxt in zip(alt, alt[1:] + (None,)) if sym in rules
+                ]
+                for target, new in grows:
+                    if not new <= target:
+                        target |= new
+                        changed = True
+    stray = None  # the first terminal that is neither a flag nor a value
+    for symbol in reachable:
+        for alt in rules[symbol]:
+            for sym, nxt in zip(alt, alt[1:] + (None,)):
+                if sym in FLAG_ORDER:
+                    _check_flag_values(sym, follow[symbol] if nxt is None else first_of(nxt))
+                elif stray is None and sym not in rules and not any(
+                        sym in tokens for tokens in VALUE_TOKENS.values()):
+                    stray = sym
+    if stray is not None:
+        raise ValidationError(f"grammar terminal {stray!r} is neither a flag nor a value")
+
+
+def _check_flag_values(flag: str, after: set) -> None:
+    """Every token in after must be a value of flag; None (the end) never is."""
+    tokens = VALUE_TOKENS[flag[4:]]
+    if None in after:
+        raise ValidationError(f"grammar can end the phenotype with {flag}, which needs a value")
+    for token in sorted(after):
+        if token not in tokens:
+            raise ValidationError(
+                f"grammar gives {flag} the value {token!r}, "
+                f"outside permitted set {DOMAINS[flag[4:]]}"
+            )
 
 
 def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]] | None:
     """(size, block, assoc) of every feasible I and D side the grammar can
     derive, or None unless the grammar is flat and states each geometry
     flag once, as a terminal followed by a terminal or by a slot whose
-    alternatives are single tokens. Raises ValidationError for a value
-    outside its flag's domain, for every flag stated in that shape."""
+    alternatives are single tokens. The grammar must have passed
+    _check_terminals, so every such token is a value of its flag."""
     template = flat_template(grammar)
     if template is None:
         return None
@@ -118,7 +159,7 @@ def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]] | None:
         for alt in item for token in alt.split()
     }
     values = {}
-    for name, domain in DOMAINS.items():
+    for name in DOMAINS:
         flag = f"-l1-{name}"
         after = [j + 1 for j, item in enumerate(template) if item == flag]
         if len(after) != 1 or flag in in_slots or after[0] == len(template):
@@ -127,16 +168,7 @@ def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]] | None:
         tokens = (follower,) if isinstance(follower, str) else follower
         if any(" " in token for token in tokens):
             continue
-        reached = set()
-        for token in tokens:
-            value = _parse_value(token, domain)
-            if value is None:
-                raise ValidationError(
-                    f"grammar gives {flag} the value {token!r}, "
-                    f"outside permitted set {domain}"
-                )
-            reached.add(value)
-        values[name] = tuple(reached)
+        values[name] = tuple({VALUE_TOKENS[name][token] for token in tokens})
     if not {"isize", "ibsize", "iassoc", "dsize", "dbsize", "dassoc"} <= values.keys():
         return None
     return Subspace(**values).triples()
@@ -401,8 +433,8 @@ def cmd_optimize(args) -> None:
         Path(args.grammar).read_text() if args.grammar else DEFAULT_GRAMMAR
     )
     grammar = parse_bnf(grammar_text)  # a bad grammar fails before any input is read
-    triples = _grammar_triples(grammar)
     _check_terminals(grammar)
+    triples = _grammar_triples(grammar)
     params = GEParams(
         generations=args.generations,
         population=args.population,
@@ -447,9 +479,8 @@ def cmd_exhaustive(args) -> None:
         raw = getattr(args, name)
         if raw is not None:
             parts = [p.strip() for p in raw.split(",") if p.strip()]
-            values[name] = tuple(
-                int(p) if p.isdigit() else p for p in parts
-            )
+            # as flag text spells them; Subspace names any other token
+            values[name] = tuple(VALUE_TOKENS[name].get(p, p) for p in parts)
     sub = Subspace(**values)
     sub.check_cap(args.cap)
     table = _load_char_table(args)

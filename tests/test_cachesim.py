@@ -1,8 +1,12 @@
 import random
+import re
+from array import array
 
 import pytest
 
+from cacheopt import cachesim
 from cacheopt.cachesim import (
+    ASSOCIATIVITIES,
     DEFAULT_BASELINE,
     CacheConfig,
     CacheUnit,
@@ -86,6 +90,18 @@ def test_flags_duplicate_and_unknown():
         CacheConfig.from_flags(text + " -l1-isize 512")
     with pytest.raises(FlagTextError, match="unknown flag"):
         CacheConfig.from_flags(text + " -l1-bogus 1")
+
+
+@pytest.mark.parametrize("token", ["016384", "16_384", "+16384", "16384.0"])
+@pytest.mark.parametrize("reorder", [False, True], ids=["canonical-order", "any-order"])
+def test_flags_integer_only_in_its_canonical_spelling(token, reorder):
+    # One configuration has one flag text: an integer is written as str(value).
+    flags = DEFAULT_BASELINE.to_flags().replace("-l1-isize 16384", f"-l1-isize {token}")
+    if reorder:
+        head, tail = flags.split(" -l1-ibsize ")
+        flags = f"-l1-ibsize {tail} {head}"
+    with pytest.raises(FlagTextError, match=f"-l1-isize .*'{re.escape(token)}'"):
+        CacheConfig.from_flags(flags)
 
 
 def test_flags_value_outside_domain():
@@ -176,6 +192,19 @@ def test_direct_mapped_identical_across_replacement_policies():
         for repl in ("l", "f", "r")
     ]
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("n", ASSOCIATIVITIES)
+def test_random_victim_is_the_one_choice_draws(n):
+    # The random loops draw a full set's victim index inline, as
+    # random.Random.choice draws it; CacheUnit calls choice. Fill one n-way
+    # set with only choice's pick dirty, then miss once: that pick must go.
+    blocks = array("Q", range(n + 1))
+    for seed in range(300):
+        pick = random.Random(seed).choice(range(n))
+        writes = bytes(b == pick for b in blocks)
+        counts = cachesim._fill_order_demand(blocks, writes, 0, n, random.Random(seed))
+        assert counts == (n + 1, 0, 1, 0)
 
 
 def test_seed_only_matters_for_random_replacement():

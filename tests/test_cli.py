@@ -97,6 +97,22 @@ def test_simulate_infeasible_flags_exit_2(tmp_path, capsys):
     assert "I-cache" in err and "exceeds" in err
 
 
+def test_simulate_non_canonical_integer_exit_2(tmp_path, capsys):
+    trace_path = write_trace(tmp_path / "t.din", n=10)
+    flags = DEFAULT_BASELINE.to_flags().replace("-l1-dsize 16384", "-l1-dsize 016384")
+    rc = main(["simulate", "--trace", str(trace_path), "--flags", flags])
+    assert rc == 2
+    assert "-l1-dsize" in capsys.readouterr().err
+
+
+def test_exhaustive_value_list_takes_integers_as_flag_text_spells_them(tmp_path, capsys):
+    rc = main(["exhaustive", "--trace", str(tmp_path / "absent.din"),
+               "--isize", "512,016384", "-o", str(tmp_path / "ex")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'016384'" in err and "absent.din" not in err
+
+
 def test_simulate_empty_trace_zero_metrics(tmp_path, capsys):
     trace_path = tmp_path / "e.din"
     trace_path.write_text("")
@@ -505,16 +521,55 @@ def test_optimize_non_flat_grammar_with_an_impossible_terminal_fails_up_front(tm
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("terminal", ["-l1-isize", "512", "0512", "l", "a", "128"])
+@pytest.mark.parametrize("terminal", ["-l1-isize", "512", "l", "a", "128"])
 def test_optimize_non_flat_grammar_accepts_flags_and_values(tmp_path, capsys, terminal):
-    # Any flag or permitted value passes the up-front walk; the trace is read next.
+    # A flag, or a value its flag can come before, passes the up-front walk;
+    # the trace is read next. The flag reaches its value through FOLLOW.
+    if terminal.startswith("-"):
+        text = ONE_POINT_GRAMMAR.replace("::= -l1-isize <S>", "::= <T> <S>")
+        text += f"<T> ::= <U>\n<U> ::= {terminal}\n"
+    else:
+        rule = {"512": "<S> ::= 16384", "l": "<R> ::= l", "a": "<W> ::= a", "128": "<A> ::= 4"}
+        lhs, first = rule[terminal].split(" ::= ")
+        text = ONE_POINT_GRAMMAR.replace(
+            rule[terminal], f"{lhs} ::= <T>\n<T> ::= {first} | <U>\n<U> ::= {terminal}")
     grammar_path = tmp_path / "nested.bnf"
-    grammar_path.write_text(ONE_POINT_GRAMMAR.replace(
-        "<S> ::= 16384", f"<S> ::= <T>\n<T> ::= 16384 | <U>\n<U> ::= {terminal}"))
+    grammar_path.write_text(text)
     rc = main(["optimize", "--trace", str(tmp_path / "absent.din"),
                "--grammar", str(grammar_path), "-o", str(tmp_path / "run")])
     assert rc == 2
     assert "absent.din" in capsys.readouterr().err
+
+
+NESTED_I = (
+    "<P> ::= <I> -l1-dsize 1024 -l1-dbsize 32 -l1-drepl l -l1-dassoc 4"
+    " -l1-dfetch d -l1-dwback a\n"
+    "<I> ::= -l1-isize <S> -l1-ibsize 32 -l1-irepl l -l1-iassoc 4 -l1-ifetch d\n"
+)
+
+
+@pytest.mark.parametrize("grammar,named", [
+    (NESTED_I + "<S> ::= 1024 | l\n", "-l1-isize the value 'l'"),
+    (NESTED_I + "<S> ::= 1024 | <T>\n<T> ::= 0512\n", "-l1-isize the value '0512'"),
+    (NESTED_I.replace("-l1-isize <S>", "<F> <S>") + "<F> ::= -l1-isize\n<S> ::= 1024 | a\n",
+     "-l1-isize the value 'a'"),
+    (NESTED_I.replace("-l1-dwback a", "<W>")
+     + "<S> ::= 1024\n<W> ::= -l1-dwback a | -l1-dwback\n", "end the phenotype with -l1-dwback"),
+], ids=["value-of-another-flag", "0512", "through-follow", "flag-at-the-end"])
+def test_optimize_grammar_with_a_value_its_flag_cannot_take_fails_up_front(
+    tmp_path, capsys, grammar, named
+):
+    # Each token that can come right after a flag is checked against that
+    # flag's domain, in its one canonical spelling, before the trace is read.
+    grammar_path = tmp_path / "bad_nested.bnf"
+    grammar_path.write_text(grammar)
+    outdir = tmp_path / "run"
+    rc = main(["optimize", "--trace", str(tmp_path / "absent.din"),
+               "--grammar", str(grammar_path), "-o", str(outdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err and "absent.din" not in err
+    assert not outdir.exists()
 
 
 def test_optimize_walk_skips_unreachable_rules(tmp_path, capsys):

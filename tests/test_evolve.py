@@ -1,16 +1,18 @@
 import math
 import random
+import re
 
 import pytest
 
 import cacheopt.evolve as EVOLVE
 from cacheopt.cachesim import DEFAULT_BASELINE
 from cacheopt.charmodel import DramParams, surrogate_generate
-from cacheopt.errors import ValidationError
+from cacheopt.errors import FlagTextError, ValidationError
 from cacheopt.evolve import (
     Evaluator,
     GEParams,
     Individual,
+    MemoStats,
     crossover,
     evolve,
     memo_key,
@@ -188,6 +190,19 @@ def test_evaluator_memoizes():
     assert stats.sim_invocations == 1
     assert stats.memo_hits == 1
     assert first.fitness == pytest.approx(1.0, abs=1e-12)  # baseline vs itself
+
+
+def test_evaluator_keys_one_config_once():
+    # Non-canonical integer spellings are refused, not simulated as new keys.
+    evaluator = make_evaluator(trace_len=200)
+    text = DEFAULT_BASELINE.to_flags()
+    evaluator.evaluate(text)
+    for token in ("016384", "16_384", "+16384"):
+        with pytest.raises(FlagTextError, match=f"-l1-isize .*'{re.escape(token)}'"):
+            evaluator.evaluate(text.replace("-l1-isize 16384", f"-l1-isize {token}"))
+    assert evaluator.stats() == MemoStats(
+        unique_keys=1, feasible_keys=1, sim_invocations=1, memo_hits=0
+    )
 
 
 def test_evaluator_failed_compute_stores_nothing(monkeypatch):

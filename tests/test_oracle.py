@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cacheopt import cachesim, objectives, oracle
-from cacheopt.cachesim import DOMAINS, FLAG_ORDER, CacheConfig, DEFAULT_BASELINE, simulate
+from cacheopt.cachesim import (
+    DEFAULT_BASELINE, DOMAINS, FLAG_ORDER, CacheConfig, CacheUnit, simulate,
+)
 from cacheopt.charmodel import DramParams, surrogate_generate
 from cacheopt.errors import MappingError, SubspaceCapError, ValidationError
 from cacheopt.evolve import Evaluator, GEParams, evolve
@@ -140,6 +142,41 @@ def test_exhaustive_runs_each_distinct_side_once(monkeypatch):
     result = exhaustive(sub, trace, TABLE, DRAM, baseline)
     assert len(result.ranked) == 16
     assert (passes.count("i"), passes.count("d")) == (4, 2)
+
+    # A direct-mapped side has one victim, so its l, f and r twins share a
+    # pass: one I pass per (size, fetch), whatever the seed base.
+    passes.clear()
+    sub = small_subspace(
+        isize=(512, 1024, 4096), irepl=("l", "f", "r"), iassoc=(1,), ifetch=("d", "m", "a"),
+    )
+    result = exhaustive(sub, trace, TABLE, DRAM, baseline, sim_seed_base=5)
+    assert len(result.ranked) == 27
+    assert (passes.count("i"), passes.count("d")) == (9, 1)
+    for r in result.ranked:
+        assert r.metrics == replay_metrics(r.config, trace, rng_seed=5)
+
+
+def replay_metrics(config, trace, rng_seed):
+    """A point's metrics from a fresh CacheUnit replay of each side, with its
+    own replacement policy and generator."""
+    units = {
+        side: CacheUnit(
+            side, size, block, assoc, repl, fetch, wback,
+            rng=random.Random(f"{rng_seed} {side} {size} {block} {assoc} {fetch}"),
+        )
+        for side, size, block, assoc, repl, fetch, wback in (
+            ("i", config.isize, config.ibsize, config.iassoc, config.irepl, config.ifetch, "a"),
+            ("d", config.dsize, config.dbsize, config.dassoc, config.drepl, config.dfetch,
+             config.dwback),
+        )
+    }
+    for record in trace:
+        units["i" if record.kind == AccessKind.IFETCH else "d"].step(record)
+    units["d"].stats.final_flush = units["d"].count_dirty()
+    return objectives.metrics_from_stats(
+        units["i"].stats, units["d"].stats, TABLE, config, DRAM,
+        objectives.MissMode.DEMAND_PLUS_PREFETCH,
+    )
 
 
 def test_exhaustive_prices_every_point_with_the_seed_base():
