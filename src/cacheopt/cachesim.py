@@ -53,7 +53,7 @@ VALUE_TOKENS = {name: {str(v): v for v in domain} for name, domain in DOMAINS.it
 _TOKEN_VALUES = tuple(VALUE_TOKENS.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CacheConfig:
     """One point of the 11-parameter design space (5 I-cache, 6 D-cache)."""
 
@@ -385,62 +385,36 @@ def _run_side(
     """Run one side's stream as write-back; same semantics as CacheUnit.
 
     Returns (accesses, demand misses, prefetch fills, write-backs, dirty
-    blocks left). Blocks are keyed by block number (the tag is implied by
-    the set). The side's flags pick one loop: LRU keeps a dict per set in
-    recency order; FIFO and random keep one dict of resident blocks and a
-    fill-order list per set. Each has a demand-fetch and a prefetch loop.
+    blocks left); the loop returns all but the first. Blocks are keyed by
+    block number (the tag is implied by the set). The replacement policy
+    picks the loop, _lru or _fill_order, and the fetch policy is its
+    argument: a hit ends its access unless fetch is `a`, a miss ends after
+    its fill under `d`, and any other access prefetches block b + 1.
     """
     n = n_sets(size, block, assoc)
     # A run of accesses to one block is one access plus hits that change
     # nothing but the dirty flag, unless a prefetch of the next block can
     # land in the same set: a fully associative side with prefetch.
     blocks, writes = streams.blocks(side, block, fetch == "d" or n > 1)
-    mask = n - 1
     if repl == "l":
-        if fetch == "d":
-            counts = _lru_demand(blocks, writes, mask, assoc)
-        else:
-            counts = _lru_prefetch(blocks, writes, mask, assoc, fetch == "a")
+        counts = _lru(blocks, writes, n - 1, assoc, fetch)
     else:
         seed = f"{rng_seed} {side} {size} {block} {assoc} {fetch}"  # see simulate
         rng = random.Random(seed) if repl == "r" else None
-        if fetch == "d":
-            counts = _fill_order_demand(blocks, writes, mask, assoc, rng)
-        else:
-            counts = _fill_order_prefetch(blocks, writes, mask, assoc, fetch == "a", rng)
+        counts = _fill_order(blocks, writes, n - 1, assoc, fetch, rng)
     return (len(streams.iaddrs if side == "i" else streams.daddrs), *counts)
 
 
-# Each loop returns (demand misses, prefetch fills, write-backs, dirty blocks
-# left). An LRU set is a dict of block -> dirty flag in recency order: a hit
-# pops and re-inserts its block, and the first key is the victim.
-
-
-def _lru_demand(blocks: array, writes: bytes, mask: int, assoc: int) -> tuple[int, ...]:
-    sets: defaultdict[int, dict] = defaultdict(dict)
-    misses = write_backs = 0
-    for b, w in zip(blocks, writes):
-        entries = sets[b & mask]
-        if b in entries:
-            entries[b] = entries.pop(b) or w  # now the most recent
-        else:
-            misses += 1
-            if len(entries) >= assoc and entries.pop(next(iter(entries))):
-                write_backs += 1
-            entries[b] = w
-    return misses, 0, write_backs, sum(map(sum, map(dict.values, sets.values())))
-
-
-def _lru_prefetch(
-    blocks: array, writes: bytes, mask: int, assoc: int, always: bool,
-) -> tuple[int, ...]:
-    """Prefetch the next block on a miss, or on every access when always."""
+def _lru(blocks: array, writes: bytes, mask: int, assoc: int, fetch: str) -> tuple[int, ...]:
+    """Each set is a dict of block -> dirty flag in recency order (a hit
+    re-inserts its block), so its first key is the victim."""
+    prefetch, always = fetch != "d", fetch == "a"
     sets: defaultdict[int, dict] = defaultdict(dict)
     misses = fills = write_backs = 0
     for b, w in zip(blocks, writes):
         entries = sets[b & mask]
         if b in entries:
-            entries[b] = entries.pop(b) or w
+            entries[b] = entries.pop(b) or w  # now the most recent
             if not always:
                 continue
         else:
@@ -448,6 +422,8 @@ def _lru_prefetch(
             if len(entries) >= assoc and entries.pop(next(iter(entries))):
                 write_backs += 1
             entries[b] = w
+            if not prefetch:
+                continue
         b += 1
         entries = sets[b & mask]
         if b not in entries:
@@ -458,46 +434,17 @@ def _lru_prefetch(
     return misses, fills, write_backs, sum(map(sum, map(dict.values, sets.values())))
 
 
-# FIFO and random keep one dict of resident block -> dirty flag for the side
-# (a block maps to one set, so a hit needs no set) and a fill-order list per
-# set. FIFO, passed no rng, evicts the head of a full set's list. Random
-# evicts the block rng.choice(order) would pick, the draw CacheUnit makes
-# from its OrderedDict: a full set holds exactly assoc blocks, so
-# getrandbits(k) with k = assoc.bit_length(), redrawn until below assoc.
-
-
-def _fill_order_demand(
-    blocks: array, writes: bytes, mask: int, assoc: int, rng: random.Random | None,
-) -> tuple[int, ...]:
-    resident: dict[int, int] = {}
-    orders: defaultdict[int, list] = defaultdict(list)
-    getrandbits, k = (rng.getrandbits, assoc.bit_length()) if rng is not None else (None, 0)
-    misses = write_backs = 0
-    for b, w in zip(blocks, writes):
-        if b in resident:
-            if w:
-                resident[b] = True
-        else:
-            misses += 1
-            order = orders[b & mask]
-            if len(order) >= assoc:
-                i = 0
-                if k:
-                    i = getrandbits(k)
-                    while i >= assoc:
-                        i = getrandbits(k)
-                if resident.pop(order.pop(i)):
-                    write_backs += 1
-            resident[b] = w
-            order.append(b)
-    return misses, 0, write_backs, sum(resident.values())
-
-
-def _fill_order_prefetch(
-    blocks: array, writes: bytes, mask: int, assoc: int, always: bool,
+def _fill_order(
+    blocks: array, writes: bytes, mask: int, assoc: int, fetch: str,
     rng: random.Random | None,
 ) -> tuple[int, ...]:
-    """Prefetch the next block on a miss, or on every access when always."""
+    """FIFO and random: one dict of resident block -> dirty flag (a block
+    maps to one set, so a hit needs no set) and a fill-order list per set.
+    FIFO, passed no rng, evicts the head of a full set's list. Random evicts
+    the block rng.choice(order) would pick, as CacheUnit does: a full set
+    holds assoc blocks, so getrandbits(assoc.bit_length()) redrawn until < assoc.
+    """
+    prefetch, always = fetch != "d", fetch == "a"
     resident: dict[int, int] = {}
     orders: defaultdict[int, list] = defaultdict(list)
     getrandbits, k = (rng.getrandbits, assoc.bit_length()) if rng is not None else (None, 0)
@@ -521,6 +468,8 @@ def _fill_order_prefetch(
                     write_backs += 1
             resident[b] = w
             order.append(b)
+            if not prefetch:
+                continue
         b += 1
         if b not in resident:
             fills += 1

@@ -90,7 +90,8 @@ def _check_terminals(grammar: Grammar) -> None:
     FOLLOW set when the flag ends its alternative) must be a value of that
     flag, and the phenotype must not end with a flag. Every other terminal
     must be a flag or a value of some flag. No alternative is empty, so no
-    symbol derives nothing.
+    symbol derives nothing. Last, every phenotype must hold each flag once
+    and 22 tokens in all.
     """
     rules = grammar.rules
     reachable = [grammar.start]
@@ -130,6 +131,51 @@ def _check_terminals(grammar: Grammar) -> None:
                     stray = sym
     if stray is not None:
         raise ValidationError(f"grammar terminal {stray!r} is neither a flag nor a value")
+    _check_counts(rules, reachable)
+
+
+def _check_counts(rules: dict, reachable: list) -> None:
+    """Each phenotype must hold every flag exactly once and 22 tokens.
+
+    For each symbol, find the fewest and the most of each flag, and of all
+    tokens (the last entry), that it can derive, grown to their fixed point.
+    Counts saturate at 23, one past a whole phenotype, so recursion ends.
+    """
+    phenotype = 2 * len(FLAG_ORDER)  # tokens: each flag with one value
+    width, cap = len(FLAG_ORDER) + 1, phenotype + 1
+
+    def span(sym: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if sym in rules:
+            return bounds[sym]
+        unit = (*(int(sym == flag) for flag in FLAG_ORDER), 1)
+        return unit, unit
+
+    def total(vectors) -> tuple[int, ...]:
+        return tuple(min(cap, sum(column)) for column in zip(*vectors))
+
+    bounds = {symbol: ((cap,) * width, (0,) * width) for symbol in reachable}
+    changed = True
+    while changed:
+        changed = False
+        for symbol in reachable:
+            alts = [[span(sym) for sym in alt] for alt in rules[symbol]]
+            fewest = tuple(map(min, zip(*(total(lo for lo, _ in alt) for alt in alts))))
+            most = tuple(map(max, zip(*(total(hi for _, hi in alt) for alt in alts))))
+            if (fewest, most) != bounds[symbol]:
+                bounds[symbol] = (fewest, most)
+                changed = True
+    fewest, most = bounds[reachable[0]]
+    for flag, lo, hi in zip(FLAG_ORDER, fewest, most):
+        if lo < 1:
+            raise ValidationError(f"grammar can derive a phenotype without {flag}")
+        if hi > 1:
+            raise ValidationError(f"grammar can derive a phenotype with {flag} more than once")
+    for count in (fewest[-1], most[-1]):
+        if count != phenotype:
+            raise ValidationError(
+                f"grammar can derive a phenotype of {count if count < cap else 'more than 22'}"
+                f" tokens, not {phenotype} (each flag with one value)"
+            )
 
 
 def _check_flag_values(flag: str, after: set) -> None:
@@ -529,6 +575,9 @@ def cmd_report(args) -> None:
             summary = next(reader, None)
         if summary is None:
             raise ValidationError(f"{path}: empty summary")
+        for column in ("avg_pct_energy", "avg_pct_time"):
+            if not summary.get(column):
+                raise ValidationError(f"{path}: no {column} value")
         rows.append(
             (Path(directory).name, summary["avg_pct_energy"], summary["avg_pct_time"])
         )

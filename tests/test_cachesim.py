@@ -196,14 +196,14 @@ def test_direct_mapped_identical_across_replacement_policies():
 
 @pytest.mark.parametrize("n", ASSOCIATIVITIES)
 def test_random_victim_is_the_one_choice_draws(n):
-    # The random loops draw a full set's victim index inline, as
+    # The random loop draws a full set's victim index inline, as
     # random.Random.choice draws it; CacheUnit calls choice. Fill one n-way
     # set with only choice's pick dirty, then miss once: that pick must go.
     blocks = array("Q", range(n + 1))
     for seed in range(300):
         pick = random.Random(seed).choice(range(n))
         writes = bytes(b == pick for b in blocks)
-        counts = cachesim._fill_order_demand(blocks, writes, 0, n, random.Random(seed))
+        counts = cachesim._fill_order(blocks, writes, 0, n, "d", random.Random(seed))
         assert counts == (n + 1, 0, 1, 0)
 
 

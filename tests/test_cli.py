@@ -345,6 +345,22 @@ def test_report_rejects_missing_summary(tmp_path, capsys):
     assert "summary.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,missing", [
+    ("a,b\n1,2\n", "avg_pct_energy"),
+    ("avg_pct_energy,b\n1,2\n", "avg_pct_time"),
+    ("avg_pct_energy,avg_pct_time\n97.5\n", "avg_pct_time"),
+], ids=["no-columns", "no-time-column", "short-row"])
+def test_report_rejects_a_summary_without_its_values(tmp_path, capsys, text, missing):
+    rundir = tmp_path / "run"
+    rundir.mkdir()
+    (rundir / "summary.csv").write_text(text)
+    rc = main(["report", str(rundir), "-o", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "summary.csv" in err and f"no {missing} value" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 # --- exhaustive ----------------------------------------------------------------
 
 def test_exhaustive_cli_ranked_output(tmp_path):
@@ -548,6 +564,12 @@ NESTED_I = (
 )
 
 
+ALL_BUT_DWBACK = (
+    "<P> ::= -l1-isize 1024 -l1-ibsize 32 -l1-irepl l -l1-iassoc 4 -l1-ifetch d"
+    " -l1-dsize 1024 -l1-dbsize 32 -l1-drepl l -l1-dassoc 4 -l1-dfetch d <W>\n"
+)
+
+
 @pytest.mark.parametrize("grammar,named", [
     (NESTED_I + "<S> ::= 1024 | l\n", "-l1-isize the value 'l'"),
     (NESTED_I + "<S> ::= 1024 | <T>\n<T> ::= 0512\n", "-l1-isize the value '0512'"),
@@ -555,12 +577,24 @@ NESTED_I = (
      "-l1-isize the value 'a'"),
     (NESTED_I.replace("-l1-dwback a", "<W>")
      + "<S> ::= 1024\n<W> ::= -l1-dwback a | -l1-dwback\n", "end the phenotype with -l1-dwback"),
-], ids=["value-of-another-flag", "0512", "through-follow", "flag-at-the-end"])
+    (ALL_BUT_DWBACK + "<W> ::= -l1-dwback a | -l1-dwback n -l1-dwback a | -l1-dfetch d\n",
+     "-l1-dfetch more than once"),
+    (ALL_BUT_DWBACK + "<W> ::= -l1-dwback a | <M> -l1-dwback n\n<M> ::= -l1-dwback a | <M> a\n",
+     "-l1-dwback more than once"),
+    (ALL_BUT_DWBACK.replace("-l1-ifetch d ", "") + "<W> ::= -l1-dwback a\n",
+     "without -l1-ifetch"),
+    (ALL_BUT_DWBACK + "<W> ::= -l1-dwback a | -l1-dwback a n\n",
+     "more than 22 tokens, not 22"),
+    (ALL_BUT_DWBACK + "<W> ::= -l1-dwback <V>\n<V> ::= a | <V> n\n",
+     "more than 22 tokens, not 22"),
+], ids=["value-of-another-flag", "0512", "through-follow", "flag-at-the-end", "repeated-flag",
+        "recursive-flag", "missing-flag", "extra-value", "recursive-value"])
 def test_optimize_grammar_with_a_value_its_flag_cannot_take_fails_up_front(
     tmp_path, capsys, grammar, named
 ):
     # Each token that can come right after a flag is checked against that
     # flag's domain, in its one canonical spelling, before the trace is read.
+    # So is the shape of every phenotype: each flag once, with one value.
     grammar_path = tmp_path / "bad_nested.bnf"
     grammar_path.write_text(grammar)
     outdir = tmp_path / "run"
