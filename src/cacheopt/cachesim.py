@@ -87,12 +87,12 @@ class CacheConfig:
         An integer must be written as to_flags writes it.
         """
         tokens = text.split()
+        if len(tokens) % 2:
+            raise FlagTextError(f"flag text has a dangling token: {tokens[-1]!r}")
         if tuple(tokens[::2]) == FLAG_ORDER:  # canonical order; a bad value is named below
             values = list(map(dict.get, _TOKEN_VALUES, tokens[1::2]))
             if None not in values:
                 return cls(*values)
-        if len(tokens) % 2:
-            raise FlagTextError(f"flag text has a dangling token: {tokens[-1]!r}")
         seen: dict[str, str] = {}
         for flag, value in zip(tokens[::2], tokens[1::2]):
             if flag not in FLAG_ORDER:

@@ -214,11 +214,14 @@ def load_dram_params(path: str | Path) -> DramParams:
         if key not in _DRAM_KEYS:
             raise ValidationError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
-            values[_DRAM_KEYS[key]] = float(value.strip().strip('"'))
+            number = float(value.strip().strip('"'))
         except ValueError:
             raise ValidationError(
                 f"{path}: line {lineno}: non-numeric value for {key!r}"
             ) from None
+        if not math.isfinite(number):  # int() of an infinite size would overflow
+            raise ValidationError(f"{path}: line {lineno}: {key!r} must be finite, got {number!r}")
+        values[_DRAM_KEYS[key]] = number
     if "size" in values:
         values["size"] = int(values["size"])
     return DramParams(**values)

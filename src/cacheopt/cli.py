@@ -22,6 +22,7 @@ from .cachesim import (
     VALUE_TOKENS,
     CacheConfig,
     SideStreams,
+    n_sets,
     simulate,
     validate,
 )
@@ -35,7 +36,7 @@ from .charmodel import (
 )
 from .errors import CacheOptError, ValidationError
 from .evolve import Evaluator, EvolveResult, GEParams, evolve
-from .grammar import DEFAULT_GRAMMAR, Grammar, flat_template, parse_bnf
+from .grammar import DEFAULT_GRAMMAR, Grammar, parse_bnf
 from .objectives import FitnessWeights, MissMode, config_metrics, metrics_from_stats
 from .oracle import Subspace, exhaustive
 from .trace import PROFILES, TraceRecord, gen_synthetic, parse_din, to_din
@@ -82,142 +83,94 @@ def _side_triples(config: CacheConfig) -> set[tuple[int, int, int]]:
             (config.dsize, config.dbsize, config.dassoc)}
 
 
-def _check_terminals(grammar: Grammar) -> None:
-    """Reject a grammar that can derive flag text from_flags cannot parse.
+def _not_a_flag(token: str) -> ValidationError:
+    """The fault of a token found where only a flag can stand."""
+    if not any(token in tokens for tokens in VALUE_TOKENS.values()):
+        return ValidationError(f"grammar terminal {token!r} is neither a flag nor a value")
+    return ValidationError(f"grammar can derive a phenotype of more than {2 * len(FLAG_ORDER)}"
+                           f" tokens, not {2 * len(FLAG_ORDER)} (each flag with one value)")
 
-    Over the rules reachable from the start symbol: every terminal that can
-    come right after a flag (the FIRST set of the next symbol, or the rule's
-    FOLLOW set when the flag ends its alternative) must be a value of that
-    flag, and the phenotype must not end with a flag. Every other terminal
-    must be a flag or a value of some flag. No alternative is empty, so no
-    symbol derives nothing. Last, every phenotype must hold each flag once
-    and 22 tokens in all.
+
+def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]]:
+    """Check that every phenotype of the grammar is flag text that
+    CacheConfig.from_flags accepts; return the (size, block, assoc) rows of
+    the feasible sides it derives (none if no point can be feasible).
+
+    A fixed point over the rules reachable from the start symbol finds the
+    shapes each symbol derives: (first token, flags held, the flag it ends
+    with if that still needs a value, the values it gives one side's three
+    geometry flags). A join of two shapes checks that a flag is followed by
+    a value of it, a value by a flag, and that no flag repeats. Each start
+    shape must begin with a flag, end with a value and hold all 11 flags; a
+    reachable symbol with no shape derives nothing. One pass per side keeps
+    the rows exact when the grammar picks I and D geometry independently,
+    and a superset otherwise.
     """
-    rules = grammar.rules
+    rules, flags_all = grammar.rules, frozenset(FLAG_ORDER)
     reachable = [grammar.start]
     for symbol in reachable:  # grows as it is walked
         for alt in rules[symbol]:
             for sym in alt:
                 if sym in rules and sym not in reachable:
                     reachable.append(sym)
-    first = {symbol: set() for symbol in reachable}  # terminals a symbol can begin with
-    follow = {symbol: set() for symbol in reachable}  # ... can come next; None: the end
-    follow[grammar.start].add(None)
 
-    def first_of(symbol: str) -> set:
-        return first[symbol] if symbol in rules else {symbol}
-
-    changed = True
-    while changed:  # grow both to their fixed point
-        changed = False
-        for symbol in reachable:
-            for alt in rules[symbol]:
-                grows = [(first[symbol], first_of(alt[0]))] + [
-                    (follow[sym], follow[symbol] if nxt is None else first_of(nxt))
-                    for sym, nxt in zip(alt, alt[1:] + (None,)) if sym in rules
-                ]
-                for target, new in grows:
-                    if not new <= target:
-                        target |= new
-                        changed = True
-    stray = None  # the first terminal that is neither a flag nor a value
-    for symbol in reachable:
-        for alt in rules[symbol]:
-            for sym, nxt in zip(alt, alt[1:] + (None,)):
-                if sym in FLAG_ORDER:
-                    _check_flag_values(sym, follow[symbol] if nxt is None else first_of(nxt))
-                elif stray is None and sym not in rules and not any(
-                        sym in tokens for tokens in VALUE_TOKENS.values()):
-                    stray = sym
-    if stray is not None:
-        raise ValidationError(f"grammar terminal {stray!r} is neither a flag nor a value")
-    _check_counts(rules, reachable)
-
-
-def _check_counts(rules: dict, reachable: list) -> None:
-    """Each phenotype must hold every flag exactly once and 22 tokens.
-
-    For each symbol, find the fewest and the most of each flag, and of all
-    tokens (the last entry), that it can derive, grown to their fixed point.
-    Counts saturate at 23, one past a whole phenotype, so recursion ends.
-    """
-    phenotype = 2 * len(FLAG_ORDER)  # tokens: each flag with one value
-    width, cap = len(FLAG_ORDER) + 1, phenotype + 1
-
-    def span(sym: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def of(sym: str) -> dict:
         if sym in rules:
-            return bounds[sym]
-        unit = (*(int(sym == flag) for flag in FLAG_ORDER), 1)
-        return unit, unit
+            return shapes[sym]
+        held = flags_all & {sym}
+        return {(sym, held, sym if held else None, frozenset()): None}
 
-    def total(vectors) -> tuple[int, ...]:
-        return tuple(min(cap, sum(column)) for column in zip(*vectors))
-
-    bounds = {symbol: ((cap,) * width, (0,) * width) for symbol in reachable}
-    changed = True
-    while changed:
-        changed = False
-        for symbol in reachable:
-            alts = [[span(sym) for sym in alt] for alt in rules[symbol]]
-            fewest = tuple(map(min, zip(*(total(lo for lo, _ in alt) for alt in alts))))
-            most = tuple(map(max, zip(*(total(hi for _, hi in alt) for alt in alts))))
-            if (fewest, most) != bounds[symbol]:
-                bounds[symbol] = (fewest, most)
-                changed = True
-    fewest, most = bounds[reachable[0]]
-    for flag, lo, hi in zip(FLAG_ORDER, fewest, most):
-        if lo < 1:
-            raise ValidationError(f"grammar can derive a phenotype without {flag}")
-        if hi > 1:
+    def join(left, right):
+        first, flags, pending, geometry = left
+        token = right[0]
+        if pending is not None:
+            values = VALUE_TOKENS[pending[4:]]
+            if token not in values:
+                raise ValidationError(f"grammar gives {pending} the value {token!r}, "
+                                      f"outside permitted set {DOMAINS[pending[4:]]}")
+            if pending in side:
+                geometry = geometry | {(pending, values[token])}
+        elif token not in flags_all:
+            raise _not_a_flag(token)
+        if flags & right[1]:
+            flag = min(flags & right[1], key=FLAG_ORDER.index)
             raise ValidationError(f"grammar can derive a phenotype with {flag} more than once")
-    for count in (fewest[-1], most[-1]):
-        if count != phenotype:
-            raise ValidationError(
-                f"grammar can derive a phenotype of {count if count < cap else 'more than 22'}"
-                f" tokens, not {phenotype} (each flag with one value)"
-            )
+        return first, flags | right[1], right[2], geometry | right[3]
 
-
-def _check_flag_values(flag: str, after: set) -> None:
-    """Every token in after must be a value of flag; None (the end) never is."""
-    tokens = VALUE_TOKENS[flag[4:]]
-    if None in after:
-        raise ValidationError(f"grammar can end the phenotype with {flag}, which needs a value")
-    for token in sorted(after):
-        if token not in tokens:
-            raise ValidationError(
-                f"grammar gives {flag} the value {token!r}, "
-                f"outside permitted set {DOMAINS[flag[4:]]}"
-            )
-
-
-def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]] | None:
-    """(size, block, assoc) of every feasible I and D side the grammar can
-    derive, or None unless the grammar is flat and states each geometry
-    flag once, as a terminal followed by a terminal or by a slot whose
-    alternatives are single tokens. The grammar must have passed
-    _check_terminals, so every such token is a value of its flag."""
-    template = flat_template(grammar)
-    if template is None:
-        return None
-    in_slots = {
-        token for item in template if isinstance(item, tuple)
-        for alt in item for token in alt.split()
-    }
-    values = {}
-    for name in DOMAINS:
-        flag = f"-l1-{name}"
-        after = [j + 1 for j, item in enumerate(template) if item == flag]
-        if len(after) != 1 or flag in in_slots or after[0] == len(template):
-            continue
-        follower = template[after[0]]
-        tokens = (follower,) if isinstance(follower, str) else follower
-        if any(" " in token for token in tokens):
-            continue
-        values[name] = tuple({VALUE_TOKENS[name][token] for token in tokens})
-    if not {"isize", "ibsize", "iassoc", "dsize", "dbsize", "dassoc"} <= values.keys():
-        return None
-    return Subspace(**values).triples()
+    rows = []
+    for side in ([f"-l1-{s}{n}" for n in ("size", "bsize", "assoc")] for s in "id"):
+        shapes = {symbol: {} for symbol in reachable}  # dicts as ordered sets
+        used = {}  # the sizes of the shape sets each symbol was last built from
+        changed = True
+        while changed:
+            changed = False
+            for symbol in reversed(reachable):
+                sizes = [len(shapes[sym]) for alt in rules[symbol] for sym in alt if sym in rules]
+                if used.get(symbol) == sizes:
+                    continue
+                used[symbol] = sizes
+                for alt in rules[symbol]:
+                    acc = of(alt[0])
+                    for sym in alt[1:]:
+                        acc = dict.fromkeys(join(left, right) for left in acc for right in of(sym))
+                    size = len(shapes[symbol])
+                    shapes[symbol].update(acc)
+                    changed |= len(shapes[symbol]) != size
+        for symbol in reachable:
+            if not shapes[symbol]:
+                raise ValidationError(f"grammar rule {symbol} derives nothing: it never ends")
+        for first, flags, pending, _ in shapes[grammar.start]:
+            if pending is not None:
+                raise ValidationError(
+                    f"grammar can end the phenotype with {pending}, which needs a value")
+            for flag in FLAG_ORDER:
+                if flag not in flags:
+                    raise ValidationError(f"grammar can derive a phenotype without {flag}")
+            if first not in flags_all:
+                raise _not_a_flag(first)
+        triples = {tuple(map(dict(shape[3]).get, side)) for shape in shapes[grammar.start]}
+        rows.append({triple for triple in triples if n_sets(*triple)})
+    return rows[0] | rows[1] if all(rows) else set()
 
 
 def _baseline(args) -> CacheConfig:
@@ -475,11 +428,12 @@ def run_optimize(rc: RunConfig) -> dict:
 
 
 def cmd_optimize(args) -> None:
+    if args.runs < 1:
+        raise ValidationError(f"--runs must be >= 1, got {args.runs}")
     grammar_text = (
         Path(args.grammar).read_text() if args.grammar else DEFAULT_GRAMMAR
     )
     grammar = parse_bnf(grammar_text)  # a bad grammar fails before any input is read
-    _check_terminals(grammar)
     triples = _grammar_triples(grammar)
     params = GEParams(
         generations=args.generations,
@@ -495,9 +449,7 @@ def cmd_optimize(args) -> None:
     baseline = _baseline(args)
     weights = FitnessWeights.from_time_weight(args.w_time)
     table = _load_char_table(args)
-    if triples is not None:
-        # A missing row fails here, not mid-campaign.
-        table.check_complete(triples | _side_triples(baseline))
+    table.check_complete(triples | _side_triples(baseline))  # not mid-campaign
     dram = _load_dram(args)
     rc = RunConfig(
         trace=_load_campaign_trace(args),

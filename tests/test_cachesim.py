@@ -84,6 +84,13 @@ def test_flags_missing_flag_named():
         CacheConfig.from_flags(text)
 
 
+def test_flags_dangling_last_flag_named():
+    # Canonical order up to a last flag with no value: no fast path may build it.
+    text = DEFAULT_BASELINE.to_flags().replace(" -l1-dwback a", " -l1-dwback")
+    with pytest.raises(FlagTextError, match="dangling token: '-l1-dwback'"):
+        CacheConfig.from_flags(text)
+
+
 def test_flags_duplicate_and_unknown():
     text = DEFAULT_BASELINE.to_flags()
     with pytest.raises(FlagTextError, match="duplicate"):

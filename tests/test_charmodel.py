@@ -186,3 +186,15 @@ def test_dram_file_unknown_key(tmp_path):
     path.write_text("dram.latency = 1e-9\n")
     with pytest.raises(ValidationError, match="unknown key"):
         load_dram_params(path)
+
+
+@pytest.mark.parametrize("line", [
+    "dram.size_bytes = inf", "dram.size_bytes = 1e400", "dram.size_bytes = nan",
+    "dram.access_time_s = -inf",
+])
+def test_dram_file_rejects_non_finite_values(tmp_path, line):
+    path = tmp_path / "dram.toml"
+    path.write_text("dram.bandwidth_bps = 6.4e9\n" + line + "\n")
+    key = line.split(" = ")[0]
+    with pytest.raises(ValidationError, match=f"dram.toml: line 2: '{key}' must be finite"):
+        load_dram_params(path)

@@ -162,6 +162,7 @@ INFEASIBLE_BASELINE = (
     (["exhaustive", "--baseline-flags", INFEASIBLE_BASELINE], "D-cache"),
     (["exhaustive", "--dassoc", "3"], "dassoc"),
     (["exhaustive"], "10616832 points, above the cap of 10000"),
+    (["optimize", "--runs", "0"], "runs must be >= 1"),
 ])
 def test_bad_flags_fail_before_trace_is_read(tmp_path, capsys, args, named):
     if args[0] != "simulate":
@@ -169,6 +170,17 @@ def test_bad_flags_fail_before_trace_is_read(tmp_path, capsys, args, named):
     assert main([*args, "--trace", str(tmp_path / "absent.din")]) == 2
     err = capsys.readouterr().err
     assert named in err
+    assert "absent.din" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_infinite_dram_size_fails_before_trace_is_read(tmp_path, capsys):
+    dram_path = tmp_path / "dram.toml"
+    dram_path.write_text("dram.size_bytes = 1e400\n")
+    assert main(["optimize", "--dram-config", str(dram_path), "--trace",
+                 str(tmp_path / "absent.din"), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "dram.toml: line 1: 'dram.size_bytes' must be finite, got inf" in err
     assert "absent.din" not in err
     assert not (tmp_path / "out").exists()
 
@@ -433,18 +445,21 @@ def test_grammar_triples_of_flat_grammars():
     assert _grammar_triples(parse_bnf(pinned)) == {(16384, 32, 4), (512, 32, 4)}
 
 
-@pytest.mark.parametrize("grammar", [
-    # not flat
-    "<P> ::= <I> -l1-dsize 512\n<I> ::= -l1-isize <S>\n<S> ::= 512\n",
-    # a geometry flag inside a slot alternative
-    ONE_POINT_GRAMMAR.replace("-l1-dsize <S>", "<D>") + "<D> ::= -l1-dsize 512\n",
-    # a multi-token alternative after a geometry flag
-    ONE_POINT_GRAMMAR.replace("<A> ::= 4", "<A> ::= 4 | 8 -l1-x"),
-    # a geometry flag given twice
-    ONE_POINT_GRAMMAR.replace("-l1-dwback <W>", "-l1-dwback <W> -l1-isize 512"),
-])
-def test_grammar_triples_gives_up_on_other_shapes(grammar):
-    assert _grammar_triples(parse_bnf(grammar)) is None
+def test_grammar_triples_of_nested_grammars():
+    # A geometry flag inside a slot, and a side whose geometry is picked as one unit.
+    slotted = ONE_POINT_GRAMMAR.replace("-l1-dsize <S>", "<D>") + "<D> ::= -l1-dsize 512\n"
+    assert _grammar_triples(parse_bnf(slotted)) == {(16384, 32, 4), (512, 32, 4)}
+    per_alternative = ONE_POINT_GRAMMAR.replace(
+        "-l1-isize <S> -l1-ibsize <B>", "<G>").replace("-l1-iassoc <A>", "") + (
+        "<G> ::= -l1-isize 512 -l1-ibsize 8 -l1-iassoc 64 | <H>\n"
+        "<H> ::= -l1-isize 65536 -l1-ibsize 64 -l1-iassoc <A> | -l1-iassoc 2 -l1-isize 1024 <B8>\n"
+        "<B8> ::= -l1-ibsize 8\n")
+    assert _grammar_triples(parse_bnf(per_alternative)) == {
+        (512, 8, 64), (65536, 64, 4), (1024, 8, 2), (16384, 32, 4)}
+    # No point is feasible when no I side is.
+    no_i_side = ONE_POINT_GRAMMAR.replace("-l1-isize <S>", "-l1-isize 512").replace(
+        "-l1-iassoc <A>", "-l1-iassoc 128")
+    assert _grammar_triples(parse_bnf(no_i_side)) == set()
 
 
 @pytest.mark.parametrize("old,new,named", [
@@ -510,7 +525,8 @@ def test_optimize_table_check_skips_unreachable_rows(tmp_path):
 
 
 def test_optimize_non_flat_grammar_keeps_the_late_lookup(tmp_path, capsys):
-    # No reachable set is derived for a non-flat grammar, so the trace is read first.
+    # This nested grammar reaches only 16384/32/4, so the missing 65536/64/8
+    # row passes the up-front check and the trace is read next.
     table_path = _table_without(tmp_path, (65536, 64, 8))
     grammar_path = tmp_path / "nested.bnf"
     grammar_path.write_text(ONE_POINT_GRAMMAR.replace("<S> ::= 16384", "<S> ::= <T>\n<T> ::= 16384"))
@@ -518,6 +534,22 @@ def test_optimize_non_flat_grammar_keeps_the_late_lookup(tmp_path, capsys):
                "--grammar", str(grammar_path), "-o", str(tmp_path / "run")])
     assert rc == 2
     assert "absent.din" in capsys.readouterr().err
+
+
+def test_optimize_non_flat_grammar_reaching_a_missing_row_fails_up_front(tmp_path, capsys):
+    table_path = _table_without(tmp_path, (65536, 64, 8))
+    grammar_path = tmp_path / "nested.bnf"
+    grammar_path.write_text(
+        ONE_POINT_GRAMMAR.replace("<S> ::= 16384", "<S> ::= <T>\n<T> ::= 16384 | 65536")
+        .replace("<B> ::= 32", "<B> ::= 32 | 64")
+        .replace("<A> ::= 4", "<A> ::= 4 | <E>\n<E> ::= 8"))
+    outdir = tmp_path / "run"
+    rc = main(["optimize", "--trace", str(tmp_path / "absent.din"), "--table", str(table_path),
+               "--grammar", str(grammar_path), "-o", str(outdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "size=65536 block=64 assoc=8" in err and "absent.din" not in err
+    assert not outdir.exists()
 
 
 def test_optimize_non_flat_grammar_with_an_impossible_terminal_fails_up_front(tmp_path, capsys):
@@ -539,8 +571,8 @@ def test_optimize_non_flat_grammar_with_an_impossible_terminal_fails_up_front(tm
 
 @pytest.mark.parametrize("terminal", ["-l1-isize", "512", "l", "a", "128"])
 def test_optimize_non_flat_grammar_accepts_flags_and_values(tmp_path, capsys, terminal):
-    # A flag, or a value its flag can come before, passes the up-front walk;
-    # the trace is read next. The flag reaches its value through FOLLOW.
+    # A flag, or a value its flag can come before, passes the up-front check;
+    # the trace is read next. The flag meets its value across two rules.
     if terminal.startswith("-"):
         text = ONE_POINT_GRAMMAR.replace("::= -l1-isize <S>", "::= <T> <S>")
         text += f"<T> ::= <U>\n<U> ::= {terminal}\n"
@@ -578,23 +610,39 @@ ALL_BUT_DWBACK = (
     (NESTED_I.replace("-l1-dwback a", "<W>")
      + "<S> ::= 1024\n<W> ::= -l1-dwback a | -l1-dwback\n", "end the phenotype with -l1-dwback"),
     (ALL_BUT_DWBACK + "<W> ::= -l1-dwback a | -l1-dwback n -l1-dwback a | -l1-dfetch d\n",
+     "-l1-dwback more than once"),
+    (ALL_BUT_DWBACK + "<W> ::= -l1-dwback a | -l1-dwback n -l1-dfetch d\n",
      "-l1-dfetch more than once"),
     (ALL_BUT_DWBACK + "<W> ::= -l1-dwback a | <M> -l1-dwback n\n<M> ::= -l1-dwback a | <M> a\n",
+     "more than 22 tokens, not 22"),
+    (ALL_BUT_DWBACK + "<W> ::= -l1-dwback a | <M> -l1-dwback n\n<M> ::= -l1-dwback a | <M>\n",
      "-l1-dwback more than once"),
+    (ONE_POINT_GRAMMAR.replace("-l1-dwback <W>", "-l1-dwback <W> -l1-isize 512"),
+     "-l1-isize more than once"),
+    (ALL_BUT_DWBACK + "<W> ::= -l1-dwback a | <M>\n<M> ::= <M> -l1-dwback n\n",
+     "grammar rule <M> derives nothing"),
+    (ALL_BUT_DWBACK + "<W> ::= -l1-dwback a | <M>\n<M> ::= <M>\n",
+     "grammar rule <M> derives nothing"),
+    ("<P> ::= <I> -l1-dsize 512\n<I> ::= -l1-isize <S>\n<S> ::= 512\n", "without -l1-ibsize"),
     (ALL_BUT_DWBACK.replace("-l1-ifetch d ", "") + "<W> ::= -l1-dwback a\n",
      "without -l1-ifetch"),
     (ALL_BUT_DWBACK + "<W> ::= -l1-dwback a | -l1-dwback a n\n",
      "more than 22 tokens, not 22"),
     (ALL_BUT_DWBACK + "<W> ::= -l1-dwback <V>\n<V> ::= a | <V> n\n",
      "more than 22 tokens, not 22"),
+    (ONE_POINT_GRAMMAR.replace("<A> ::= 4", "<A> ::= 4 | 8 -l1-x"),
+     "'-l1-x' is neither a flag nor a value"),
 ], ids=["value-of-another-flag", "0512", "through-follow", "flag-at-the-end", "repeated-flag",
-        "recursive-flag", "missing-flag", "extra-value", "recursive-value"])
+        "repeated-flag-alone", "recursive-flag", "recursive-repeat", "repeated-geometry-flag",
+        "unproductive-recursion", "unproductive-loop", "missing-nested-flags", "missing-flag",
+        "extra-value", "recursive-value", "stray-after-a-value"])
 def test_optimize_grammar_with_a_value_its_flag_cannot_take_fails_up_front(
     tmp_path, capsys, grammar, named
 ):
     # Each token that can come right after a flag is checked against that
     # flag's domain, in its one canonical spelling, before the trace is read.
-    # So is the shape of every phenotype: each flag once, with one value.
+    # So is the shape of every phenotype (each flag once, with one value),
+    # and every reachable rule must derive something.
     grammar_path = tmp_path / "bad_nested.bnf"
     grammar_path.write_text(grammar)
     outdir = tmp_path / "run"
