@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import random
 from array import array
-from collections import OrderedDict, defaultdict
+from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass
 from operator import attrgetter, contains
 from typing import Iterable, NamedTuple
@@ -300,6 +300,9 @@ class SideStreams:
     for a random side: the I-cache sees only ifetches and the D-cache only
     reads and writes, and a random side is seeded from its own flags, so one
     side's counters never depend on the other side's flags.
+
+    A side that never evicts reads its counters from one unbounded ("open")
+    cache pass per (side, block, fetch); see _open_counts.
     """
 
     def __init__(self, trace: Iterable[TraceRecord]):
@@ -316,6 +319,9 @@ class SideStreams:
         self.writes = self.dwrites.count(1)
         self._blocks: dict[tuple[str, int, bool], tuple[array, bytes]] = {}
         self._counts: dict[tuple, tuple[int, ...]] = {}
+        self._distinct: dict[tuple[str, int], int] = {}
+        self._open: dict[tuple[str, int, str], tuple[tuple[int, ...], array]] = {}
+        self._shares: dict[tuple[str, int, str, int], int] = {}
 
     @classmethod
     def of(cls, trace) -> "SideStreams":
@@ -364,18 +370,97 @@ def _simulate_side(
     one victim whatever its replacement policy, so its `l`, `f` and `r`
     twins share one FIFO pass, seed base dropped. A hit returns a new
     SimStats, so a caller that mutates its result cannot change a later one.
+    A side that never evicts takes the open pass's counters instead.
     """
     if assoc == 1:
         repl = "f"
     key = (side, size, block, assoc, repl, fetch, rng_seed if repl == "r" else 0)
     counts = streams._counts.get(key)
     if counts is None:
-        counts = _run_side(streams, side, size, block, assoc, repl, fetch, rng_seed)
+        counts = (_open_counts(streams, side, size, block, assoc, fetch)
+                  or _run_side(streams, side, size, block, assoc, repl, fetch, rng_seed))
         streams._counts[key] = counts
     accesses, misses, fills, write_backs, dirty = counts
     if write_back:
         return SimStats(accesses, misses, fills, write_backs, 0, dirty)
     return SimStats(accesses, misses, fills, 0, streams.writes, 0)
+
+
+def _open_counts(
+    streams: SideStreams, side: str, size: int, block: int, assoc: int, fetch: str,
+) -> tuple[int, ...] | None:
+    """The side's counters if it never evicts, else None.
+
+    A finite cache matches the open cache until its first eviction, so it
+    never evicts exactly when no set is mapped more of the open pass's
+    filled blocks than it has ways; then replacement never acts and a random
+    side draws nothing. Every cache holds size // block blocks, so a side
+    with more distinct blocks than that cannot qualify: it costs one lookup
+    of a count taken once per (side, block) from the stream its engine pass
+    reads anyway. The largest per-set share is kept per n_sets.
+    """
+    n = n_sets(size, block, assoc)
+    distinct = streams._distinct.get((side, block))
+    if distinct is None:
+        blocks, _ = streams.blocks(side, block, fetch == "d" or n > 1)
+        distinct = streams._distinct[side, block] = _count_distinct(
+            blocks, CACHE_SIZES[-1] // block)
+    if distinct > size // block:
+        return None
+    passed = streams._open.get((side, block, fetch))
+    if passed is None:
+        passed = streams._open[side, block, fetch] = _run_open(streams, side, block, fetch)
+    counts, filled = passed
+    share = streams._shares.get((side, block, fetch, n))
+    if share is None:
+        share = max(Counter(map((n - 1).__and__, filled)).values(), default=0)
+        streams._shares[side, block, fetch, n] = share
+    return counts if share <= assoc else None
+
+
+def _count_distinct(blocks: array, cap: int) -> int:
+    """The number of distinct blocks, or some number above cap once they
+    exceed it. The set grows a slice at a time, so on a long stream of
+    many blocks it never holds many more than cap."""
+    seen: set[int] = set()
+    for start in range(0, len(blocks), 4096):
+        seen.update(blocks[start:start + 4096])
+        if len(seen) > cap:
+            break
+    return len(seen)
+
+
+def _run_open(
+    streams: SideStreams, side: str, block: int, fetch: str,
+) -> tuple[tuple[int, ...], array]:
+    """One pass of an unbounded cache over the merged block stream.
+
+    Returns the side's write-back counters (write-backs 0, every written
+    block left dirty) and the blocks it filled, in fill order. A repeat
+    access to a resident block changes only its dirty flag, and a repeated
+    prefetch finds its block resident, so merged runs count alike.
+    """
+    blocks, writes = streams.blocks(side, block, True)
+    prefetch, always = fetch != "d", fetch == "a"
+    resident: dict[int, int] = {}
+    misses = fills = 0
+    for b, w in zip(blocks, writes):
+        if b in resident:
+            if w:
+                resident[b] = 1
+            if not always:
+                continue
+        else:
+            misses += 1
+            resident[b] = w
+            if not prefetch:
+                continue
+        b += 1
+        if b not in resident:
+            fills += 1
+            resident[b] = 0
+    accesses = len(streams.iaddrs if side == "i" else streams.daddrs)
+    return (accesses, misses, fills, 0, sum(resident.values())), array("Q", resident)
 
 
 def _run_side(

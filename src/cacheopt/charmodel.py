@@ -221,7 +221,12 @@ def load_dram_params(path: str | Path) -> DramParams:
             ) from None
         if not math.isfinite(number):  # int() of an infinite size would overflow
             raise ValidationError(f"{path}: line {lineno}: {key!r} must be finite, got {number!r}")
+        if key == "dram.size_bytes":
+            if not number.is_integer():
+                raise ValidationError(
+                    f"{path}: line {lineno}: {key!r} must be a whole number of bytes, "
+                    f"got {number!r}"
+                )
+            number = int(number)
         values[_DRAM_KEYS[key]] = number
-    if "size" in values:
-        values["size"] = int(values["size"])
     return DramParams(**values)

@@ -263,15 +263,53 @@ def _evaluate_population(
 def _next_generation(
     population: list[Individual], params: GEParams, rng: random.Random
 ) -> list[Individual]:
-    order = sorted(range(len(population)), key=lambda i: (population[i].fitness, i))
+    """The elites, then children bred in one loop.
+
+    Each pair of children makes the draws of two tournament calls, one
+    crossover and a mutate per child, in that order, so the genotypes and
+    the generator's state are what those operators give. randrange(n) and
+    randint(1, w) are drawn inline as CPython's Random does:
+    getrandbits(n.bit_length()), redrawn until below n.
+    """
+    fits = [ind.fitness for ind in population]
+    n = len(fits)
+    order = sorted(range(n), key=lambda i: (fits[i], i))
     new_pop = [population[i] for i in order[: params.elitism]]  # elites keep their evaluation
-    while len(new_pop) < params.population:
-        p1 = tournament(population, params.tournament_size, rng)
-        p2 = tournament(population, params.tournament_size, rng)
-        g1, g2 = crossover(p1.genotype, p2.genotype, rng, params.p_crossover)
-        new_pop.append(Individual(mutate(g1, params.p_mutation, rng)))
-        if len(new_pop) < params.population:
-            new_pop.append(Individual(mutate(g2, params.p_mutation, rng)))
+    getrandbits, random_ = rng.getrandbits, rng.random
+    size, wanted = params.tournament_size, params.population
+    p_crossover, p_mutation = params.p_crossover, params.p_mutation
+    kn = n.bit_length()
+    while len(new_pop) < wanted:
+        parents = []
+        for _ in range(2):  # tournament: lowest (fitness, index) of `size` draws
+            best = -1
+            for _ in range(size):
+                i = getrandbits(kn)
+                while i >= n:
+                    i = getrandbits(kn)
+                if best < 0 or (fits[i], i) < (fits[best], best):
+                    best = i
+            parents.append(population[best].genotype)
+        a, b = parents
+        if len(a) >= 2 and len(b) >= 2 and random_() < p_crossover:  # crossover
+            w = min(len(a), len(b)) - 1
+            kw = w.bit_length()
+            cut = getrandbits(kw)
+            while cut >= w:
+                cut = getrandbits(kw)
+            cut += 1
+            a, b = a[:cut] + b[cut:], b[:cut] + a[cut:]
+        for genotype in (a, b):  # mutate: each codon redrawn from [0, 255]
+            if len(new_pop) == wanted:
+                break
+            child = []
+            for c in genotype:
+                if random_() < p_mutation:
+                    c = getrandbits(9)  # 256 has 9 bits
+                    while c >= 256:
+                        c = getrandbits(9)
+                child.append(c)
+            new_pop.append(Individual(child))
     return new_pop
 
 

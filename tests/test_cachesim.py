@@ -214,6 +214,14 @@ def test_random_victim_is_the_one_choice_draws(n):
         assert counts == (n + 1, 0, 1, 0)
 
 
+def test_distinct_block_count_stops_above_its_cap():
+    # The count only tells whether a side can fit in the largest cache, so
+    # it stops a slice after passing cap instead of holding every block.
+    assert cachesim._count_distinct(array("Q", [b % 50 for b in range(20_000)]), 8192) == 50
+    assert cachesim._count_distinct(array("Q", range(8192)) * 3, 8192) == 8192
+    assert 8192 < cachesim._count_distinct(array("Q", range(100_000)), 8192) <= 8192 + 4096
+
+
 def test_seed_only_matters_for_random_replacement():
     rng = random.Random(2)
     trace = random_trace(rng, 800, span=1 << 13)

@@ -198,3 +198,20 @@ def test_dram_file_rejects_non_finite_values(tmp_path, line):
     key = line.split(" = ")[0]
     with pytest.raises(ValidationError, match=f"dram.toml: line 2: '{key}' must be finite"):
         load_dram_params(path)
+
+
+@pytest.mark.parametrize("value", ["1.5", "0.5", "33554432.25"])
+def test_dram_file_rejects_fractional_size(tmp_path, value):
+    path = tmp_path / "dram.toml"
+    path.write_text("dram.bandwidth_bps = 6.4e9\ndram.size_bytes = " + value + "\n")
+    with pytest.raises(
+        ValidationError,
+        match=rf"dram.toml: line 2: 'dram.size_bytes' must be a whole number of bytes, got {value}",
+    ):
+        load_dram_params(path)
+
+
+def test_dram_file_accepts_integral_size_in_float_spelling(tmp_path):
+    path = tmp_path / "dram.toml"
+    path.write_text("dram.size_bytes = 3.3554432e7\n")
+    assert load_dram_params(path).size == 33554432

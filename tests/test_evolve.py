@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cacheopt.evolve as EVOLVE
 from cacheopt.cachesim import DEFAULT_BASELINE
@@ -155,6 +157,79 @@ def test_mutate_rate_within_binomial_band():
     draws = trials * length
     sigma = math.sqrt(draws * p * (1 - p))
     assert abs(changed - draws * p) <= 3 * sigma
+
+
+# --- breeding loop -----------------------------------------------------------
+
+def reference_next_generation(population, params, rng):
+    """A generation bred by composing the public operators."""
+    order = sorted(range(len(population)), key=lambda i: (population[i].fitness, i))
+    new_pop = [population[i] for i in order[: params.elitism]]
+    while len(new_pop) < params.population:
+        p1 = tournament(population, params.tournament_size, rng)
+        p2 = tournament(population, params.tournament_size, rng)
+        g1, g2 = crossover(p1.genotype, p2.genotype, rng, params.p_crossover)
+        new_pop.append(Individual(mutate(g1, params.p_mutation, rng)))
+        if len(new_pop) < params.population:
+            new_pop.append(Individual(mutate(g2, params.p_mutation, rng)))
+    return new_pop
+
+
+def assert_breeds_like_the_operators(population, params, seed):
+    """_next_generation gives the reference's genotypes, keeps the same
+    elites, and leaves the generator where the reference leaves it."""
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = EVOLVE._next_generation(population, params, rng)
+    want = reference_next_generation(population, params, ref_rng)
+    assert [ind.genotype for ind in got] == [ind.genotype for ind in want]
+    assert got[: params.elitism] == want[: params.elitism]
+    assert all(ind.fitness is None for ind in got[params.elitism:])
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.integers(2, 60),
+    elitism=st.integers(0, 59),
+    tournament_size=st.integers(1, 4),
+    p_crossover=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+    p_mutation=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+    codon_count=st.integers(1, 20),
+    population_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_next_generation_breeds_like_the_operators(
+    size, elitism, tournament_size, p_crossover, p_mutation, codon_count, population_seed, seed,
+):
+    params = GEParams(
+        population=size, elitism=elitism % size, tournament_size=tournament_size,
+        p_crossover=p_crossover, p_mutation=p_mutation, codon_count=codon_count,
+    )
+    # Few fitness values, so tournaments and the elite sort meet ties. Library
+    # callers may breed genotypes of other lengths: crossover cuts within the
+    # shorter one and never cuts one shorter than 2.
+    rng = random.Random(population_seed)
+    population = [
+        Individual(
+            random_genotype(codon_count if rng.random() < 0.5 else rng.randint(1, codon_count), rng),
+            fitness=rng.choice([0.25, 0.5, 0.75, 1.0, INFEASIBLE_FITNESS]),
+        )
+        for _ in range(size)
+    ]
+    assert_breeds_like_the_operators(population, params, seed)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65, 128])
+def test_inline_draws_are_randrange_and_randint(width):
+    """The loop draws tournament indices as Random.randrange(n) and the cut
+    as Random.randint(1, w) do, for n and w on both sides of each power of
+    two: a population of `width` individuals, genotypes of width + 1 codons."""
+    population = [Individual(list(range(i, i + width + 1)), fitness=float(i % 3))
+                  for i in range(width)]
+    params = GEParams(population=max(width, 2), elitism=0, tournament_size=2,
+                      p_crossover=1.0, p_mutation=0.5, codon_count=width + 1)
+    for seed in range(40):
+        assert_breeds_like_the_operators(population, params, seed)
 
 
 # --- evaluator ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from cacheopt import cachesim, objectives, oracle
 from cacheopt.cachesim import (
-    DEFAULT_BASELINE, DOMAINS, FLAG_ORDER, CacheConfig, CacheUnit, simulate,
+    DEFAULT_BASELINE, DOMAINS, FLAG_ORDER, CacheConfig, CacheUnit, SideStreams, simulate,
 )
 from cacheopt.charmodel import DramParams, surrogate_generate
 from cacheopt.errors import MappingError, SubspaceCapError, ValidationError
@@ -112,27 +113,37 @@ def test_exhaustive_checks_each_point_once(monkeypatch):
     assert len(checked) == 4 + 3
 
 
+def count_passes(monkeypatch) -> list[tuple[str, str]]:
+    """Record (kind, side) for every engine ("engine") and open ("open")
+    pass that simulate runs from now on."""
+    passes = []
+    for kind, name in (("engine", "_run_side"), ("open", "_run_open")):
+        def counting(streams, side, *args, _kind=kind, _real=getattr(cachesim, name)):
+            passes.append((_kind, side))
+            return _real(streams, side, *args)
+
+        monkeypatch.setattr(cachesim, name, counting)
+    return passes
+
+
 def test_exhaustive_runs_each_distinct_side_once(monkeypatch):
     """The sweep_lru_demand shape: 720 points share 24 I-sides and 15
-    D-sides, each under both write policies, so 39 engine passes; a random
-    side runs once too, since it is seeded from its own flags."""
+    D-sides, each under both write policies. Each side that evicts runs one
+    engine pass; the sides that never evict share one open pass per (side,
+    block, fetch). A random side runs once too, since it is seeded from its
+    own flags."""
     trace = gen_synthetic("mixed", 300, 5)
     baseline = baseline_metrics(trace)
-    passes = []
-
-    def counting_run_side(streams, side, *args, **kwargs):
-        passes.append(side)
-        return real_run_side(streams, side, *args, **kwargs)
-
-    real_run_side = cachesim._run_side
-    monkeypatch.setattr(cachesim, "_run_side", counting_run_side)
+    passes = count_passes(monkeypatch)
     sweep = dict(
         isize=cachesim.CACHE_SIZES, ibsize=(32,), iassoc=(1, 4, 16),
         dsize=cachesim.CACHE_SIZES, dbsize=(32,), dassoc=(4, 32), dwback=("a", "n"),
     )
     result = exhaustive(small_subspace(**sweep), trace, TABLE, DRAM, baseline)
     assert (len(result.ranked), len(result.infeasible)) == (720, 48)
-    assert (passes.count("i"), passes.count("d")) == (24, 15)
+    assert Counter(passes) == {
+        ("engine", "d"): 6, ("engine", "i"): 4, ("open", "d"): 1, ("open", "i"): 1,
+    }
 
     passes.clear()
     sub = small_subspace(
@@ -141,19 +152,50 @@ def test_exhaustive_runs_each_distinct_side_once(monkeypatch):
     )
     result = exhaustive(sub, trace, TABLE, DRAM, baseline)
     assert len(result.ranked) == 16
-    assert (passes.count("i"), passes.count("d")) == (4, 2)
+    assert Counter(passes) == {
+        ("engine", "d"): 2, ("engine", "i"): 3, ("open", "d"): 1, ("open", "i"): 1,
+    }
 
     # A direct-mapped side has one victim, so its l, f and r twins share a
-    # pass: one I pass per (size, fetch), whatever the seed base.
+    # pass, whatever the seed base: one engine pass per (size, fetch) for
+    # 512 and 1024 B, and one open pass per fetch for 4096 B, which never evicts.
     passes.clear()
     sub = small_subspace(
         isize=(512, 1024, 4096), irepl=("l", "f", "r"), iassoc=(1,), ifetch=("d", "m", "a"),
     )
     result = exhaustive(sub, trace, TABLE, DRAM, baseline, sim_seed_base=5)
     assert len(result.ranked) == 27
-    assert (passes.count("i"), passes.count("d")) == (9, 1)
+    assert Counter(passes) == {("engine", "d"): 1, ("engine", "i"): 6, ("open", "i"): 3}
     for r in result.ranked:
         assert r.metrics == replay_metrics(r.config, trace, rng_seed=5)
+
+
+def test_sides_that_never_evict_share_one_open_pass(monkeypatch):
+    """Every size, associativity and replacement policy of one (side,
+    block, fetch) that never evicts reads one open pass, random sides under
+    any seed base included."""
+    trace = gen_synthetic("mixed", 300, 5)
+    streams = SideStreams(trace)
+    baseline = baseline_metrics(trace)
+    passes = count_passes(monkeypatch)
+    sub = small_subspace(
+        isize=(8192, 16384, 65536), ibsize=(32,), irepl=("l", "f", "r"), iassoc=(2, 8, 32),
+        ifetch=("a",), dsize=(16384, 65536), dbsize=(16,), drepl=("l", "r"), dassoc=(4, 64),
+        dfetch=("m",),
+    )
+    for base in (0, 5):
+        result = exhaustive(sub, streams, TABLE, DRAM, baseline, sim_seed_base=base)
+        assert len(result.ranked) == 216
+        for r in result.ranked[::13]:
+            assert r.metrics == replay_metrics(r.config, trace, rng_seed=base)
+    assert Counter(passes) == {("open", "d"): 1, ("open", "i"): 1}
+
+    # 512 B holds 16 blocks of 32 B, no fewer than the 14 the I-side reads,
+    # but 2 ways of 8 sets overflow, so it runs the engine after the open pass.
+    passes.clear()
+    exhaustive(small_subspace(isize=(512, 8192), ibsize=(32,), iassoc=(2,), ifetch=("a",)),
+               trace, TABLE, DRAM, baseline)
+    assert Counter(passes) == {("engine", "d"): 1, ("engine", "i"): 1, ("open", "i"): 1}
 
 
 def replay_metrics(config, trace, rng_seed):

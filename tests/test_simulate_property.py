@@ -29,13 +29,15 @@ from cacheopt.cachesim import (
     CacheConfig,
     CacheUnit,
     SideStreams,
+    SimStats,
+    _open_counts,
     n_sets,
     simulate,
 )
 from cacheopt.charmodel import DramParams, surrogate_generate
 from cacheopt.objectives import Metrics
 from cacheopt.oracle import Subspace, exhaustive
-from cacheopt.trace import PROFILES, AccessKind, gen_synthetic
+from cacheopt.trace import PROFILES, AccessKind, TraceRecord, gen_synthetic
 
 CLASSES = [(repl, fetch) for repl in REPL_POLICIES for fetch in FETCH_POLICIES]
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -259,6 +261,93 @@ def test_random_side_depends_only_on_its_own_flags(fetch, data, trace, base):
             key = (config.dsize, config.dbsize, config.dassoc, config.dfetch)
             counts = (dstats.accesses, dstats.demand_misses, dstats.prefetch_fills)
             assert dsides.setdefault(key, counts) == counts, config.to_flags()
+
+
+def replay_side(trace, side, size, block, assoc, repl, fetch, rng_seed):
+    """One side's CacheUnit after a replay of its records, final_flush set."""
+    unit = CacheUnit(side, size, block, assoc, repl, fetch,
+                     rng=side_rng(rng_seed, side, size, block, assoc, fetch))
+    for record in trace:
+        if (record.kind == AccessKind.IFETCH) == (side == "i"):
+            unit.step(record)
+    unit.stats.final_flush = unit.count_dirty()
+    return unit
+
+
+def assert_open_pass_matches(streams, trace, side, size, block, assoc, repl, fetch, rng_seed):
+    """_open_counts answers exactly when the replay fills no more blocks
+    than it holds at the end (it never evicted), and then with its counters."""
+    got = _open_counts(streams, side, size, block, assoc, fetch)
+    unit = replay_side(trace, side, size, block, assoc, repl, fetch, rng_seed)
+    filled = unit.stats.demand_misses + unit.stats.prefetch_fills
+    evicted = filled > sum(map(len, unit.sets))
+    where = (side, size, block, assoc, repl, fetch)
+    assert (got is None) == evicted, where
+    if got is not None:
+        accesses, misses, fills, write_backs, dirty = got
+        assert SimStats(accesses, misses, fills, write_backs, 0, dirty) == unit.stats, where
+
+
+# Shrinking a failure here still takes up to half a minute, so it reports
+# unshrunk, within seconds.
+@pytest.mark.parametrize("repl,fetch", CLASSES)
+@settings(max_examples=25, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(
+    data=st.data(),
+    trace=st.builds(gen_synthetic, st.sampled_from(PROFILES), st.integers(0, 300),
+                    st.integers(0, 2**32 - 1)),
+    blocks=st.lists(st.sampled_from(BLOCK_SIZES), min_size=1, max_size=2),
+    rng_seed=seeds,
+)
+def test_open_pass_answers_exactly_when_replay_never_evicts(
+    repl, fetch, data, trace, blocks, rng_seed,
+):
+    """The first side uses (repl, fetch), later ones any class. All share
+    one SideStreams and at most two block sizes, so they also read each
+    other's distinct-block counts, open passes and set shares; fully
+    associative geometries put the prefetch of block b+1 in b's own set."""
+    streams = SideStreams(trace)
+    classes = [(repl, fetch), *data.draw(st.lists(st.sampled_from(CLASSES), max_size=5))]
+    for side_repl, side_fetch in classes:
+        side = data.draw(st.sampled_from("id"))
+        block = data.draw(st.sampled_from(blocks))
+        size = data.draw(st.sampled_from([s for s in CACHE_SIZES if s >= block]))
+        assocs = [a for a in ASSOCIATIVITIES if a * block <= size]
+        assoc = data.draw(st.sampled_from([assocs[-1], *assocs]))  # often fully associative
+        assert_open_pass_matches(
+            streams, trace, side, size, block, assoc, side_repl, side_fetch, rng_seed,
+        )
+
+
+@pytest.mark.parametrize("fetch", FETCH_POLICIES)
+def test_open_pass_keeps_a_prefetched_successor_dirty(fetch):
+    """A prefetch that finds block b+1 resident leaves its dirty flag."""
+    trace = [TraceRecord(AccessKind.WRITE, 8), TraceRecord(AccessKind.READ, 0)]
+    streams = SideStreams(trace)
+    for repl in REPL_POLICIES:
+        assert_open_pass_matches(streams, trace, "d", 512, 8, 4, repl, fetch, 0)
+    assert _open_counts(streams, "d", 512, 8, 4, fetch)[4] == 1
+
+
+@pytest.mark.parametrize("blocks", [63, 64, 65])
+def test_open_pass_at_the_capacity_edge(blocks):
+    """A fully associative 512 B side of 8 B blocks holds 64 blocks. An
+    I-side reads `blocks` distinct blocks in a row, twice. Under `a` it also
+    fills the last block's successor, so 64 blocks evict. Under `m` every
+    odd block was prefetched by its predecessor and prefetches nothing, so
+    only an even last block (65 blocks) fills one more. One SideStreams
+    serves every fetch policy and both block sizes, so no memo may mix
+    their counts or shares."""
+    trace = [TraceRecord(AccessKind.IFETCH, 8 * b) for b in range(blocks)] * 2
+    streams = SideStreams(trace)
+    for fetch in FETCH_POLICIES:
+        for repl in REPL_POLICIES:
+            assert_open_pass_matches(streams, trace, "i", 512, 8, 64, repl, fetch, 0)
+        fits = blocks == 63 or (blocks == 64 and fetch != "a")
+        assert (_open_counts(streams, "i", 512, 8, 64, fetch) is not None) == fits
+    for repl, fetch in CLASSES:  # the same addresses in 16 B blocks: 32 or 33 of them
+        assert_open_pass_matches(streams, trace, "i", 512, 16, 32, repl, fetch, 0)
 
 
 def test_mutating_a_result_leaves_the_side_memo_alone():
