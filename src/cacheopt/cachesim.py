@@ -12,11 +12,12 @@ import random
 from array import array
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter, contains
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, FlagTextError, InfeasibleConfigError
-from .trace import AccessKind, TraceRecord
+from .trace import AccessKind, TraceRecord, _din_chunks
 
 CACHE_SIZES = (512, 1024, 2048, 4096, 8192, 16384, 32768, 65536)
 BLOCK_SIZES = (8, 16, 32, 64)
@@ -287,13 +288,20 @@ class CacheUnit:
         return sum(1 for entries in self.sets for dirty in entries.values() if dirty)
 
 
+# din label bytes -> 1 where the record belongs to the named stream
+_IFETCH_LABEL = bytes.maketrans(b"012", b"\0\0\1")
+_DATA_LABEL = bytes.maketrans(b"012", b"\1\1\0")
+_WRITE_LABEL = bytes.maketrans(b"01", b"\0\1")  # with the b"2" labels deleted
+
+
 class SideStreams:
     """A trace split once into its I-side and D-side access streams.
 
     simulate accepts raw records or a SideStreams; callers that simulate
-    one trace many times build it once. Block streams are derived lazily
-    for each (side, block size) and kept. Streams are compact arrays:
-    addresses and block numbers as unsigned 64-bit, write flags as bytes.
+    one trace many times build it once, from records or (from_din) from
+    din text. Block streams are derived lazily for each (side, block size)
+    and kept. Streams are compact arrays: addresses and block numbers as
+    unsigned 64-bit, write flags as bytes.
 
     Each side's engine counts are memoized too, keyed on its geometry,
     replacement and fetch policy (not its write policy), plus the seed base
@@ -313,6 +321,22 @@ class SideStreams:
             else:
                 daddrs.append(address)
                 dwrites.append(kind == 1)  # AccessKind.WRITE
+        self._adopt(iaddrs, daddrs, dwrites)
+
+    @classmethod
+    def from_din(cls, lines: Iterable[str], max_records: int | None = None) -> "SideStreams":
+        """SideStreams(parse_din(lines, max_records)), read straight from
+        the din text into the streams without building a record."""
+        iaddrs, daddrs, dwrites = array("Q"), array("Q"), bytearray()
+        for labels, addrs in _din_chunks(lines, max_records):
+            iaddrs.extend(compress(addrs, labels.translate(_IFETCH_LABEL)))
+            daddrs.extend(compress(addrs, labels.translate(_DATA_LABEL)))
+            dwrites += labels.translate(_WRITE_LABEL, b"2")
+        streams = cls.__new__(cls)
+        streams._adopt(iaddrs, daddrs, dwrites)
+        return streams
+
+    def _adopt(self, iaddrs: array, daddrs: array, dwrites: bytearray) -> None:
         self.iaddrs = iaddrs
         self.daddrs = daddrs
         self.dwrites = bytes(dwrites)
@@ -326,6 +350,10 @@ class SideStreams:
     @classmethod
     def of(cls, trace) -> "SideStreams":
         return trace if isinstance(trace, cls) else cls(trace)
+
+    def __len__(self) -> int:
+        """The number of trace records."""
+        return len(self.iaddrs) + len(self.daddrs)
 
     def blocks(self, side: str, block: int, merge: bool) -> tuple[array, bytes]:
         """Block numbers of one side's accesses and each one's write flag.

@@ -56,17 +56,10 @@ class CharTable:
     """Immutable lookup of (size, block, assoc) -> (access_time, access_energy)."""
 
     def __init__(self, rows: Iterable[CharRow]):
-        table: dict[tuple[int, int, int], CharRow] = {}
-        for row in rows:
-            key = (row.size, row.block, row.assoc)
-            if key in table:
-                raise CharTableError(f"duplicate characterization row for {key}")
-            if not (row.access_time > 0 and math.isfinite(row.access_time)):
-                raise CharTableError(f"non-positive access_time for {key}")
-            if not (row.access_energy > 0 and math.isfinite(row.access_energy)):
-                raise CharTableError(f"non-positive access_energy for {key}")
-            table[key] = row
-        self._table = table
+        self._table = _checked_pairs(
+            ((row.size, row.block, row.assoc), (row.access_time, row.access_energy))
+            for row in rows
+        )
 
     def __len__(self) -> int:
         return len(self._table)
@@ -75,17 +68,16 @@ class CharTable:
         return key in self._table
 
     def rows(self) -> list[CharRow]:
-        return [self._table[key] for key in sorted(self._table)]
+        return [CharRow(*key, *self._table[key]) for key in sorted(self._table)]
 
     def lookup(self, size: int, block: int, assoc: int) -> tuple[float, float]:
         """Return the stored (access_time, access_energy); never a default."""
         try:
-            row = self._table[(size, block, assoc)]
+            return self._table[(size, block, assoc)]
         except KeyError:
             raise CharLookupError(
                 f"no characterization row for size={size} block={block} assoc={assoc}"
             ) from None
-        return row.access_time, row.access_energy
 
     def check_complete(self, triples: Iterable[tuple[int, int, int]] = ALL_TRIPLES) -> None:
         """Require one row per triple; by default every grammar triple
@@ -98,15 +90,33 @@ class CharTable:
                 )
 
 
+def _checked_pairs(items: Iterable[tuple[tuple[int, int, int], tuple[float, float]]]) -> dict:
+    """The lookup dict of (triple, (access_time, access_energy)) items: one
+    per triple, each value finite and positive."""
+    table = {}
+    for key, pair in items:
+        if key in table:
+            raise CharTableError(f"duplicate characterization row for {key}")
+        access_time, access_energy = pair
+        if not 0 < access_time < math.inf:
+            raise CharTableError(f"non-positive access_time for {key}")
+        if not 0 < access_energy < math.inf:
+            raise CharTableError(f"non-positive access_energy for {key}")
+        table[key] = pair
+    return table
+
+
 def load_table(path: str | Path, strict: bool = False) -> CharTable:
-    """Load a characterization CSV; `#` lines are comments.
+    """Load a characterization CSV; `#` lines are comments. A bad row is
+    named by the file line it starts on.
 
     strict additionally demands completeness over all 256 grammar triples.
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        data_lines = [line for line in fh if line.strip() and not line.lstrip().startswith("#")]
-    reader = csv.reader(data_lines)
+        lines = fh.readlines()
+    data = [i for i, line in enumerate(lines) if line.lstrip()[:1] not in ("", "#")]
+    reader = csv.reader(map(lines.__getitem__, data))
     try:
         header = next(reader)
     except StopIteration:
@@ -115,18 +125,19 @@ def load_table(path: str | Path, strict: bool = False) -> CharTable:
         raise CharTableError(
             f"{path}: expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
         )
-    rows = []
-    for lineno, fields in enumerate(reader, start=2):
+    pairs, start = [], reader.line_num  # start: data lines read before this row
+    for fields in reader:
+        lineno, start = data[start] + 1, reader.line_num
         if len(fields) != 5:
-            raise CharTableError(f"{path}: row {lineno} has {len(fields)} fields, expected 5")
+            raise CharTableError(
+                f"{path}: line {lineno}: row has {len(fields)} fields, expected 5")
         try:
-            rows.append(
-                CharRow(int(fields[0]), int(fields[1]), int(fields[2]),
-                        float(fields[3]), float(fields[4]))
-            )
+            pairs.append(((int(fields[0]), int(fields[1]), int(fields[2])),
+                          (float(fields[3]), float(fields[4]))))
         except ValueError as exc:
-            raise CharTableError(f"{path}: row {lineno}: {exc}") from None
-    table = CharTable(rows)
+            raise CharTableError(f"{path}: line {lineno}: {exc}") from None
+    table = CharTable(())  # filled with pairs, checked as rows are, not CharRows
+    table._table = _checked_pairs(pairs)
     if strict:
         table.check_complete()
     return table

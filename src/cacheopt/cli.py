@@ -39,14 +39,14 @@ from .evolve import Evaluator, EvolveResult, GEParams, evolve
 from .grammar import DEFAULT_GRAMMAR, Grammar, parse_bnf
 from .objectives import FitnessWeights, MissMode, config_metrics, metrics_from_stats
 from .oracle import Subspace, exhaustive
-from .trace import PROFILES, TraceRecord, gen_synthetic, parse_din, to_din
+from .trace import PROFILES, TraceRecord, gen_synthetic, to_din
 
 
 @dataclass
 class RunConfig:
     """Resolved inputs for one optimization campaign."""
 
-    trace: list[TraceRecord]
+    trace: list[TraceRecord] | SideStreams
     table: CharTable
     dram: DramParams
     baseline: CacheConfig
@@ -183,15 +183,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _load_trace(args) -> list[TraceRecord]:
+def _load_trace(args) -> SideStreams:
     cap = args.max_records
     if cap is not None and cap < 0:
         raise ValidationError(f"--max-records must be >= 0, got {cap}")
     with Path(args.trace).open() as fh:
-        return parse_din(fh, max_records=cap)
+        return SideStreams.from_din(fh, max_records=cap)
 
 
-def _load_campaign_trace(args) -> list[TraceRecord]:
+def _load_campaign_trace(args) -> SideStreams:
     """The trace of an optimize or exhaustive campaign, which needs a record."""
     trace = _load_trace(args)
     if not trace:
@@ -486,7 +486,7 @@ def cmd_exhaustive(args) -> None:
     # Every row the baseline and the enumeration will look up, checked
     # before anything is simulated.
     table.check_complete(sub.triples() | _side_triples(baseline_config))
-    trace = SideStreams(_load_campaign_trace(args))
+    trace = _load_campaign_trace(args)
     baseline = config_metrics(baseline_config, trace, table, dram, miss_mode, args.seed)
     result = exhaustive(
         sub, trace, table, dram, baseline, weights, miss_mode,

@@ -12,7 +12,7 @@ import re
 import random
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import TraceError
@@ -47,6 +47,16 @@ PROFILES = ("sequential", "loop", "strided", "random", "mixed")
 _MAX_ADDRESS = (1 << 64) - 1
 _HEX_RE = re.compile(r"(0[xX])?[0-9a-fA-F]+")
 _KINDS = {str(int(kind)): kind for kind in AccessKind}  # din label -> kind
+_KIND_OF_BYTE = {ord(label): kind for label, kind in _KINDS.items()}  # label byte -> kind
+
+# A chunk of din lines takes the strict path when, joined with tabs, it
+# holds no other tab and the expression matches: then every line is a
+# label, one space, at most 16 hex digits (so under 2**64: no check can
+# fail) and one "\n". Any other chunk is parsed line by line. "(?:0[xX]|)"
+# is "(?:0[xX])?" written the way CPython's engine matches faster.
+_CHUNK_LINES = 4096
+_STRICT_LINE = "[012] (?:0[xX]|)[0-9a-fA-F]{1,16}\n"
+_STRICT_CHUNK_RE = re.compile(f"{_STRICT_LINE}(?:\t{_STRICT_LINE})*")
 
 
 def parse_din(lines: Iterable[str], max_records: int | None = None) -> list[TraceRecord]:
@@ -55,12 +65,51 @@ def parse_din(lines: Iterable[str], max_records: int | None = None) -> list[Trac
     Empty lines and lines starting with `#` are skipped. Addresses are
     hexadecimal with an optional 0x prefix and must fit in 64 bits. With
     max_records, parsing stops once that many records are read; the lines
-    after them are not checked.
+    after them are not checked. cachesim.SideStreams.from_din reads the
+    same text straight into per-side streams.
     """
-    records = []
-    for lineno, raw in enumerate(lines, start=1):
-        if len(records) == max_records:
-            break
+    records: list[TraceRecord] = []
+    for labels, addrs in _din_chunks(lines, max_records):
+        kinds = map(_KIND_OF_BYTE.__getitem__, labels)
+        records += map(tuple.__new__, repeat(TraceRecord), zip(kinds, addrs))
+    return records
+
+
+def _din_chunks(
+    lines: Iterable[str], max_records: int | None
+) -> Iterator[tuple[bytes, list[int]]]:
+    """Yield the records of din text a chunk of lines at a time, as din
+    label bytes (b"0", b"1" or b"2" per record) and int addresses.
+
+    A chunk has no more lines than records are still wanted, so no line
+    after the last wanted record is read.
+    """
+    if max_records is not None and max_records < 0:
+        raise ValueError(f"max_records must be >= 0, got {max_records}")
+    lines = iter(lines)
+    lineno, left = 1, max_records  # lineno: the chunk's first line
+    while left != 0:
+        chunk = list(islice(lines, _CHUNK_LINES if left is None else min(left, _CHUNK_LINES)))
+        if not chunk:
+            return
+        text = "\t".join(chunk)
+        if text.count("\t") == len(chunk) - 1 and _STRICT_CHUNK_RE.fullmatch(text):
+            fields = text.split()
+            labels = "".join(fields[0::2]).encode()
+            addrs = list(map(int, fields[1::2], repeat(16)))
+        else:
+            labels, addrs = _parse_lines(chunk, lineno)
+        yield labels, addrs
+        lineno += len(chunk)
+        if left is not None:
+            left -= len(addrs)
+
+
+def _parse_lines(chunk: list[str], lineno: int) -> tuple[bytes, list[int]]:
+    """Parse din lines one by one, the first being line lineno; the only
+    code that names a bad line."""
+    labels, addrs = [], []
+    for lineno, raw in enumerate(chunk, start=lineno):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -70,16 +119,16 @@ def parse_din(lines: Iterable[str], max_records: int | None = None) -> list[Trac
                 f"expected 'label address' at line {lineno}, got {line!r}"
             )
         label, addr_text = fields
-        kind = _KINDS.get(label)
-        if kind is None:
+        if label not in _KINDS:
             raise TraceError(f"invalid label at line {lineno}: {label!r}")
         if not _HEX_RE.fullmatch(addr_text):
             raise TraceError(f"invalid hexadecimal address at line {lineno}: {addr_text!r}")
         address = int(addr_text, 16)
         if address > _MAX_ADDRESS:
             raise TraceError(f"address out of 64-bit range at line {lineno}: {addr_text!r}")
-        records.append(TraceRecord(kind, address))
-    return records
+        labels.append(label)
+        addrs.append(address)
+    return "".join(labels).encode(), addrs
 
 
 def to_din(records: Iterable[TraceRecord]) -> str:

@@ -154,8 +154,25 @@ def test_load_rejects_garbage_row(tmp_path):
     path.write_text(
         "size,block,assoc,access_time_s,access_energy_j\n512,8,one,1e-9,1e-11\n"
     )
-    with pytest.raises(CharTableError, match="row 2"):
+    with pytest.raises(CharTableError, match="line 2"):
         load_table(path)
+
+
+def test_load_names_the_file_line_of_a_bad_row(tmp_path):
+    """Comment and blank lines count: the bad row is named by its file line."""
+    good = ["512,8,1,1e-10,1e-12", "1024,8,1,2e-10,2e-12", "2048,8,1,3e-10,3e-12",
+            "4096,8,1,4e-10,4e-12", "8192,8,1,5e-10,5e-12"]
+    lines = ["# produced by hand", "size,block,assoc,access_time_s,access_energy_j",
+             good[0], "", good[1], "# more rows", *good[2:]]
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([*lines[:8], "16384,8,1,fast,6e-12", *lines[8:]]) + "\n")
+    with pytest.raises(CharTableError, match=r"t\.csv: line 9: could not convert"):
+        load_table(path)
+    path.write_text("\n".join([*lines, "16384,8,1,6e-10"]) + "\n")
+    with pytest.raises(CharTableError, match="line 10: row has 4 fields, expected 5"):
+        load_table(path)
+    path.write_text("\n".join(lines) + "\n")
+    assert len(load_table(path)) == 5
 
 
 def test_dram_file_dotted_keys(tmp_path):

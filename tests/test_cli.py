@@ -4,14 +4,14 @@ import pytest
 
 from cacheopt import objectives
 from cacheopt.charmodel import CharTable, DramParams, save_table, surrogate_generate
-from cacheopt.cli import RunConfig, _grammar_triples, main
-from cacheopt.cachesim import DEFAULT_BASELINE, simulate
+from cacheopt.cli import RunConfig, _grammar_triples, main, run_optimize
+from cacheopt.cachesim import DEFAULT_BASELINE, SideStreams, simulate
 from cacheopt.errors import ValidationError
 from cacheopt.evolve import GEParams
 from cacheopt.grammar import DEFAULT_GRAMMAR, parse_bnf
 from cacheopt.objectives import FitnessWeights, MissMode, metrics_from_stats
 from cacheopt.oracle import Subspace
-from cacheopt.trace import AccessKind, TraceRecord, parse_din
+from cacheopt.trace import AccessKind, TraceRecord, gen_synthetic, parse_din, to_din
 
 ONE_POINT_GRAMMAR = """\
 <DineroParams> ::= -l1-isize <S> -l1-ibsize <B> -l1-irepl <R> -l1-iassoc <A>
@@ -214,6 +214,21 @@ def test_run_config_accepts_only_one_job(tmp_path):
 def test_run_config_rejects_an_empty_trace(tmp_path):
     with pytest.raises(ValidationError, match="no records"):
         RunConfig(**run_config_kwargs(tmp_path, []))
+    with pytest.raises(ValidationError, match="no records"):
+        RunConfig(**run_config_kwargs(tmp_path, SideStreams.from_din(["# none\n"])))
+
+
+def test_run_config_takes_streams_read_from_din(tmp_path, capsys):
+    """A campaign on SideStreams.from_din writes what one on records writes."""
+    records = gen_synthetic("mixed", 300, 3)
+    streams = SideStreams.from_din(to_din(records).splitlines(keepends=True))
+    outputs = []
+    for name, trace in (("records", records), ("streams", streams)):
+        kwargs = run_config_kwargs(tmp_path / name, trace)
+        kwargs["params"] = GEParams(generations=3, population=6)
+        run_optimize(RunConfig(**kwargs, runs=2))
+        outputs.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())})
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 5
 
 
 EXHAUSTIVE_POINT = [

@@ -1,7 +1,11 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cacheopt.cachesim import SideStreams
 from cacheopt.errors import TraceError
 from cacheopt.trace import (
     PROFILES,
@@ -117,3 +121,134 @@ def test_trace_stats_counts():
     assert (two.n_ifetch, two.n_read, two.n_write) == (1, 1, 0)
     seq = trace_stats(gen_synthetic("sequential", 100, 7))
     assert (seq.n_ifetch, seq.n_read, seq.n_write) == (100, 0, 0)
+
+
+def test_max_records_must_not_be_negative():
+    lines = ["2 10\n", "0 20\n"]
+    with pytest.raises(ValueError, match="max_records must be >= 0, got -1"):
+        parse_din(lines, max_records=-1)
+    with pytest.raises(ValueError, match="max_records must be >= 0, got -1"):
+        SideStreams.from_din(lines, max_records=-1)
+
+
+def test_side_streams_len_counts_records():
+    records = gen_synthetic("mixed", 300, 2)
+    assert len(SideStreams(records)) == 300
+    assert len(SideStreams.from_din(to_din(records).splitlines(keepends=True))) == 300
+    assert not SideStreams.from_din(["# only a comment\n", "\n"])
+
+
+# -- oracle: the line-by-line parser that preceded chunked parsing ----------
+
+_REFERENCE_HEX_RE = re.compile(r"(0[xX])?[0-9a-fA-F]+")
+_REFERENCE_KINDS = {str(int(kind)): kind for kind in AccessKind}
+
+
+def reference_parse_din(lines, max_records=None):
+    """parse_din as it was before chunked parsing: one line at a time."""
+    records = []
+    for lineno, raw in enumerate(lines, start=1):
+        if len(records) == max_records:
+            break
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise TraceError(
+                f"expected 'label address' at line {lineno}, got {line!r}"
+            )
+        label, addr_text = fields
+        kind = _REFERENCE_KINDS.get(label)
+        if kind is None:
+            raise TraceError(f"invalid label at line {lineno}: {label!r}")
+        if not _REFERENCE_HEX_RE.fullmatch(addr_text):
+            raise TraceError(f"invalid hexadecimal address at line {lineno}: {addr_text!r}")
+        address = int(addr_text, 16)
+        if address > (1 << 64) - 1:
+            raise TraceError(f"address out of 64-bit range at line {lineno}: {addr_text!r}")
+        records.append(TraceRecord(kind, address))
+    return records
+
+
+def _outcome(parse, lines, max_records):
+    try:
+        return parse(lines, max_records), None
+    except TraceError as exc:
+        return None, str(exc)
+
+
+def assert_parsers_agree(lines, max_records):
+    want, want_error = _outcome(reference_parse_din, lines, max_records)
+    got, got_error = _outcome(parse_din, lines, max_records)
+    assert got_error == want_error
+    streams, streams_error = _outcome(SideStreams.from_din, lines, max_records)
+    assert streams_error == want_error
+    if want_error is not None:
+        return
+    assert got == want
+    assert all(type(r) is TraceRecord and type(r.kind) is AccessKind for r in got)
+    expected = SideStreams(want)
+    assert streams.iaddrs == expected.iaddrs
+    assert streams.daddrs == expected.daddrs
+    assert streams.dwrites == expected.dwrites
+    assert streams.writes == expected.writes
+    assert len(streams) == len(expected) == len(want)
+
+
+def _strict(rng):
+    """A line of the form the chunked parser reads without a per-line check."""
+    digits = f"{rng.getrandbits(rng.choice((4, 16, 32, 64))):x}"
+    if rng.random() < 0.1:
+        digits = digits.upper()
+    prefix = rng.choice(("",) * 8 + ("0x", "0X"))
+    return f"{rng.randrange(3)} {prefix}{digits}\n"
+
+
+_hex = st.text("0123456789abcdefABCDEF", min_size=1, max_size=16)
+_label = st.sampled_from("012")
+_odd_lines = st.one_of(
+    st.builds("{} {}{}\n".format, _label, st.sampled_from(["", "0x", "0X"]), _hex),
+    st.builds("{} {}".format, _label, _hex),  # no newline
+    st.builds("{} {}  \n".format, _label, _hex),  # trailing blanks
+    st.builds("{} {}\r\n".format, _label, _hex),
+    st.builds(" {}\t{}\n".format, _label, _hex),
+    st.builds("{} {}{}\n".format, _label, st.text("0", min_size=1, max_size=8), _hex),
+    st.builds("{} {}\n".format, st.sampled_from(["3", "x", "02", "-1", "٢"]), _hex),
+    st.builds("{} {}\n".format, _label, st.sampled_from(
+        ["zz", "-ff", "+1", "1_0", "0x", "0xx1", "10000000000000000", "0x1ffffffffffffffff"])),
+    st.sampled_from(["# comment\n", "#\n", "\n", "   \n", "", "2\n", "2 10 4\n"]),
+    st.sampled_from(["2 10\n0 20\n", "2 10\n\t0 20\n", "2 10\n0 2"]),  # embedded newline
+)
+
+
+@st.composite
+def din_lines(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lines = [_strict(rng) for _ in range(draw(st.sampled_from((0, 3, 50, 4095, 4096, 4097))))]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_odd_lines))
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=din_lines(), data=st.data())
+def test_chunked_parsers_agree_with_the_line_parser(lines, data):
+    max_records = data.draw(st.one_of(
+        st.none(), st.just(0), st.integers(1, len(lines) + 1)), label="max_records")
+    assert_parsers_agree(lines, max_records)
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097])
+@pytest.mark.parametrize("bad", [
+    "3 10\n", "2 zz\n", "2 10000000000000000\n", "2 10\n0 2", "2 10\n\t0 20\n"])
+def test_bad_line_after_a_strict_chunk(n, bad):
+    """A bad line at the end of the first chunk or in the second is named by
+    its own line number, and is never read once max_records are parsed."""
+    rng = random.Random(n)
+    lines = [_strict(rng) for _ in range(n)] + [bad] + [_strict(rng) for _ in range(5)]
+    with pytest.raises(TraceError, match=f"line {n + 1}"):
+        parse_din(lines)
+    for max_records in (None, 0, 1, n - 1, n, n + 1, n + 6):
+        assert_parsers_agree(lines, max_records)
+    assert len(parse_din(lines, max_records=n)) == n
