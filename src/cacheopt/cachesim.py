@@ -13,7 +13,7 @@ from array import array
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass
 from itertools import compress
-from operator import attrgetter, contains
+from operator import contains
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, FlagTextError, InfeasibleConfigError
@@ -45,7 +45,6 @@ DOMAINS = {
 FLAG_ORDER = tuple(f"-l1-{name}" for name in DOMAINS)
 _FLAGS_FORMAT = " ".join(f"{flag} {{}}" for flag in FLAG_ORDER)
 _DOMAIN_VALUES = tuple(DOMAINS.values())
-_config_values = attrgetter(*DOMAINS)  # a config's values in flag order
 
 # Each parameter's permitted values by the one spelling to_flags renders:
 # flag text spells an integer as str(value), so "016384" or "16_384" is no
@@ -54,32 +53,36 @@ VALUE_TOKENS = {name: {str(v): v for v in domain} for name, domain in DOMAINS.it
 _TOKEN_VALUES = tuple(VALUE_TOKENS.values())
 
 
-@dataclass(frozen=True, slots=True)
-class CacheConfig:
-    """One point of the 11-parameter design space (5 I-cache, 6 D-cache)."""
+# A design point's values, named and ordered as DOMAINS.
+_ConfigValues = NamedTuple(
+    "_ConfigValues", [(name, type(domain[0])) for name, domain in DOMAINS.items()]
+)
 
-    isize: int
-    ibsize: int
-    irepl: str
-    iassoc: int
-    ifetch: str
-    dsize: int
-    dbsize: int
-    drepl: str
-    dassoc: int
-    dfetch: str
-    dwback: str
 
-    def __post_init__(self):
-        values = _config_values(self)
+class CacheConfig(_ConfigValues):
+    """One point of the 11-parameter design space (5 I-cache, 6 D-cache):
+    a tuple of its values in DOMAINS order, checked whenever one is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, isize, ibsize, irepl, iassoc, ifetch, dsize, dbsize, drepl, dassoc, dfetch,
+                dwback):
+        values = (isize, ibsize, irepl, iassoc, ifetch, dsize, dbsize, drepl, dassoc, dfetch,
+                  dwback)
         if not all(map(contains, _DOMAIN_VALUES, values)):
             for (name, domain), value in zip(DOMAINS.items(), values):
                 if value not in domain:
                     raise ConfigError(f"{name}={value!r} not in permitted set {domain}")
+        return tuple.__new__(cls, values)
+
+    @classmethod
+    def _make(cls, iterable) -> "CacheConfig":
+        """Build from 11 values in DOMAINS order, checked; _replace builds through it."""
+        return cls(*iterable)
 
     def to_flags(self) -> str:
         """Render as simulator flag text in canonical flag order."""
-        return _FLAGS_FORMAT.format(*_config_values(self))
+        return _FLAGS_FORMAT.format(*self)
 
     @classmethod
     def from_flags(cls, text: str) -> "CacheConfig":
@@ -110,7 +113,7 @@ class CacheConfig:
             if raw in VALUE_TOKENS[name]:
                 kwargs[name] = VALUE_TOKENS[name][raw]
             elif isinstance(DOMAINS[name][0], str):
-                kwargs[name] = raw  # outside the domain: __post_init__ names it
+                kwargs[name] = raw  # outside the domain: __new__ names it
             else:
                 try:
                     value = int(raw)

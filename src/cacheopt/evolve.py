@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .cachesim import CacheConfig, SideStreams, validate
 from .charmodel import CharTable, DramParams
@@ -78,8 +78,7 @@ def memo_key(phenotype: str) -> str:
     return " ".join(phenotype.split())
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     feasible: bool
     metrics: Metrics | None
     fitness: float

@@ -20,6 +20,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import cycle
+from operator import getitem
 from typing import Callable, Sequence
 
 from .errors import GrammarError, MappingError
@@ -188,19 +189,25 @@ def flat_decoder(grammar: Grammar, max_wraps: int = 3) -> Callable[[Sequence[int
     """A decoder equal to map_genotype(codons, grammar, max_wraps) for a
     flat grammar, or None for any other grammar.
 
-    Slot j takes alternative codons[j % n] % k of its k; the picked texts
-    fill a precomputed template. It raises the same MappingError cases as
-    map_genotype, in the same order.
+    Slot j takes alternative codons[j % n] % k of its k. Each slot has a
+    table of 256 texts, one per codon value: the literal text before the
+    slot followed by the alternative that codon picks; a decode joins one
+    entry per slot and the literal tail. It raises the same MappingError
+    cases as map_genotype, in the same order.
     """
     template = flat_template(grammar)
     if template is None:
         return None
-    slots = [item for item in template if isinstance(item, tuple)]
-    fmt = " ".join(
-        "{}" if isinstance(item, tuple) else item.replace("{", "{{").replace("}", "}}")
-        for item in template
-    )
-    n_slots = len(slots)
+    tables: list[list[str]] = []
+    literal = ""  # text since the last slot, separators included
+    for i, item in enumerate(template):
+        literal += " " if i else ""
+        if isinstance(item, tuple):
+            tables.append([literal + item[c % len(item)] for c in range(256)])
+            literal = ""
+        else:
+            literal += item
+    n_slots = len(tables)
 
     def decode(codons: Sequence[int]) -> str:
         if not codons:
@@ -211,7 +218,7 @@ def flat_decoder(grammar: Grammar, max_wraps: int = 3) -> Callable[[Sequence[int
         n = len(codons)
         if n_slots > n * max_wraps:
             raise MappingError(f"wrap limit exceeded: {max_wraps} passes over {n} codons")
-        return fmt.format(*[alts[c % len(alts)] for c, alts in zip(cycle(codons), slots)])
+        return "".join(map(getitem, tables, cycle(codons))) + literal
 
     return decode
 

@@ -23,6 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .cachesim import CacheConfig, SimStats, simulate
 from .charmodel import CharTable, DramParams
@@ -48,17 +49,27 @@ class MissMode(Enum):
     DEMAND_PLUS_PREFETCH = "demand_plus_prefetch"
 
 
-@dataclass(frozen=True)
-class Metrics:
+class _MetricsValues(NamedTuple):
     exec_time: float  # seconds
     energy: float  # joules
 
-    def __post_init__(self):
-        if not (0 <= self.exec_time <= _MAX_FLOAT and 0 <= self.energy <= _MAX_FLOAT):
-            for name in ("exec_time", "energy"):
-                value = getattr(self, name)
+
+class Metrics(_MetricsValues):
+    """A point's (execution time, energy), each checked finite and >= 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, exec_time, energy):
+        if not (0 <= exec_time <= _MAX_FLOAT and 0 <= energy <= _MAX_FLOAT):
+            for name, value in (("exec_time", exec_time), ("energy", energy)):
                 if not math.isfinite(value) or value < 0:
                     raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+        return tuple.__new__(cls, (exec_time, energy))
+
+    @classmethod
+    def _make(cls, iterable) -> "Metrics":
+        """Build from (exec_time, energy), checked; _replace builds through it."""
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)

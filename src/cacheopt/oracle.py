@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product, starmap
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cachesim import DOMAINS, CacheConfig, SideStreams, n_sets, validate
 from .charmodel import CharTable, DramParams
@@ -76,8 +76,7 @@ class Subspace:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class RankedConfig:
+class RankedConfig(NamedTuple):
     config: CacheConfig
     metrics: Metrics
     fitness: float

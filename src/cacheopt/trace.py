@@ -8,6 +8,7 @@ size field.
 
 from __future__ import annotations
 
+import gc
 import re
 import random
 from dataclasses import dataclass
@@ -67,11 +68,21 @@ def parse_din(lines: Iterable[str], max_records: int | None = None) -> list[Trac
     max_records, parsing stops once that many records are read; the lines
     after them are not checked. cachesim.SideStreams.from_din reads the
     same text straight into per-side streams.
+
+    The cyclic garbage collector is paused while the list grows, since
+    each new record is a tracked tuple that would set off collections
+    walking the whole list; the caller's collector state is restored.
     """
     records: list[TraceRecord] = []
-    for labels, addrs in _din_chunks(lines, max_records):
-        kinds = map(_KIND_OF_BYTE.__getitem__, labels)
-        records += map(tuple.__new__, repeat(TraceRecord), zip(kinds, addrs))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for labels, addrs in _din_chunks(lines, max_records):
+            kinds = map(_KIND_OF_BYTE.__getitem__, labels)
+            records += map(tuple.__new__, repeat(TraceRecord), zip(kinds, addrs))
+    finally:
+        if enabled:
+            gc.enable()
     return records
 
 

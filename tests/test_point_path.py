@@ -8,6 +8,7 @@ named finiteness checks of the pricing inputs.
 """
 
 import math
+import pickle
 import sys
 from itertools import product
 
@@ -27,7 +28,7 @@ from cacheopt.cachesim import (
     validate,
 )
 from cacheopt.charmodel import DramParams, surrogate_generate
-from cacheopt.errors import ValidationError
+from cacheopt.errors import ConfigError, ValidationError
 from cacheopt.evolve import Evaluator
 from cacheopt.objectives import Metrics, _check_char, _check_counters
 from cacheopt.trace import gen_synthetic
@@ -76,6 +77,45 @@ def test_canonical_text_with_a_bad_value_fails_as_any_order_does(config, name, b
     assert fast is not None and issubclass(fast[0], ValidationError)
     assert fast == raised(CacheConfig.from_flags, shuffled)
     assert name in fast[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=configs, name=st.sampled_from(list(DOMAINS)),
+       bad=st.sampled_from([3000, 1024.5, -4, 7, "big", "q", None]))
+def test_make_and_replace_check_as_the_constructor_does(config, name, bad):
+    values = [bad if field == name else value for field, value in zip(DOMAINS, config)]
+    built = raised(CacheConfig, *values)
+    assert built is not None and built[0] is ConfigError and name in built[1]
+    assert raised(CacheConfig._make, values) == built
+    assert raised(lambda: config._replace(**{name: bad})) == built
+
+
+def test_metrics_make_and_replace_check_as_the_constructor_does():
+    metrics = Metrics(1.0, 2.0)
+    assert raised(lambda: metrics._replace(exec_time=-1.0)) == raised(Metrics, -1.0, 2.0) == (
+        ValidationError, "exec_time must be finite and >= 0, got -1.0"
+    )
+    assert raised(Metrics._make, (1.0, math.nan)) == raised(Metrics, 1.0, math.nan)
+    assert metrics._replace(energy=3.0) == Metrics(1.0, 3.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=configs)
+def test_config_is_the_tuple_of_its_values(config):
+    values = tuple(getattr(config, name) for name in DOMAINS)
+    assert tuple(config) == values
+    assert config == values and hash(config) == hash(values)
+    for record in (config, Metrics(1e-3, 2e-6)):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is type(record)
+
+
+def test_config_keywords_are_the_field_names():
+    kwargs = dict(zip(DOMAINS, DEFAULT_BASELINE))
+    assert CacheConfig(**kwargs) == DEFAULT_BASELINE
+    kwargs["isze"] = kwargs.pop("isize")
+    with pytest.raises(TypeError, match="isze"):
+        CacheConfig(**kwargs)
 
 
 def listed_problems(config: CacheConfig) -> tuple[str, ...]:

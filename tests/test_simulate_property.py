@@ -10,7 +10,7 @@ write policy left out; replay spells that rule out on its own.
 """
 
 import random
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from itertools import product
 
 import pytest
@@ -173,8 +173,8 @@ def crossed_points(draw, repl, fetch):
         CacheConfig(*igeo[:2], irepl, igeo[2], ifetch, *dgeo[:2], drepl, dgeo[2], dfetch, wback)
         for (igeo, (irepl, ifetch)), (dgeo, (drepl, dfetch)), wback in rows
     ]
-    points[0] = replace(points[0], irepl=repl, ifetch=fetch)
-    points[1] = replace(points[1], drepl=repl, dfetch=fetch)
+    points[0] = points[0]._replace(irepl=repl, ifetch=fetch)
+    points[1] = points[1]._replace(drepl=repl, dfetch=fetch)
     return points
 
 
@@ -200,7 +200,7 @@ def test_shared_side_memo_matches_fresh_streams(repl, fetch, data, trace, bases)
         got = simulate(config, shared, seed)
         want = simulate(config, SideStreams(trace), seed)
         assert [asdict(s) for s in got] == [asdict(s) for s in want], config.to_flags()
-        twin = replace(config, dwback="n" if config.dwback == "a" else "a")
+        twin = config._replace(dwback="n" if config.dwback == "a" else "a")
         twin_got = simulate(twin, shared, seed)
         want = replay(twin, trace, seed)
         assert [asdict(s) for s in twin_got] == [asdict(s) for s in want], twin.to_flags()
@@ -353,12 +353,12 @@ def test_open_pass_at_the_capacity_edge(blocks):
 def test_mutating_a_result_leaves_the_side_memo_alone():
     trace = gen_synthetic("mixed", 400, 1)
     streams = SideStreams(trace)
-    config = replace(DEFAULT_BASELINE, dwback="n")
+    config = DEFAULT_BASELINE._replace(dwback="n")
     expected = [asdict(s) for s in simulate(config, streams)]
     assert expected[1]["write_throughs"] > 0
     for stats in simulate(config, streams):
         spoil(stats)
     assert [asdict(s) for s in simulate(config, streams)] == expected
     # Another point with the same I-side reads the same stored counters.
-    istats, _ = simulate(replace(config, dsize=512), streams)
+    istats, _ = simulate(config._replace(dsize=512), streams)
     assert asdict(istats) == expected[0]

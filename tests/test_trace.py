@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 
@@ -129,6 +130,28 @@ def test_max_records_must_not_be_negative():
         parse_din(lines, max_records=-1)
     with pytest.raises(ValueError, match="max_records must be >= 0, got -1"):
         SideStreams.from_din(lines, max_records=-1)
+
+
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_parse_din_pauses_the_collector_and_restores_its_state(was_enabled):
+    seen = []
+
+    def lines(tail):
+        for line in ["2 10\n", "0 20\n", tail]:
+            seen.append(gc.isenabled())
+            yield line
+
+    restore = gc.isenabled()
+    try:
+        (gc.enable if was_enabled else gc.disable)()
+        assert len(parse_din(lines("1 30\n"))) == 3
+        assert gc.isenabled() is was_enabled
+        with pytest.raises(TraceError, match="line 3"):
+            parse_din(lines("garbage\n"))
+        assert gc.isenabled() is was_enabled
+        assert seen == [False] * 6
+    finally:
+        (gc.enable if restore else gc.disable)()
 
 
 def test_side_streams_len_counts_records():
