@@ -8,7 +8,9 @@ physical byte addresses straight from the trace.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
+import sys
 from array import array
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from itertools import compress
 from operator import contains
 from typing import Iterable, NamedTuple
 
-from .errors import ConfigError, FlagTextError, InfeasibleConfigError
+from .errors import ConfigError, FlagTextError, InfeasibleConfigError, ValidationError
 from .trace import AccessKind, TraceRecord, _din_chunks
 
 CACHE_SIZES = (512, 1024, 2048, 4096, 8192, 16384, 32768, 65536)
@@ -167,15 +169,7 @@ def validate(config: CacheConfig) -> Feasibility:
     ))
 
 
-@dataclass
-class SimStats:
-    """Event counters for one cache side.
-
-    demand hits = accesses - demand_misses. Prefetch fills are tracked
-    apart from demand misses and are never counted as accesses. Dirty
-    blocks left at end of trace land in final_flush, not write_backs.
-    """
-
+class _SimCounts(NamedTuple):
     accesses: int = 0
     demand_misses: int = 0
     prefetch_fills: int = 0
@@ -183,9 +177,58 @@ class SimStats:
     write_throughs: int = 0
     final_flush: int = 0
 
+
+# The counters pricing reads, each checked finite and >= 0 whenever a SimStats is built.
+_PRICED_COUNTERS = ("accesses", "demand_misses", "prefetch_fills")
+
+# [0, _MAX_FLOAT] passes; any other value, ints past float range too, takes the named check.
+_MAX_FLOAT = sys.float_info.max
+
+
+def _check_counters(*counters) -> None:
+    for name, value in zip(_PRICED_COUNTERS, counters):
+        if value < 0 or not math.isfinite(value):
+            raise ValidationError(f"counter {name} must be finite and >= 0, got {value!r}")
+
+
+class SimStats(_SimCounts):
+    """Event counters for one cache side: a tuple of six counts, its
+    priced counters checked whenever one is built.
+
+    demand hits = accesses - demand_misses. Prefetch fills are tracked
+    apart from demand misses and are never counted as accesses. Dirty
+    blocks left at end of trace land in final_flush, not write_backs.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, accesses=0, demand_misses=0, prefetch_fills=0, write_backs=0,
+                write_throughs=0, final_flush=0):
+        if not (0 <= accesses <= _MAX_FLOAT and 0 <= demand_misses <= _MAX_FLOAT
+                and 0 <= prefetch_fills <= _MAX_FLOAT):
+            _check_counters(accesses, demand_misses, prefetch_fills)
+        return tuple.__new__(cls, (accesses, demand_misses, prefetch_fills, write_backs,
+                                   write_throughs, final_flush))
+
+    @classmethod
+    def _make(cls, iterable) -> "SimStats":
+        """Build from six counts in field order, checked; _replace builds through it."""
+        return cls(*iterable)
+
     @property
     def demand_hits(self) -> int:
         return self.accesses - self.demand_misses
+
+
+@dataclass
+class _Tally:
+    """CacheUnit's running counts; its stats property reads them."""
+
+    accesses: int = 0
+    demand_misses: int = 0
+    prefetch_fills: int = 0
+    write_backs: int = 0
+    write_throughs: int = 0
 
 
 class StepOutcome(NamedTuple):
@@ -231,7 +274,14 @@ class CacheUnit:
             )
         self.sets: list[OrderedDict] = [OrderedDict() for _ in range(self.n_sets)]
         self._rng = rng if rng is not None else random.Random(0)
-        self.stats = SimStats()
+        self._tally = _Tally()
+
+    @property
+    def stats(self) -> SimStats:
+        """The counts so far, with the dirty blocks now resident as final_flush."""
+        t = self._tally
+        return SimStats(t.accesses, t.demand_misses, t.prefetch_fills, t.write_backs,
+                        t.write_throughs, self.count_dirty())
 
     def step(self, record: TraceRecord) -> StepOutcome:
         """Apply one access and report its outcome."""
@@ -239,16 +289,16 @@ class CacheUnit:
             raise ValueError(
                 f"{record.kind.name} record routed to the {self.side.upper()}-cache"
             )
-        st = self.stats
-        misses, fills = st.demand_misses, st.prefetch_fills
+        t = self._tally
+        misses, fills = t.demand_misses, t.prefetch_fills
         self._access(record.kind, record.address)
         return StepOutcome(
-            hit=st.demand_misses == misses,
-            prefetch_fills=st.prefetch_fills - fills,
+            hit=t.demand_misses == misses,
+            prefetch_fills=t.prefetch_fills - fills,
         )
 
     def _access(self, kind: int, address: int) -> None:
-        st = self.stats
+        st = self._tally
         st.accesses += 1
         bi = address // self.block
         entries = self.sets[bi % self.n_sets]
@@ -277,7 +327,7 @@ class CacheUnit:
             else:
                 _, victim_dirty = entries.popitem(last=False)
             if victim_dirty:
-                self.stats.write_backs += 1
+                self._tally.write_backs += 1
         entries[tag] = dirty
 
     def _prefetch(self, bi: int) -> None:
@@ -285,7 +335,7 @@ class CacheUnit:
         tag = bi // self.n_sets
         if tag not in entries:
             self._fill(entries, tag, False)
-            self.stats.prefetch_fills += 1
+            self._tally.prefetch_fills += 1
 
     def count_dirty(self) -> int:
         return sum(1 for entries in self.sets for dirty in entries.values() if dirty)
@@ -306,7 +356,8 @@ class SideStreams:
     and kept. Streams are compact arrays: addresses and block numbers as
     unsigned 64-bit, write flags as bytes.
 
-    Each side's engine counts are memoized too, keyed on its geometry,
+    Each side's SimStats are memoized too, one for each write policy,
+    built once and returned as they are on every hit; keyed on its geometry,
     replacement and fetch policy (not its write policy), plus the seed base
     for a random side: the I-cache sees only ifetches and the D-cache only
     reads and writes, and a random side is seeded from its own flags, so one
@@ -345,7 +396,7 @@ class SideStreams:
         self.dwrites = bytes(dwrites)
         self.writes = self.dwrites.count(1)
         self._blocks: dict[tuple[str, int, bool], tuple[array, bytes]] = {}
-        self._counts: dict[tuple, tuple[int, ...]] = {}
+        self._counts: dict[tuple, tuple[SimStats, SimStats]] = {}
         self._distinct: dict[tuple[str, int], int] = {}
         self._open: dict[tuple[str, int, str], tuple[tuple[int, ...], array]] = {}
         self._shares: dict[tuple[str, int, str, int], int] = {}
@@ -399,22 +450,25 @@ def _simulate_side(
     dirty flags never pick a victim, so write-through only drops the
     write-backs and flush and counts every write. A direct-mapped side has
     one victim whatever its replacement policy, so its `l`, `f` and `r`
-    twins share one FIFO pass, seed base dropped. A hit returns a new
-    SimStats, so a caller that mutates its result cannot change a later one.
-    A side that never evicts takes the open pass's counters instead.
+    twins share one FIFO pass, seed base dropped. The memo keeps both
+    policies' SimStats, built once when the side is first computed, and a
+    hit returns the stored one. A side that never evicts takes the open
+    pass's counters instead.
     """
     if assoc == 1:
         repl = "f"
     key = (side, size, block, assoc, repl, fetch, rng_seed if repl == "r" else 0)
-    counts = streams._counts.get(key)
-    if counts is None:
-        counts = (_open_counts(streams, side, size, block, assoc, fetch)
-                  or _run_side(streams, side, size, block, assoc, repl, fetch, rng_seed))
-        streams._counts[key] = counts
-    accesses, misses, fills, write_backs, dirty = counts
-    if write_back:
-        return SimStats(accesses, misses, fills, write_backs, 0, dirty)
-    return SimStats(accesses, misses, fills, 0, streams.writes, 0)
+    pair = streams._counts.get(key)
+    if pair is None:
+        accesses, misses, fills, write_backs, dirty = (
+            _open_counts(streams, side, size, block, assoc, fetch)
+            or _run_side(streams, side, size, block, assoc, repl, fetch, rng_seed))
+        writes = streams.writes if side == "d" else 0
+        pair = streams._counts[key] = (
+            SimStats(accesses, misses, fills, write_backs, 0, dirty),
+            SimStats(accesses, misses, fills, 0, writes, 0),
+        )
+    return pair[0] if write_back else pair[1]
 
 
 def _open_counts(

@@ -20,21 +20,17 @@ here. Units are seconds, joules, watts, bytes, bytes/second throughout.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .cachesim import CacheConfig, SimStats, simulate
+from .cachesim import _MAX_FLOAT, CacheConfig, SimStats, simulate
 from .charmodel import CharTable, DramParams
 from .errors import ValidationError
 
 #: Fitness assigned to structurally infeasible configurations. Finite so
 #: selection stays total-ordered; large enough that any feasible point wins.
 INFEASIBLE_FITNESS = 1.0e9
-
-# [0, _MAX_FLOAT] passes; any other value, ints past float range too, takes the named check.
-_MAX_FLOAT = sys.float_info.max
 
 
 class MissMode(Enum):
@@ -88,21 +84,6 @@ class FitnessWeights:
         return cls(w_time=w_time, w_energy=1.0 - w_time)
 
 
-def _effective_misses(stats: SimStats, miss_mode: MissMode) -> int:
-    if miss_mode is MissMode.DEMAND_PLUS_PREFETCH:
-        return stats.demand_misses + stats.prefetch_fills
-    return stats.demand_misses
-
-
-def _check_counters(stats: SimStats) -> None:
-    if not (0 <= stats.accesses <= _MAX_FLOAT and 0 <= stats.demand_misses <= _MAX_FLOAT
-            and 0 <= stats.prefetch_fills <= _MAX_FLOAT):
-        for name in ("accesses", "demand_misses", "prefetch_fills"):
-            value = getattr(stats, name)
-            if value < 0 or not math.isfinite(value):
-                raise ValidationError(f"counter {name} must be finite and >= 0, got {value!r}")
-
-
 def _check_char(pair: tuple[float, float]) -> None:
     for value in pair:
         if not 0 <= value <= _MAX_FLOAT and (not math.isfinite(value) or value < 0):
@@ -118,13 +99,12 @@ def _price(
     dram: DramParams,
     miss_mode: MissMode,
 ) -> tuple[float, float]:
-    """(execution time, energy), with each side's inputs checked once."""
-    _check_counters(istats)
-    _check_counters(dstats)
-    _check_char(ichar)
-    _check_char(dchar)
-    im = _effective_misses(istats, miss_mode)
-    dm = _effective_misses(dstats, miss_mode)
+    """(execution time, energy) of inputs checked where they were made: a
+    SimStats checks its counters when built, a CharTable its rows when loaded."""
+    im, dm = istats.demand_misses, dstats.demand_misses
+    if miss_mode is MissMode.DEMAND_PLUS_PREFETCH:
+        im += istats.prefetch_fills
+        dm += dstats.prefetch_fills
     t = (
         istats.accesses * ichar[0]
         + im * dram.access_time
@@ -156,6 +136,8 @@ def exec_time(
     miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
 ) -> float:
     """Execution time in seconds attributable to the cache subsystem."""
+    _check_char(ichar)
+    _check_char(dchar)
     return _price(istats, dstats, ichar, dchar, config, dram, miss_mode)[0]
 
 
@@ -169,6 +151,8 @@ def energy(
     miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
 ) -> float:
     """Dynamic energy in joules attributable to the cache subsystem."""
+    _check_char(ichar)
+    _check_char(dchar)
     return _price(istats, dstats, ichar, dchar, config, dram, miss_mode)[1]
 
 

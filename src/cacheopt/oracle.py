@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product, starmap
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .cachesim import DOMAINS, CacheConfig, SideStreams, n_sets, validate
@@ -61,6 +62,18 @@ class Subspace:
     def configs(self) -> Iterable[CacheConfig]:
         return starmap(CacheConfig, product(*(getattr(self, name) for name in DOMAINS)))
 
+    def flag_ordered(self) -> Iterable[CacheConfig]:
+        """The points in to_flags() text order, each built once.
+
+        Each parameter's values are sorted by their text, and the product
+        of those lists is in flag-text order: two flag texts first differ at
+        the first differing value, and where one value's text is a prefix of
+        the other's ("1" and "16"), the shorter is followed by a space,
+        which sorts below every digit, as the shorter text sorts first.
+        """
+        return starmap(CacheConfig, product(
+            *(sorted(getattr(self, name), key=str) for name in DOMAINS)))
+
     def triples(self) -> set[tuple[int, int, int]]:
         """(size, block, assoc) of the I and D sides of every feasible point,
         i.e. the characterization rows that exhaustive looks up."""
@@ -104,13 +117,16 @@ def exhaustive(
     Deterministic and rng-free: sim_seed_base (default 0) is simulate's
     seed base, so a random-replacement side is seeded from it and its own
     flags, and each distinct side runs once. Ties in fitness are broken by
-    canonical flag-text order.
+    canonical flag-text order: the points are walked in that order
+    (Subspace.flag_ordered) and sorted stably on fitness alone. Infeasible
+    points keep Subspace.configs() order, put back by each value's place in
+    its list.
     """
     sub.check_cap(cap)
     streams = SideStreams.of(trace)
     ranked = []
     infeasible = []
-    for config in sub.configs():
+    for config in sub.flag_ordered():
         verdict = validate(config)
         if not verdict:
             infeasible.append((config, verdict.problems))
@@ -119,7 +135,10 @@ def exhaustive(
             config, streams, table, dram, miss_mode, rng_seed=sim_seed_base
         )
         ranked.append(RankedConfig(config, metrics, fitness(metrics, baseline, weights)))
-    ranked.sort(key=lambda r: (r.fitness, r.config.to_flags()))
+    ranked.sort(key=itemgetter(2))  # the fitness
+    if infeasible:
+        places = [{v: i for i, v in enumerate(getattr(sub, name))} for name in DOMAINS]
+        infeasible.sort(key=lambda item: tuple(map(dict.__getitem__, places, item[0])))
     return ExhaustiveResult(tuple(ranked), tuple(infeasible))
 
 

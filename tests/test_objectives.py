@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-import cacheopt.objectives
-from cacheopt.cachesim import DEFAULT_BASELINE, CacheConfig, SimStats
+from cacheopt.cachesim import DEFAULT_BASELINE, CacheConfig, SideStreams, SimStats, simulate
 from cacheopt.charmodel import DramParams, surrogate_generate
 from cacheopt.errors import ValidationError
 from cacheopt.objectives import (
@@ -88,9 +87,12 @@ def test_miss_mode_prices_prefetch_traffic():
 
 
 def test_negative_and_nonfinite_inputs_rejected():
-    bad = SimStats(accesses=-1)
+    with pytest.raises(ValidationError, match="counter accesses"):
+        SimStats(accesses=-1)
+    with pytest.raises(ValidationError, match="counter prefetch_fills"):
+        stats(prefetch=float("nan"))
     with pytest.raises(ValidationError):
-        exec_time(bad, stats(), ICHAR, DCHAR, DEFAULT_BASELINE, DRAM)
+        exec_time(stats(), stats(), ICHAR, (2e-9, -1.0), DEFAULT_BASELINE, DRAM)
     with pytest.raises(ValidationError):
         energy(stats(), stats(), (float("nan"), 1e-11), DCHAR, DEFAULT_BASELINE, DRAM)
     with pytest.raises(ValidationError):
@@ -168,15 +170,23 @@ def test_energy_rescaling_preserves_ordering():
 
 
 def test_config_metrics_checks_each_side_once(monkeypatch):
-    trace = gen_synthetic("mixed", 200, 1)
+    """A SimStats is checked when built. Each memoized side builds one per
+    write policy, once; pricing a point again, or its write-policy twin,
+    builds and checks none."""
+    streams = SideStreams(gen_synthetic("mixed", 200, 1))
     table = surrogate_generate(0)
-    checked = []
-    real = cacheopt.objectives._check_counters
-    monkeypatch.setattr(cacheopt.objectives, "_check_counters",
-                        lambda s: (checked.append(s), real(s)))
-    metrics = config_metrics(DEFAULT_BASELINE, trace, table, DRAM)
-    assert len(checked) == 2  # one I side, one D side
-    istats, dstats = checked
+    built = []
+    real = SimStats.__new__
+    monkeypatch.setattr(SimStats, "__new__",
+                        lambda cls, *args: (built.append(args), real(cls, *args))[1])
+    metrics = config_metrics(DEFAULT_BASELINE, streams, table, DRAM)
+    assert len(built) == 4  # one I side and one D side, each for both write policies
+    assert config_metrics(DEFAULT_BASELINE, streams, table, DRAM) == metrics
+    config_metrics(DEFAULT_BASELINE._replace(dwback="n"), streams, table, DRAM)
+    assert len(built) == 4
+    istats, dstats = simulate(DEFAULT_BASELINE, streams)
+    _, through = simulate(DEFAULT_BASELINE._replace(dwback="n"), streams)
+    assert built == [tuple(istats), tuple(istats), tuple(dstats), tuple(through)]
     char = table.lookup(16384, 32, 4)  # the baseline's I and D rows
     assert metrics.exec_time == exec_time(istats, dstats, char, char, DEFAULT_BASELINE, DRAM)
     assert metrics.energy == energy(istats, dstats, char, char, DEFAULT_BASELINE, DRAM)

@@ -3,20 +3,21 @@ from collections import Counter
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cacheopt import cachesim, objectives, oracle
 from cacheopt.cachesim import (
     DEFAULT_BASELINE, DOMAINS, FLAG_ORDER, CacheConfig, CacheUnit, SideStreams, simulate,
+    validate,
 )
 from cacheopt.charmodel import DramParams, surrogate_generate
 from cacheopt.errors import MappingError, SubspaceCapError, ValidationError
 from cacheopt.evolve import Evaluator, GEParams, evolve
 from cacheopt.grammar import DEFAULT_GRAMMAR, map_genotype, parse_bnf
-from cacheopt.objectives import config_metrics
+from cacheopt.objectives import config_metrics, fitness
 from cacheopt.oracle import Subspace, exhaustive, reference_lru
-from cacheopt.trace import AccessKind, TraceRecord, gen_synthetic
+from cacheopt.trace import PROFILES, AccessKind, TraceRecord, gen_synthetic
 
 TABLE = surrogate_generate(1)
 DRAM = DramParams()
@@ -214,7 +215,6 @@ def replay_metrics(config, trace, rng_seed):
     }
     for record in trace:
         units["i" if record.kind == AccessKind.IFETCH else "d"].step(record)
-    units["d"].stats.final_flush = units["d"].count_dirty()
     return objectives.metrics_from_stats(
         units["i"].stats, units["d"].stats, TABLE, config, DRAM,
         objectives.MissMode.DEMAND_PLUS_PREFETCH,
@@ -254,6 +254,45 @@ def test_exhaustive_sorted_and_deterministic():
     assert fits == sorted(fits)
     assert [r.config for r in a.ranked] == [r.config for r in b.ranked]
     assert [r.fitness for r in a.ranked] == [r.fitness for r in b.ranked]
+
+
+@st.composite
+def listed_subspaces(draw, max_points=48):
+    """Subspaces of at most max_points points over every policy class,
+    each parameter's values listed in a drawn order."""
+    values, room = {}, max_points
+    for name in draw(st.permutations(list(DOMAINS))):
+        most = min(len(DOMAINS[name]), 3, room)
+        values[name] = tuple(draw(st.lists(st.sampled_from(DOMAINS[name]), min_size=1,
+                                           max_size=most, unique=True)))
+        room //= len(values[name])
+    return Subspace(**values)
+
+
+# A failure reports unshrunk: shrinking one took minutes.
+@settings(max_examples=60, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(sub=listed_subspaces(),
+       trace=st.builds(gen_synthetic, st.sampled_from(PROFILES), st.integers(20, 300),
+                       st.integers(0, 2**32 - 1)),
+       base=st.integers(0, 2**64 - 1))
+def test_flag_ordered_walk_ranks_as_the_flag_text_sort(sub, trace, base):
+    """exhaustive walks the points in flag-text order and sorts on fitness
+    alone; that equals the rule it replaces, a sort on (fitness, flag
+    text), bit for bit, while infeasible points keep configs() order."""
+    configs = list(sub.configs())
+    assert list(sub.flag_ordered()) == sorted(configs, key=CacheConfig.to_flags)
+    baseline = baseline_metrics(trace)
+    result = exhaustive(sub, trace, TABLE, DRAM, baseline, sim_seed_base=base)
+    points = []
+    for config in configs:
+        if validate(config):
+            metrics = config_metrics(config, trace, TABLE, DRAM, rng_seed=base)
+            points.append(oracle.RankedConfig(config, metrics, fitness(metrics, baseline)))
+    expected = sorted(points, key=lambda r: (r.fitness, r.config.to_flags()))
+    assert repr(result.ranked) == repr(tuple(expected))
+    assert result.infeasible == tuple(
+        (config, validate(config).problems) for config in configs if not validate(config))
 
 
 def test_exhaustive_reports_infeasible_with_constraint():

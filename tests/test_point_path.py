@@ -30,7 +30,7 @@ from cacheopt.cachesim import (
 from cacheopt.charmodel import DramParams, surrogate_generate
 from cacheopt.errors import ConfigError, ValidationError
 from cacheopt.evolve import Evaluator
-from cacheopt.objectives import Metrics, _check_char, _check_counters
+from cacheopt.objectives import Metrics, _check_char
 from cacheopt.trace import gen_synthetic
 
 configs = st.builds(CacheConfig, *(st.sampled_from(domain) for domain in DOMAINS.values()))
@@ -145,9 +145,9 @@ def test_validate_verdict_matches_the_problem_list_on_every_geometry_pair():
 
 
 # The finiteness checks as they stood, each value tested by name.
-def named_check_counters(stats):
-    for name in ("accesses", "demand_misses", "prefetch_fills"):
-        value = getattr(stats, name)
+def named_check_counters(accesses, demand_misses, prefetch_fills):
+    for name, value in (("accesses", accesses), ("demand_misses", demand_misses),
+                        ("prefetch_fills", prefetch_fills)):
         if value < 0 or not math.isfinite(value):
             raise ValidationError(f"counter {name} must be finite and >= 0, got {value!r}")
 
@@ -174,8 +174,13 @@ values = st.one_of(st.sampled_from(EDGES), st.floats(), st.integers(),
 @settings(max_examples=300, deadline=None)
 @given(a=values, b=values, c=values)
 def test_counter_checks_raise_as_the_named_check(a, b, c):
-    stats = SimStats(accesses=a, demand_misses=b, prefetch_fills=c)
-    assert raised(_check_counters, stats) == raised(named_check_counters, stats)
+    named = raised(named_check_counters, a, b, c)
+    assert raised(SimStats, a, b, c) == named
+    assert raised(SimStats._make, (a, b, c, 4, 5, 6)) == named
+    assert raised(lambda: SimStats()._replace(accesses=a, demand_misses=b,
+                                              prefetch_fills=c)) == named
+    if named is None:
+        assert SimStats._make((a, b, c, 4, 5, 6)) == (a, b, c, 4, 5, 6)
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,7 +192,9 @@ def test_characterization_and_metrics_checks_raise_as_the_named_check(a, b):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1, 10**400])
 def test_bad_pricing_inputs_still_raise(value):
-    assert raised(_check_counters, SimStats(accesses=value)) is not None
+    assert raised(SimStats, value) is not None
+    assert raised(SimStats._make, (0, value, 0, 0, 0, 0)) is not None
+    assert raised(lambda: SimStats()._replace(prefetch_fills=value)) is not None
     assert raised(_check_char, (1.0, value)) is not None
     assert raised(Metrics, value, 1.0) is not None
     if value == 10**400:  # too large for a float, as math.isfinite says

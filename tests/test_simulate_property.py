@@ -10,7 +10,6 @@ write policy left out; replay spells that rule out on its own.
 """
 
 import random
-from dataclasses import asdict, fields
 from itertools import product
 
 import pytest
@@ -62,7 +61,6 @@ def replay(config: CacheConfig, trace, rng_seed: int):
     )
     for record in trace:
         (icache if record.kind == AccessKind.IFETCH else dcache).step(record)
-    dcache.stats.final_flush = dcache.count_dirty()
     return icache.stats, dcache.stats
 
 
@@ -106,7 +104,7 @@ seeds = st.integers(0, 2**64 - 1)
 def assert_matches_replay(config, trace, rng_seed):
     got = simulate(config, trace, rng_seed)
     want = replay(config, trace, rng_seed)
-    assert [asdict(s) for s in got] == [asdict(s) for s in want], config.to_flags()
+    assert [s._asdict() for s in got] == [s._asdict() for s in want], config.to_flags()
 
 
 @pytest.mark.parametrize("repl,fetch", CLASSES)
@@ -147,9 +145,11 @@ def test_trace_forms_give_equal_results(data, trace, rng_seed):
 
 
 def spoil(stats) -> None:
-    """Overwrite every counter, as a careless caller might."""
-    for f in fields(stats):
-        setattr(stats, f.name, -1)
+    """Try to overwrite every counter, as a careless caller might: each
+    assignment raises, so no caller can change a stored result."""
+    for name in SimStats._fields:
+        with pytest.raises(AttributeError):
+            setattr(stats, name, -1)
 
 
 @st.composite
@@ -199,11 +199,11 @@ def test_shared_side_memo_matches_fresh_streams(repl, fetch, data, trace, bases)
         seed = data.draw(st.sampled_from(bases))
         got = simulate(config, shared, seed)
         want = simulate(config, SideStreams(trace), seed)
-        assert [asdict(s) for s in got] == [asdict(s) for s in want], config.to_flags()
+        assert [s._asdict() for s in got] == [s._asdict() for s in want], config.to_flags()
         twin = config._replace(dwback="n" if config.dwback == "a" else "a")
         twin_got = simulate(twin, shared, seed)
         want = replay(twin, trace, seed)
-        assert [asdict(s) for s in twin_got] == [asdict(s) for s in want], twin.to_flags()
+        assert [s._asdict() for s in twin_got] == [s._asdict() for s in want], twin.to_flags()
         for stats in (*got, *twin_got):
             spoil(stats)
 
@@ -264,13 +264,12 @@ def test_random_side_depends_only_on_its_own_flags(fetch, data, trace, base):
 
 
 def replay_side(trace, side, size, block, assoc, repl, fetch, rng_seed):
-    """One side's CacheUnit after a replay of its records, final_flush set."""
+    """One side's CacheUnit after a replay of its records."""
     unit = CacheUnit(side, size, block, assoc, repl, fetch,
                      rng=side_rng(rng_seed, side, size, block, assoc, fetch))
     for record in trace:
         if (record.kind == AccessKind.IFETCH) == (side == "i"):
             unit.step(record)
-    unit.stats.final_flush = unit.count_dirty()
     return unit
 
 
@@ -354,11 +353,14 @@ def test_mutating_a_result_leaves_the_side_memo_alone():
     trace = gen_synthetic("mixed", 400, 1)
     streams = SideStreams(trace)
     config = DEFAULT_BASELINE._replace(dwback="n")
-    expected = [asdict(s) for s in simulate(config, streams)]
+    first = simulate(config, streams)
+    expected = [s._asdict() for s in first]
     assert expected[1]["write_throughs"] > 0
-    for stats in simulate(config, streams):
+    for stats in first:
         spoil(stats)
-    assert [asdict(s) for s in simulate(config, streams)] == expected
+    again = simulate(config, streams)
+    assert again[0] is first[0] and again[1] is first[1]  # a hit returns the stored SimStats
+    assert [s._asdict() for s in again] == expected
     # Another point with the same I-side reads the same stored counters.
     istats, _ = simulate(config._replace(dsize=512), streams)
-    assert asdict(istats) == expected[0]
+    assert istats is first[0]
