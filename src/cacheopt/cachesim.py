@@ -14,6 +14,7 @@ import sys
 from array import array
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 from operator import contains
 from typing import Iterable, NamedTuple
@@ -98,7 +99,7 @@ class CacheConfig(_ConfigValues):
         if tuple(tokens[::2]) == FLAG_ORDER:  # canonical order; a bad value is named below
             values = list(map(dict.get, _TOKEN_VALUES, tokens[1::2]))
             if None not in values:
-                return cls(*values)
+                return _from_checked(values)
         seen: dict[str, str] = {}
         for flag, value in zip(tokens[::2], tokens[1::2]):
             if flag not in FLAG_ORDER:
@@ -128,6 +129,11 @@ class CacheConfig(_ConfigValues):
                 kwargs[name] = value
         return cls(**kwargs)
 
+
+# Builds a CacheConfig from 11 values in DOMAINS order without __new__'s domain
+# test: only for values that were already checked (a Subspace's value lists,
+# VALUE_TOKENS' values), where that test would find nothing.
+_from_checked = partial(tuple.__new__, CacheConfig)
 
 # Normalization reference: 16 KB / 32 B / 4-way, LRU, demand fetch,
 # copy-back data cache (a common embedded L1).

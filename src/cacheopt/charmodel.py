@@ -8,10 +8,11 @@ Instruction and data caches share rows. Tables are immutable after load.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -21,6 +22,10 @@ from .errors import CharLookupError, CharTableError, ValidationError
 ALL_TRIPLES = tuple(product(CACHE_SIZES, BLOCK_SIZES, ASSOCIATIVITIES))
 
 CSV_HEADER = ("size", "block", "assoc", "access_time_s", "access_energy_j")
+_HEADER_LINE = ",".join(CSV_HEADER)
+
+# size, block and assoc values by their canonical spellings, read without int().
+_INT_TOKENS = {str(v): v for v in {*CACHE_SIZES, *BLOCK_SIZES, *ASSOCIATIVITIES}}
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,64 @@ def load_table(path: str | Path, strict: bool = False) -> CharTable:
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        lines = fh.readlines()
+        text = fh.read()
+    pairs = _plain_pairs(text)
+    table = CharTable(())  # filled with pairs, checked as rows are, not CharRows
+    table._table = _checked_pairs(_read_rows(path, text)) if pairs is None else pairs
+    if strict:
+        table.check_complete()
+    return table
+
+
+def _plain_pairs(text: str) -> dict | None:
+    """The lookup dict of a plain table text, built a column at a time, or
+    None for any text or value that only _read_rows may judge.
+
+    Plain text is the exact header line, then data lines of exactly four
+    commas each, with no `#`, `"` or carriage return anywhere: csv.reader
+    splits such a line at its commas alone, and no line is a comment or
+    blank. The lookup dict equals _read_rows' then, in key order and bit
+    for bit, since each field goes through the same int or float.
+    """
+    header, _, body = text.partition("\n")
+    if header != _HEADER_LINE or "#" in text or '"' in text or "\r" in text:
+        return None
+    lines = body.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty text after the final newline
+    if not lines:
+        return {}
+    if list(map(str.count, lines, repeat(","))).count(4) != len(lines):
+        return None
+    limit = csv.field_size_limit()  # csv.reader refuses a longer field
+    if len(body) > limit and max(map(len, lines)) > limit:
+        return None
+    fields = ",".join(lines).split(",")
+    try:
+        try:
+            keys = list(zip(*(map(_INT_TOKENS.__getitem__, fields[i::5]) for i in range(3))))
+        except KeyError:  # a spelling such as "0512" or "5_12": int() reads it
+            keys = list(zip(*(map(int, fields[i::5]) for i in range(3))))
+        times = list(map(float, fields[3::5]))
+        energies = list(map(float, fields[4::5]))
+    except ValueError:
+        return None
+    for column in (times, energies):
+        if not (all(map((0.0).__lt__, column)) and all(map(math.inf.__gt__, column))):
+            return None
+    table = dict(zip(keys, zip(times, energies)))
+    return table if len(table) == len(keys) else None
+
+
+def _read_rows(path: Path, text: str) -> list[tuple[tuple[int, int, int], tuple[float, float]]]:
+    """The (triple, (access_time, access_energy)) items of a table text, read
+    row by row with csv.reader; the only code that names a bad file line.
+
+    The text is split into lines as readlines() splits a file opened with
+    newline="": at \\n, \\r and \\r\\n only (str.splitlines also splits at
+    \\f, \\v and others).
+    """
+    lines = io.StringIO(text, newline="").readlines()
     data = [i for i, line in enumerate(lines) if line.lstrip()[:1] not in ("", "#")]
     reader = csv.reader(map(lines.__getitem__, data))
     try:
@@ -136,11 +198,7 @@ def load_table(path: str | Path, strict: bool = False) -> CharTable:
                           (float(fields[3]), float(fields[4]))))
         except ValueError as exc:
             raise CharTableError(f"{path}: line {lineno}: {exc}") from None
-    table = CharTable(())  # filled with pairs, checked as rows are, not CharRows
-    table._table = _checked_pairs(pairs)
-    if strict:
-        table.check_complete()
-    return table
+    return pairs
 
 
 def save_table(table: CharTable, path: str | Path) -> None:

@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product, starmap
-from operator import itemgetter
+from operator import and_, itemgetter
 from typing import Iterable, NamedTuple
 
-from .cachesim import DOMAINS, CacheConfig, SideStreams, n_sets, validate
+from .cachesim import DOMAINS, CacheConfig, SideStreams, _from_checked, n_sets, validate
 from .charmodel import CharTable, DramParams
 from .errors import SubspaceCapError, ValidationError
 from .objectives import FitnessWeights, Metrics, MissMode, config_metrics, fitness
@@ -60,7 +60,10 @@ class Subspace:
             )
 
     def configs(self) -> Iterable[CacheConfig]:
-        return starmap(CacheConfig, product(*(getattr(self, name) for name in DOMAINS)))
+        return map(_from_checked, product(*(getattr(self, name) for name in DOMAINS)))
+
+    def _flag_lists(self) -> list[list]:
+        return [sorted(getattr(self, name), key=str) for name in DOMAINS]
 
     def flag_ordered(self) -> Iterable[CacheConfig]:
         """The points in to_flags() text order, each built once.
@@ -71,14 +74,31 @@ class Subspace:
         the other's ("1" and "16"), the shorter is followed by a space,
         which sorts below every digit, as the shorter text sorts first.
         """
-        return starmap(CacheConfig, product(
-            *(sorted(getattr(self, name), key=str) for name in DOMAINS)))
+        return map(_from_checked, product(*self._flag_lists()))
+
+    def flag_ordered_feasible(self) -> Iterable[bool]:
+        """Whether each point of flag_ordered() is feasible, in that order.
+
+        Feasibility is decided once per side, as triples() decides it: the
+        I values lead each point, so the walk is the product of the I parts'
+        verdicts and the D parts'.
+        """
+        lists = self._flag_lists()
+        iside, dside = self._feasible_sides("i"), self._feasible_sides("d")
+        iparts = [(s, b, a) in iside for s, b, _, a, _ in product(*lists[:5])]
+        dparts = [(s, b, a) in dside for s, b, _, a, _, _ in product(*lists[5:])]
+        return starmap(and_, product(iparts, dparts))
+
+    def _feasible_sides(self, side: str) -> set[tuple[int, int, int]]:
+        """The (size, block, assoc) triples of one side ('i' or 'd') that
+        hold at least one set, the geometry rule of validate."""
+        lists = (getattr(self, side + name) for name in ("size", "bsize", "assoc"))
+        return {t for t in product(*lists) if n_sets(*t)}
 
     def triples(self) -> set[tuple[int, int, int]]:
         """(size, block, assoc) of the I and D sides of every feasible point,
         i.e. the characterization rows that exhaustive looks up."""
-        iside = {t for t in product(self.isize, self.ibsize, self.iassoc) if n_sets(*t)}
-        dside = {t for t in product(self.dsize, self.dbsize, self.dassoc) if n_sets(*t)}
+        iside, dside = self._feasible_sides("i"), self._feasible_sides("d")
         return iside | dside if iside and dside else set()
 
     def grammar_text(self) -> str:
@@ -126,10 +146,9 @@ def exhaustive(
     streams = SideStreams.of(trace)
     ranked = []
     infeasible = []
-    for config in sub.flag_ordered():
-        verdict = validate(config)
-        if not verdict:
-            infeasible.append((config, verdict.problems))
+    for config, feasible in zip(sub.flag_ordered(), sub.flag_ordered_feasible()):
+        if not feasible:  # simulate checks each feasible point itself
+            infeasible.append((config, validate(config).problems))
             continue
         metrics = config_metrics(
             config, streams, table, dram, miss_mode, rng_seed=sim_seed_base

@@ -1,7 +1,16 @@
-import pytest
+import csv
+import math
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cacheopt import charmodel
 from cacheopt.charmodel import (
     ALL_TRIPLES,
+    CSV_HEADER,
     CharRow,
     CharTable,
     DramParams,
@@ -232,3 +241,180 @@ def test_dram_file_accepts_integral_size_in_float_spelling(tmp_path):
     path = tmp_path / "dram.toml"
     path.write_text("dram.size_bytes = 3.3554432e7\n")
     assert load_dram_params(path).size == 33554432
+
+
+def row_reader_items(path: Path, strict: bool = False) -> list:
+    """The reference: load_table's csv.reader row path as it stood before the
+    bulk path, with its row checks, returning the table's items in order."""
+    with path.open(newline="") as fh:
+        lines = fh.readlines()
+    data = [i for i, line in enumerate(lines) if line.lstrip()[:1] not in ("", "#")]
+    reader = csv.reader(map(lines.__getitem__, data))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CharTableError(f"{path}: empty characterization file") from None
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise CharTableError(
+            f"{path}: expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
+        )
+    pairs, start = [], reader.line_num
+    for fields in reader:
+        lineno, start = data[start] + 1, reader.line_num
+        if len(fields) != 5:
+            raise CharTableError(
+                f"{path}: line {lineno}: row has {len(fields)} fields, expected 5")
+        try:
+            pairs.append(((int(fields[0]), int(fields[1]), int(fields[2])),
+                          (float(fields[3]), float(fields[4]))))
+        except ValueError as exc:
+            raise CharTableError(f"{path}: line {lineno}: {exc}") from None
+    table = {}
+    for key, (access_time, access_energy) in pairs:
+        if key in table:
+            raise CharTableError(f"duplicate characterization row for {key}")
+        if not 0 < access_time < math.inf:
+            raise CharTableError(f"non-positive access_time for {key}")
+        if not 0 < access_energy < math.inf:
+            raise CharTableError(f"non-positive access_energy for {key}")
+        table[key] = (access_time, access_energy)
+    if strict:
+        for key in sorted(ALL_TRIPLES):
+            if key not in table:
+                raise CharTableError(
+                    f"missing characterization row for size={key[0]} "
+                    f"block={key[1]} assoc={key[2]}"
+                )
+    return list(table.items())
+
+
+def outcome(load, path: Path, strict: bool):
+    """repr of the items (key order, int types and every float bit), or the
+    error's type and message."""
+    try:
+        return repr(load(path, strict))
+    except Exception as exc:  # noqa: BLE001 -- the two loaders must raise alike
+        return type(exc).__name__, str(exc)
+
+
+SPECIAL_VALUES = ("nan", "inf", "-inf", "Infinity", "1e400", "0", "-0.0", "-1e-9", "fast", "",
+                  " 1e-9")
+INT_SPELLINGS = (lambda v: "0" + v, lambda v: "+" + v, lambda v: v[:1] + "_" + v[1:],
+                 lambda v: " " + v, lambda v: v + " ", lambda v: v + ".0", lambda v: "-" + v)
+# readlines() with newline="" does not split at these; str.splitlines does.
+ODD_BREAKS = ("\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@st.composite
+def table_texts(draw):
+    """A characterization table's text: the surrogate's 256 rows or a few
+    random ones, plain or with mutations that a CSV reader may or may not
+    accept."""
+    if draw(st.booleans()):
+        rows = [[str(v) for v in (r.size, r.block, r.assoc)]
+                + [f"{r.access_time:.10e}", repr(r.access_energy)]
+                for r in surrogate_generate(draw(st.integers(0, 3))).rows()]
+    else:
+        triples = draw(st.lists(st.sampled_from(ALL_TRIPLES + ((3, 8, 1), (512, 5, 1))),
+                                max_size=10, unique=True))
+        values = st.floats(1e-13, 1e-6).map(repr) | st.floats(1e-13, 1e-6).map("{:.4e}".format)
+        rows = [[str(v) for v in triple] + [draw(values), draw(values)] for triple in triples]
+    header = ",".join(CSV_HEADER)
+    ends = ["\n"] * (len(rows) + 1)
+    lines = [header, *map(",".join, rows)]
+    final_newline = True
+    count = draw(st.sampled_from((0, 1, 1, 1, 1, 2, 3)))  # mostly one, alone
+    for mutation in draw(st.lists(st.integers(0, 12), min_size=count, max_size=count)):
+        at = draw(st.integers(1, len(lines)))  # a data line, or just past the last
+        row = at if at < len(lines) else len(lines) - 1
+        fields = lines[row].split(",")
+        field = draw(st.integers(0, len(fields) - 1))
+        if mutation == 0:  # a comment line
+            lines.insert(at, draw(st.sampled_from(("# note", "  # x,y", "#,,,,"))))
+            ends.insert(at, "\n")
+        elif mutation == 1:  # a blank line, perhaps before the header
+            at = draw(st.integers(0, len(lines)))
+            lines.insert(at, draw(st.sampled_from(("", "  ", "\t", "\f", "\x85", "\u2028"))))
+            ends.insert(at, "\n")
+        elif mutation == 2:  # CRLF line ends, some of them CR or LF
+            ends = [draw(st.sampled_from(("\r\n", "\n", "\r"))) if draw(st.booleans())
+                    else "\r\n" for _ in ends]
+        elif mutation == 3:  # a quoted field, perhaps unclosed or across lines
+            fields[field] = '"' + fields[field] + draw(st.sampled_from(('"', "", ',"', '\n"')))
+            lines[row] = ",".join(fields)
+        elif mutation == 4 and 1 <= row < len(lines) - 1:  # 4 and 6 fields, 10 in all
+            first, second = lines[row].split(","), lines[row + 1].split(",")
+            lines[row], lines[row + 1] = ",".join(first[:4]), ",".join(second + first[4:])
+        elif mutation == 5:  # a carriage return or other break inside a line
+            text = lines[row]
+            cut = draw(st.integers(0, len(text)))
+            lines[row] = text[:cut] + draw(st.sampled_from(("\r", *ODD_BREAKS))) + text[cut:]
+        elif mutation == 6 and row > 0:  # an integer spelled another way
+            fields[field % 3] = draw(st.sampled_from(INT_SPELLINGS))(fields[field % 3])
+            lines[row] = ",".join(fields)
+        elif mutation == 7 and len(fields) == 5:  # NaN, inf, 0, negative or garbage
+            fields[3 + field % 2] = draw(st.sampled_from(SPECIAL_VALUES) | st.floats().map(repr))
+            lines[row] = ",".join(fields)
+        elif mutation == 8 and row > 0:
+            lines.insert(at, lines[row])  # a duplicate triple
+            ends.insert(at, "\n")
+        elif mutation == 9:  # only the header
+            del lines[1:], ends[1:]
+        elif mutation == 10:
+            final_newline = False
+        elif mutation == 11:  # a header the row reader accepts, or one it rejects
+            lines[0] = draw(st.sampled_from((
+                " size, block,assoc ,access_time_s,access_energy_j",
+                "size,block,ways,time,energy", "", "size,block,assoc,access_time_s")))
+        elif mutation == 12:  # five or six commas
+            lines[row] = lines[row] + "," * draw(st.integers(1, 2))
+    text = "".join(map(str.__add__, lines, ends))
+    return text if final_newline else text.rstrip("\r\n")
+
+
+HEADER = ",".join(CSV_HEADER) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=table_texts(), strict=st.booleans())
+@example(HEADER + "512,8,1,1\n512,8,2,3,4,5\n", False)
+@example(HEADER + "512,8,1,1e-9,1e-11\r\n\r\n# note\r\n1024,8,1,2e-9,2e-11\r\n", False)
+@example(HEADER + '512,8,1,"1e-9",1e-11\n1024,8,1,2e-9,2e-11\n', False)
+@example(HEADER + "512,8,1,1e-9\f,1e-11\n512,8,2,1e-9,1e-11\f\n", False)
+@example(HEADER + "512,8\r,1,1e-9,1e-11\n", False)
+@example(HEADER + "0512,8,1,1e-9,1e-11\n+1024,8,1,1e-9,1e-11\n2_048,8,1,1e-9,1e-11\n", False)
+@example(HEADER + "512,8,1,1e-9,1e-11\n1024,8,1,inf,1e-11\n", False)
+@example(HEADER + "512,8,1,1e-9,nan\n", False)
+@example(HEADER + "512,8,1,0,1e-11\n", False)
+@example(HEADER + "512,8,1,1e-9,-1e-11\n", False)
+@example(HEADER + "512,8,1,1e-9,1e-11\n512,8,1,2e-9,2e-11\n", False)
+@example(HEADER, False)
+@example(HEADER, True)
+@example(HEADER + "512,8,1,1e-9,1e-11", False)
+def test_load_table_matches_the_row_reader(text, strict):
+    """The bulk path returns the row reader's table, in key order and bit
+    for bit, or leaves the text to the row reader, which raises as before."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        with path.open("w", newline="") as fh:
+            fh.write(text)
+        got = outcome(lambda p, s: list(load_table(p, s)._table.items()), path, strict)
+        assert got == outcome(row_reader_items, path, strict)
+
+
+def test_plain_tables_never_reach_the_row_reader(tmp_path, monkeypatch):
+    """A plain table, whether written by save_table or spelled by hand with
+    integers such as 0512 and 5_12, loads in bulk."""
+    def no_rows(path, text):
+        raise AssertionError("row reader called")
+
+    path = tmp_path / "t.csv"
+    save_table(surrogate_generate(1), path)
+    expected = row_reader_items(path, strict=True)
+    monkeypatch.setattr(charmodel, "_read_rows", no_rows)
+    assert list(load_table(path, strict=True)._table.items()) == expected
+    path.write_text(",".join(CSV_HEADER) + "\n0512,8,1,1e-9,1e-11\n5_12,8,2,2e-9,2e-11")
+    assert list(load_table(path)._table.items()) == [
+        ((512, 8, 1), (1e-9, 1e-11)), ((512, 8, 2), (2e-9, 2e-11))]
+    path.write_text(",".join(CSV_HEADER) + "\n")
+    assert len(load_table(path)) == 0

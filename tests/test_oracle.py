@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from dataclasses import fields
+from itertools import product, starmap
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -96,7 +97,8 @@ def test_subspace_triples_are_the_feasible_side_geometries():
 
 
 def test_exhaustive_checks_each_point_once(monkeypatch):
-    """One feasibility check per point, plus simulate's own guard."""
+    """Each feasible point is checked once, by simulate; each infeasible one
+    once, for its problems."""
     trace = gen_synthetic("mixed", 300, 4)
     baseline = baseline_metrics(trace)
     checked = []
@@ -111,7 +113,7 @@ def test_exhaustive_checks_each_point_once(monkeypatch):
     sub = small_subspace(isize=(512, 1024), ibsize=(64,), iassoc=(8, 16))
     result = exhaustive(sub, trace, TABLE, DRAM, baseline)
     assert (len(result.ranked), len(result.infeasible)) == (3, 1)
-    assert len(checked) == 4 + 3
+    assert len(checked) == 3 + 1
 
 
 def count_passes(monkeypatch) -> list[tuple[str, str]]:
@@ -293,6 +295,24 @@ def test_flag_ordered_walk_ranks_as_the_flag_text_sort(sub, trace, base):
     assert repr(result.ranked) == repr(tuple(expected))
     assert result.infeasible == tuple(
         (config, validate(config).problems) for config in configs if not validate(config))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sub=listed_subspaces(max_points=300))
+def test_subspace_points_equal_checked_configs(sub):
+    """configs(), flag_ordered() and canonical from_flags build points from
+    values already checked, without CacheConfig's domain test: each equals
+    the checked point, is exactly a CacheConfig and hashes alike; and
+    flag_ordered_feasible() gives validate's verdict on each point."""
+    expected = list(starmap(CacheConfig, product(*(getattr(sub, n) for n in DOMAINS))))
+    flag_order = sorted(expected, key=CacheConfig.to_flags)
+    parsed = [CacheConfig.from_flags(config.to_flags()) for config in flag_order]
+    for built, want in ((list(sub.configs()), expected),
+                        (list(sub.flag_ordered()), flag_order), (parsed, flag_order)):
+        assert built == want
+        assert {type(config) for config in built} == {CacheConfig}
+        assert list(map(hash, built)) == list(map(hash, want))
+    assert list(sub.flag_ordered_feasible()) == [bool(validate(c)) for c in flag_order]
 
 
 def test_exhaustive_reports_infeasible_with_constraint():
