@@ -362,15 +362,12 @@ class SideStreams:
     and kept. Streams are compact arrays: addresses and block numbers as
     unsigned 64-bit, write flags as bytes.
 
-    Each side's SimStats are memoized too, one for each write policy,
-    built once and returned as they are on every hit; keyed on its geometry,
-    replacement and fetch policy (not its write policy), plus the seed base
-    for a random side: the I-cache sees only ifetches and the D-cache only
-    reads and writes, and a random side is seeded from its own flags, so one
-    side's counters never depend on the other side's flags.
-
-    A side that never evicts reads its counters from one unbounded ("open")
-    cache pass per (side, block, fetch); see _open_counts.
+    The streams also hold simulate's per-side memo (_counts), which only
+    simulate reads and fills: the I-cache sees only ifetches, the D-cache
+    only reads and writes, and a random side is seeded from its own flags,
+    so one side's counters never depend on the other side's flags. A side
+    that never evicts reads one unbounded ("open") cache pass per (side,
+    block, fetch); see _open_counts.
     """
 
     def __init__(self, trace: Iterable[TraceRecord]):
@@ -444,37 +441,6 @@ class SideStreams:
                 cached = (array("Q", [a >> shift for a in addrs]), writes)
             self._blocks[key] = cached
         return cached
-
-
-def _simulate_side(
-    streams: SideStreams, side: str, size: int, block: int, assoc: int, repl: str,
-    fetch: str, rng_seed: int, write_back: bool,
-) -> SimStats:
-    """One side's counters, from the streams' memo or a fresh engine pass.
-
-    Both write policies read one write-back pass: write misses allocate and
-    dirty flags never pick a victim, so write-through only drops the
-    write-backs and flush and counts every write. A direct-mapped side has
-    one victim whatever its replacement policy, so its `l`, `f` and `r`
-    twins share one FIFO pass, seed base dropped. The memo keeps both
-    policies' SimStats, built once when the side is first computed, and a
-    hit returns the stored one. A side that never evicts takes the open
-    pass's counters instead.
-    """
-    if assoc == 1:
-        repl = "f"
-    key = (side, size, block, assoc, repl, fetch, rng_seed if repl == "r" else 0)
-    pair = streams._counts.get(key)
-    if pair is None:
-        accesses, misses, fills, write_backs, dirty = (
-            _open_counts(streams, side, size, block, assoc, fetch)
-            or _run_side(streams, side, size, block, assoc, repl, fetch, rng_seed))
-        writes = streams.writes if side == "d" else 0
-        pair = streams._counts[key] = (
-            SimStats(accesses, misses, fills, write_backs, 0, dirty),
-            SimStats(accesses, misses, fills, 0, writes, 0),
-        )
-    return pair[0] if write_back else pair[1]
 
 
 def _open_counts(
@@ -673,22 +639,36 @@ def simulate(
     generator is random.Random(f"{rng_seed} {side} {size} {block} {assoc} {fetch}"):
     its own flags, write policy left out, so it never depends on the other side.
     trace is records or a SideStreams built from them; pass the latter to
-    simulate one trace many times, so each distinct side runs once per seed
-    base; a D-side's `a` and `n` twins share that run.
+    simulate one trace many times: each side's SimStats are memoized in it,
+    keyed on geometry, replacement and fetch policy, plus the seed base for
+    a random side. A direct-mapped side has one victim whatever its policy,
+    so its `l`, `f` and `r` twins share one FIFO entry. Write-through only
+    drops a write-back pass's write-backs and flush and counts every write
+    (write misses allocate; dirty flags pick no victim), so a miss stores
+    both write policies' SimStats, from the open pass if the side never
+    evicts (_open_counts), else an engine pass (_run_side).
     """
-    verdict = validate(config)
-    if not verdict:
-        raise InfeasibleConfigError("; ".join(verdict.problems))
-    streams = SideStreams.of(trace)
-    istats = _simulate_side(
-        streams, "i", config.isize, config.ibsize, config.iassoc, config.irepl,
-        config.ifetch, rng_seed, write_back=True,
-    )
-    dstats = _simulate_side(
-        streams, "d", config.dsize, config.dbsize, config.dassoc, config.drepl,
-        config.dfetch, rng_seed, write_back=config.dwback == "a",
-    )
-    return istats, dstats
+    isize, ibsize, irepl, iassoc, ifetch, dsize, dbsize, drepl, dassoc, dfetch, dwback = config
+    if ibsize * iassoc > isize or dbsize * dassoc > dsize:
+        raise InfeasibleConfigError("; ".join(validate(config).problems))
+    streams = trace if isinstance(trace, SideStreams) else SideStreams(trace)
+    memo = streams._counts
+    pairs = []
+    for side, size, block, assoc, repl, fetch in (("i", isize, ibsize, iassoc, irepl, ifetch),
+                                                  ("d", dsize, dbsize, dassoc, drepl, dfetch)):
+        if assoc == 1:
+            repl = "f"
+        key = (side, size, block, assoc, repl, fetch, rng_seed if repl == "r" else 0)
+        pair = memo.get(key)
+        if pair is None:
+            accesses, misses, fills, write_backs, dirty = (
+                _open_counts(streams, side, size, block, assoc, fetch)
+                or _run_side(streams, side, size, block, assoc, repl, fetch, rng_seed))
+            writes = streams.writes if side == "d" else 0
+            pair = memo[key] = (SimStats(accesses, misses, fills, write_backs, 0, dirty),
+                                SimStats(accesses, misses, fills, 0, writes, 0))
+        pairs.append(pair)
+    return pairs[0][0], pairs[1][dwback == "n"]
 
 
 def config_sim_seed(config: CacheConfig, base: int = 0) -> int:

@@ -179,25 +179,28 @@ def _read_rows(path: Path, text: str) -> list[tuple[tuple[int, int, int], tuple[
     lines = io.StringIO(text, newline="").readlines()
     data = [i for i, line in enumerate(lines) if line.lstrip()[:1] not in ("", "#")]
     reader = csv.reader(map(lines.__getitem__, data))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CharTableError(f"{path}: empty characterization file") from None
-    if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise CharTableError(
-            f"{path}: expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
-        )
-    pairs, start = [], reader.line_num  # start: data lines read before this row
-    for fields in reader:
-        lineno, start = data[start] + 1, reader.line_num
-        if len(fields) != 5:
+    start = 0  # data lines read before the row being read
+    try:  # csv.Error, such as a field over csv.field_size_limit(), names its row's line
+        header = next(reader, None)
+        if header is None:
+            raise CharTableError(f"{path}: empty characterization file")
+        if tuple(h.strip() for h in header) != CSV_HEADER:
             raise CharTableError(
-                f"{path}: line {lineno}: row has {len(fields)} fields, expected 5")
-        try:
-            pairs.append(((int(fields[0]), int(fields[1]), int(fields[2])),
-                          (float(fields[3]), float(fields[4]))))
-        except ValueError as exc:
-            raise CharTableError(f"{path}: line {lineno}: {exc}") from None
+                f"{path}: expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
+            )
+        pairs, start = [], reader.line_num
+        for fields in reader:
+            lineno, start = data[start] + 1, reader.line_num
+            if len(fields) != 5:
+                raise CharTableError(
+                    f"{path}: line {lineno}: row has {len(fields)} fields, expected 5")
+            try:
+                pairs.append(((int(fields[0]), int(fields[1]), int(fields[2])),
+                              (float(fields[3]), float(fields[4]))))
+            except ValueError as exc:
+                raise CharTableError(f"{path}: line {lineno}: {exc}") from None
+    except csv.Error as exc:
+        raise CharTableError(f"{path}: line {data[start] + 1}: {exc}") from None
     return pairs
 
 

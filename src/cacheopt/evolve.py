@@ -10,6 +10,7 @@ memo.
 
 from __future__ import annotations
 
+import heapq
 import random
 import statistics
 from dataclasses import dataclass, field
@@ -64,7 +65,7 @@ class GEParams:
             raise ValidationError("codon_count must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class Individual:
     genotype: Genotype
     phenotype: str | None = None
@@ -224,11 +225,13 @@ def _decoder(grammar: Grammar, max_wraps: int) -> Callable[[Genotype], str | Non
     flat = flat_decoder(grammar, max_wraps)
     memo: dict[tuple[int, ...], str | None] = {}
     texts: dict[str, str] = {}
+    missing = object()
 
     def decode(genotype: Genotype) -> str | None:
         key = tuple(genotype)
-        if key in memo:
-            return memo[key]
+        text = memo.get(key, missing)
+        if text is not missing:
+            return text
         try:
             text = flat(key) if flat else map_genotype(key, grammar, max_wraps)
             text = texts.setdefault(text, text)
@@ -272,8 +275,8 @@ def _next_generation(
     """
     fits = [ind.fitness for ind in population]
     n = len(fits)
-    order = sorted(range(n), key=lambda i: (fits[i], i))
-    new_pop = [population[i] for i in order[: params.elitism]]  # elites keep their evaluation
+    elites = heapq.nsmallest(params.elitism, range(n), key=fits.__getitem__)  # ties by index
+    new_pop = [population[i] for i in elites]  # elites keep their evaluation
     getrandbits, random_ = rng.getrandbits, rng.random
     size, wanted = params.tournament_size, params.population
     p_crossover, p_mutation = params.p_crossover, params.p_mutation
@@ -286,8 +289,9 @@ def _next_generation(
                 i = getrandbits(kn)
                 while i >= n:
                     i = getrandbits(kn)
-                if best < 0 or (fits[i], i) < (fits[best], best):
-                    best = i
+                f = fits[i]
+                if best < 0 or f < best_fit or (f == best_fit and i < best):
+                    best, best_fit = i, f
             parents.append(population[best].genotype)
         a, b = parents
         if len(a) >= 2 and len(b) >= 2 and random_() < p_crossover:  # crossover

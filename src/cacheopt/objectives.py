@@ -45,6 +45,9 @@ class MissMode(Enum):
     DEMAND_PLUS_PREFETCH = "demand_plus_prefetch"
 
 
+_ALL_FILLS = MissMode.DEMAND_PLUS_PREFETCH  # a global reads faster than an Enum member
+
+
 class _MetricsValues(NamedTuple):
     exec_time: float  # seconds
     energy: float  # joules
@@ -102,24 +105,26 @@ def _price(
     """(execution time, energy) of inputs checked where they were made: a
     SimStats checks its counters when built, a CharTable its rows when loaded."""
     im, dm = istats.demand_misses, dstats.demand_misses
-    if miss_mode is MissMode.DEMAND_PLUS_PREFETCH:
+    if miss_mode is _ALL_FILLS:
         im += istats.prefetch_fills
         dm += dstats.prefetch_fills
+    ibsize, dbsize = config.ibsize, config.dbsize
+    access_time, bandwidth = dram.access_time, dram.bandwidth
     t = (
         istats.accesses * ichar[0]
-        + im * dram.access_time
-        + im * config.ibsize / dram.bandwidth
+        + im * access_time
+        + im * ibsize / bandwidth
         + dstats.accesses * dchar[0]
-        + dm * dram.access_time
-        + dm * config.dbsize / dram.bandwidth
+        + dm * access_time
+        + dm * dbsize / bandwidth
     )
-    i_dram = dram.access_power * (dram.access_time + config.ibsize / dram.bandwidth)
-    d_dram = dram.access_power * (dram.access_time + config.dbsize / dram.bandwidth)
+    i_dram = dram.access_power * (access_time + ibsize / bandwidth)
+    d_dram = dram.access_power * (access_time + dbsize / bandwidth)
     e = (
         istats.accesses * ichar[1]
         + dstats.accesses * dchar[1]
-        + im * ichar[1] * config.ibsize
-        + dm * dchar[1] * config.dbsize
+        + im * ichar[1] * ibsize
+        + dm * dchar[1] * dbsize
         + im * i_dram
         + dm * d_dram
     )
@@ -185,8 +190,14 @@ def config_metrics(
     simulate's seed base: a random-replacement side is seeded from it and
     its own flags, so results do not depend on evaluation order.
     """
-    istats, dstats = simulate(config, trace, rng_seed=rng_seed)
-    return metrics_from_stats(istats, dstats, table, config, dram, miss_mode)
+    istats, dstats = simulate(config, trace, rng_seed)
+    isize, ibsize, _, iassoc, _, dsize, dbsize, _, dassoc, _, _ = config
+    ikey, dkey = (isize, ibsize, iassoc), (dsize, dbsize, dassoc)
+    try:
+        ichar, dchar = table._table[ikey], table._table[dkey]
+    except KeyError:  # lookup names the missing row
+        ichar, dchar = table.lookup(*ikey), table.lookup(*dkey)
+    return Metrics(*_price(istats, dstats, ichar, dchar, config, dram, miss_mode))
 
 
 def fitness(

@@ -144,16 +144,18 @@ def exhaustive(
     """
     sub.check_cap(cap)
     streams = SideStreams.of(trace)
-    ranked = []
-    infeasible = []
+    ranked, infeasible = [], []
+    w_time, w_energy = weights.w_time, weights.w_energy
+    base_time, base_energy = baseline
     for config, feasible in zip(sub.flag_ordered(), sub.flag_ordered_feasible()):
         if not feasible:  # simulate checks each feasible point itself
             infeasible.append((config, validate(config).problems))
             continue
-        metrics = config_metrics(
-            config, streams, table, dram, miss_mode, rng_seed=sim_seed_base
-        )
-        ranked.append(RankedConfig(config, metrics, fitness(metrics, baseline, weights)))
+        metrics = config_metrics(config, streams, table, dram, miss_mode, sim_seed_base)
+        # fitness()'s expression; the first point's fitness() rejects a bad baseline
+        score = (w_time * metrics[0] / base_time + w_energy * metrics[1] / base_energy
+                 if ranked else fitness(metrics, baseline, weights))
+        ranked.append(tuple.__new__(RankedConfig, (config, metrics, score)))
     ranked.sort(key=itemgetter(2))  # the fitness
     if infeasible:
         places = [{v: i for i, v in enumerate(getattr(sub, name))} for name in DOMAINS]

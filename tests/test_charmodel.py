@@ -297,6 +297,25 @@ def outcome(load, path: Path, strict: bool):
         return type(exc).__name__, str(exc)
 
 
+LONG_FLOAT = "1." + "0" * 139_995 + "e-9"  # 140,000 characters
+
+
+@pytest.mark.parametrize("lineno", [1, 2, 4])
+def test_load_names_the_line_of_a_field_over_the_csv_limit(tmp_path, lineno):
+    """csv.reader refuses a field longer than csv.field_size_limit(); the
+    header's or a row's overlong field is a CharTableError naming its line."""
+    assert len(LONG_FLOAT) == 140_000 > csv.field_size_limit()
+    rows = ["size,block,assoc,access_time_s,access_energy_j", "512,8,1,1e-9,1e-11",
+            "# a comment", "1024,8,1,2e-9,2e-11"]
+    rows[lineno - 1] = rows[lineno - 1].replace("1e-11", LONG_FLOAT).replace(
+        "access_energy_j", LONG_FLOAT).replace("2e-11", LONG_FLOAT)
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(CharTableError,
+                       match=rf"long\.csv: line {lineno}: field larger than field limit"):
+        load_table(path)
+
+
 SPECIAL_VALUES = ("nan", "inf", "-inf", "Infinity", "1e400", "0", "-0.0", "-1e-9", "fast", "",
                   " 1e-9")
 INT_SPELLINGS = (lambda v: "0" + v, lambda v: "+" + v, lambda v: v[:1] + "_" + v[1:],

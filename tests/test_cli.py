@@ -441,6 +441,29 @@ def test_exhaustive_missing_table_row_fails_before_simulating(tmp_path, capsys):
     assert not (outdir / "ranked.csv").exists()
 
 
+def test_exhaustive_table_with_an_overlong_field_exits_2(tmp_path, capsys):
+    """A 140,000-character float on line 2 is a bad table (exit 2 naming the
+    line), not a csv.Error traceback."""
+    trace_path = write_trace(tmp_path / "t.din", n=100)
+    table_path = tmp_path / "chars.csv"
+    save_table(surrogate_generate(0), table_path)
+    header, first, *rest = table_path.read_text().splitlines(keepends=True)
+    size, block, assoc, access_time, _ = first.rstrip("\n").split(",")
+    long_float = "1." + "0" * 139_995 + "e-9"
+    table_path.write_text(header + f"{size},{block},{assoc},{access_time},{long_float}\n"
+                          + "".join(rest))
+    outdir = tmp_path / "exh"
+    rc = main([
+        "exhaustive", "--trace", str(trace_path), "--table", str(table_path),
+        "--isize", "512", "--ibsize", "8", "--irepl", "l", "--iassoc", "1",
+        "--ifetch", "d", "--dsize", "512", "--dbsize", "8", "--drepl", "l",
+        "--dassoc", "1", "--dfetch", "d", "--dwback", "a", "-o", str(outdir),
+    ])
+    assert rc == 2
+    assert "chars.csv: line 2: field larger than field limit" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 # --- optimize: table check up front ---------------------------------------------
 
 def _table_without(tmp_path, triple):

@@ -13,7 +13,9 @@ from cacheopt.cachesim import (
     validate,
 )
 from cacheopt.charmodel import DramParams, surrogate_generate
-from cacheopt.errors import MappingError, SubspaceCapError, ValidationError
+from cacheopt.errors import (
+    InfeasibleConfigError, MappingError, SubspaceCapError, ValidationError,
+)
 from cacheopt.evolve import Evaluator, GEParams, evolve
 from cacheopt.grammar import DEFAULT_GRAMMAR, map_genotype, parse_bnf
 from cacheopt.objectives import config_metrics, fitness
@@ -97,8 +99,8 @@ def test_subspace_triples_are_the_feasible_side_geometries():
 
 
 def test_exhaustive_checks_each_point_once(monkeypatch):
-    """Each feasible point is checked once, by simulate; each infeasible one
-    once, for its problems."""
+    """simulate tests each feasible point's geometry inline, so validate runs
+    only for the infeasible point, once, for its problems."""
     trace = gen_synthetic("mixed", 300, 4)
     baseline = baseline_metrics(trace)
     checked = []
@@ -113,7 +115,7 @@ def test_exhaustive_checks_each_point_once(monkeypatch):
     sub = small_subspace(isize=(512, 1024), ibsize=(64,), iassoc=(8, 16))
     result = exhaustive(sub, trace, TABLE, DRAM, baseline)
     assert (len(result.ranked), len(result.infeasible)) == (3, 1)
-    assert len(checked) == 3 + 1
+    assert checked == [result.infeasible[0][0]]
 
 
 def count_passes(monkeypatch) -> list[tuple[str, str]]:
@@ -295,6 +297,76 @@ def test_flag_ordered_walk_ranks_as_the_flag_text_sort(sub, trace, base):
     assert repr(result.ranked) == repr(tuple(expected))
     assert result.infeasible == tuple(
         (config, validate(config).problems) for config in configs if not validate(config))
+
+
+CLASSES = [(repl, fetch) for repl in DOMAINS["irepl"] for fetch in DOMAINS["ifetch"]]
+
+
+@st.composite
+def class_subspaces(draw, repl, fetch):
+    """Subspaces of at most 64 points of small caches, both sides of the
+    given policy class among others, both write policies; associativity 64
+    makes some points infeasible."""
+    def some(domain, first=None, most=2):
+        drawn = draw(st.lists(st.sampled_from(domain), min_size=1, max_size=most, unique=True))
+        return tuple(dict.fromkeys(drawn if first is None else (first, *drawn)))[:most]
+
+    return Subspace(
+        isize=some(cachesim.CACHE_SIZES[:3]), ibsize=some(cachesim.BLOCK_SIZES, most=1),
+        irepl=some(DOMAINS["irepl"], repl), iassoc=some((1, 2, 4, 64)),
+        ifetch=some(DOMAINS["ifetch"], fetch, most=1),
+        dsize=some(cachesim.CACHE_SIZES[:3], most=1), dbsize=some(cachesim.BLOCK_SIZES, most=1),
+        drepl=some(DOMAINS["drepl"], repl), dassoc=some((1, 2, 4, 64)),
+        dfetch=some(DOMAINS["dfetch"], fetch, most=1), dwback=("a", "n"),
+    )
+
+
+# Each example replays up to 64 points record by record; a failure reports
+# unshrunk.
+@pytest.mark.parametrize("repl,fetch", CLASSES)
+@settings(max_examples=15, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(data=st.data(),
+       profile=st.sampled_from(PROFILES), records=st.integers(50, 300),
+       trace_seed=st.integers(0, 2**32 - 1),
+       bases=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2, unique=True),
+       w_time=st.floats(0.0, 1.0), as_streams=st.booleans())
+def test_exhaustive_equals_a_cacheunit_replay(repl, fetch, data, profile, records, trace_seed,
+                                               bases, w_time, as_streams):
+    """Independently of config_metrics: each ranked point's metrics equal a
+    CacheUnit replay priced by metrics_from_stats, and its fitness equals
+    fitness(), bit for bit. simulate raises validate's problems for each
+    infeasible point, given records or a SideStreams, and a direct-mapped
+    side's l, f and r twins share one memo entry. Both seed bases price
+    through one SideStreams when as_streams."""
+    sub = data.draw(class_subspaces(repl, fetch))
+    trace = gen_synthetic(profile, records, trace_seed)
+    streams = SideStreams(trace)
+    weights = objectives.FitnessWeights.from_time_weight(w_time)
+    baseline = replay_metrics(DEFAULT_BASELINE, trace, rng_seed=0)
+    for base in bases:
+        result = exhaustive(sub, streams if as_streams else trace, TABLE, DRAM, baseline,
+                            weights, sim_seed_base=base)
+        assert len(result.ranked) + len(result.infeasible) == sub.cardinality()
+        for r in result.ranked:
+            metrics = replay_metrics(r.config, trace, rng_seed=base)
+            assert tuple(r.metrics) == tuple(metrics), r.config.to_flags()
+            assert r.fitness == fitness(metrics, baseline, weights), r.config.to_flags()
+    for config, problems in result.infeasible:
+        assert problems == validate(config).problems and problems
+        for given_trace in (trace, streams):
+            with pytest.raises(InfeasibleConfigError) as info:
+                simulate(config, given_trace, base)
+            assert str(info.value) == "; ".join(problems)
+
+    for r in result.ranked:
+        for side in [side for side in "id" if getattr(r.config, side + "assoc") == 1]:
+            twins = [simulate(r.config._replace(**{side + "repl": p}), streams, base)
+                     for p in DOMAINS["irepl"]]
+            got = [pair[side == "d"] for pair in twins]
+            assert got[0] is got[1] is got[2], (side, r.config.to_flags())
+    direct = [key for key in streams._counts if key[3] == 1]
+    assert all(key[4] == "f" and key[6] == 0 for key in direct)
 
 
 @settings(max_examples=200, deadline=None)
