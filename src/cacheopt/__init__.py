@@ -44,9 +44,8 @@ from .objectives import (
     Metrics,
     MissMode,
     config_metrics,
-    energy,
-    exec_time,
     fitness,
+    metrics_from_stats,
 )
 from .oracle import Subspace, exhaustive, reference_lru
 from .trace import (

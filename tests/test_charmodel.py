@@ -207,6 +207,25 @@ def test_dram_file_ini_section_and_defaults(tmp_path):
     assert dram.bandwidth == DramParams().bandwidth  # untouched keys keep defaults
 
 
+def test_dram_file_is_closed_after_reading(tmp_path, monkeypatch):
+    good, bad = tmp_path / "good.toml", tmp_path / "bad.toml"
+    good.write_text("dram.access_time_s = 4e-9\n")
+    bad.write_text("dram.access_time_s = 4e-9\nno equals sign\n")
+    handles = []
+    real_open = Path.open
+
+    def recording_open(self, *args, **kwargs):
+        handles.append(real_open(self, *args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    assert load_dram_params(good).access_time == 4e-9
+    with pytest.raises(ValidationError, match="bad.toml: line 2: expected 'key = value'"):
+        load_dram_params(bad)
+    assert len(handles) == 2
+    assert all(fh.closed for fh in handles)
+
+
 def test_dram_file_unknown_key(tmp_path):
     path = tmp_path / "dram.ini"
     path.write_text("dram.latency = 1e-9\n")

@@ -2,8 +2,9 @@ import csv
 
 import pytest
 
+import cacheopt.evolve as EVOLVE
 from cacheopt import objectives
-from cacheopt.charmodel import CharTable, DramParams, save_table, surrogate_generate
+from cacheopt.charmodel import CharRow, CharTable, DramParams, save_table, surrogate_generate
 from cacheopt.cli import RunConfig, _grammar_triples, main, run_optimize
 from cacheopt.cachesim import DEFAULT_BASELINE, SideStreams, simulate
 from cacheopt.errors import ValidationError
@@ -163,6 +164,7 @@ INFEASIBLE_BASELINE = (
     (["exhaustive", "--dassoc", "3"], "dassoc"),
     (["exhaustive"], "10616832 points, above the cap of 10000"),
     (["optimize", "--runs", "0"], "runs must be >= 1"),
+    (["simulate", "--flags", INFEASIBLE_BASELINE], "D-cache"),
 ])
 def test_bad_flags_fail_before_trace_is_read(tmp_path, capsys, args, named):
     if args[0] != "simulate":
@@ -359,6 +361,40 @@ def test_optimize_no_shared_memo_resimulates(tmp_path):
     assert int(read_csv(solo / "summary.csv")[0]["unique_evals"]) == 2
 
 
+def test_shared_and_unshared_memos_write_the_same_results(tmp_path, monkeypatch):
+    """The memo only saves work: runs.csv, best.txt and each run's fitness
+    columns are the same with one evaluator for the campaign or one per run,
+    and every evaluator prices the baseline exactly once."""
+    real = EVOLVE.config_metrics
+    priced = []
+    monkeypatch.setattr(EVOLVE, "config_metrics",
+                        lambda config, *args: (priced.append(config), real(config, *args))[1])
+    # 48 points, small enough that the runs meet again; the baseline's
+    # 16384 B sides are outside it, so no search point prices the baseline.
+    grammar = Subspace(
+        isize=(512, 1024), ibsize=(32,), irepl=("l", "r"), iassoc=(4,), ifetch=("d",),
+        dsize=(512, 1024, 2048), dbsize=(32,), drepl=("l",), dassoc=(1, 2), dfetch=("d",),
+    ).grammar_text()
+    runs, outputs, sims = 3, {}, {}
+    for shared in (True, False):
+        priced.clear()
+        kwargs = run_config_kwargs(tmp_path / str(shared), gen_synthetic("mixed", 300, 4))
+        kwargs.update(params=GEParams(generations=4, population=8), grammar_text=grammar)
+        summary = run_optimize(RunConfig(**kwargs, runs=runs, shared_memo=shared, seed=5))
+        evaluators = 1 if shared else runs
+        assert priced.count(DEFAULT_BASELINE) == evaluators
+        assert len(priced) == summary["unique_evals"] + evaluators
+        sims[shared] = summary["unique_evals"]
+        outdir = kwargs["outdir"]
+        logs = [[line.split(",")[:4]
+                 for line in (outdir / f"run_{run:02d}_log.csv").read_text().splitlines()]
+                for run in range(runs)]
+        outputs[shared] = ((outdir / "runs.csv").read_bytes(),
+                           (outdir / "best.txt").read_bytes(), logs)
+    assert outputs[True] == outputs[False]
+    assert sims[True] < sims[False]  # the shared memo served later runs
+
+
 def test_gentrace_negative_count_exit_2(tmp_path, capsys):
     rc = main(["gentrace", "--profile", "mixed", "-n", "-5",
                "-o", str(tmp_path / "t.din")])
@@ -439,6 +475,18 @@ def test_exhaustive_missing_table_row_fails_before_simulating(tmp_path, capsys):
     assert rc == 2
     assert "size=65536 block=64 assoc=8" in capsys.readouterr().err
     assert not (outdir / "ranked.csv").exists()
+
+
+def test_simulate_missing_table_row_fails_before_reading_the_trace(tmp_path, capsys):
+    table_path = tmp_path / "chars.csv"
+    save_table(CharTable([CharRow(16384, 32, 4, 1e-9, 1e-11)]), table_path)
+    flags = DEFAULT_BASELINE._replace(isize=512).to_flags()
+    rc = main(["simulate", "--table", str(table_path), "--flags", flags,
+               "--trace", str(tmp_path / "absent.din")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "size=512 block=32 assoc=4" in err
+    assert "absent.din" not in err
 
 
 def test_exhaustive_table_with_an_overlong_field_exits_2(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from cacheopt.cachesim import DEFAULT_BASELINE, CacheConfig, SideStreams, SimStats, simulate
-from cacheopt.charmodel import DramParams, surrogate_generate
+from cacheopt.charmodel import CharRow, CharTable, DramParams, surrogate_generate
 from cacheopt.errors import ValidationError
 from cacheopt.objectives import (
     INFEASIBLE_FITNESS,
@@ -11,40 +11,46 @@ from cacheopt.objectives import (
     Metrics,
     MissMode,
     config_metrics,
-    energy,
-    exec_time,
     fitness,
+    metrics_from_stats,
 )
 from cacheopt.trace import gen_synthetic
 
 DRAM = DramParams()
 ICHAR = (1e-9, 1e-11)
 DCHAR = (2e-9, 3e-11)
+# The I side keeps the baseline's 16384/32/4 row and the D side reads the
+# 8192/32/4 row, so each side is priced with its own characterization.
+CONFIG = DEFAULT_BASELINE._replace(dsize=8192)
+TABLE = CharTable([CharRow(16384, 32, 4, *ICHAR), CharRow(8192, 32, 4, *DCHAR)])
 
 
 def stats(accesses=0, misses=0, prefetch=0) -> SimStats:
     return SimStats(accesses=accesses, demand_misses=misses, prefetch_fills=prefetch)
 
 
+def price(istats, dstats, dram=DRAM, miss_mode=MissMode.DEMAND_PLUS_PREFETCH) -> Metrics:
+    return metrics_from_stats(istats, dstats, TABLE, CONFIG, dram, miss_mode)
+
+
 def test_zero_counters_zero_cost():
     z = stats()
-    assert exec_time(z, z, ICHAR, DCHAR, DEFAULT_BASELINE, DRAM) == 0.0
-    assert energy(z, z, ICHAR, DCHAR, DEFAULT_BASELINE, DRAM) == 0.0
+    assert price(z, z) == (0.0, 0.0)
 
 
 def test_exec_time_hand_example():
     # Ia=100, Im=10, It=1e-9, DRAM t=4e-9, Il=32, BW=6.4e9, D side silent:
     # 100e-9 + 40e-9 + 10*32/6.4e9 = 1.9e-7
     dram = DramParams(access_time=4e-9, bandwidth=6.4e9)
-    got = exec_time(stats(100, 10), stats(), ICHAR, DCHAR, DEFAULT_BASELINE, dram)
+    got = price(stats(100, 10), stats(), dram).exec_time
     assert got == pytest.approx(1.9e-7, rel=1e-12)
 
 
 def test_exec_time_linear_in_misses():
     dram = DramParams(access_time=4e-9, bandwidth=6.4e9)
-    base = exec_time(stats(100, 0), stats(), ICHAR, DCHAR, DEFAULT_BASELINE, dram)
-    one = exec_time(stats(100, 10), stats(), ICHAR, DCHAR, DEFAULT_BASELINE, dram)
-    two = exec_time(stats(100, 20), stats(), ICHAR, DCHAR, DEFAULT_BASELINE, dram)
+    base = price(stats(100, 0), stats(), dram).exec_time
+    one = price(stats(100, 10), stats(), dram).exec_time
+    two = price(stats(100, 20), stats(), dram).exec_time
     assert two - base == pytest.approx(2 * (one - base), rel=1e-12)
     assert base == pytest.approx(100 * ICHAR[0], rel=1e-12)
 
@@ -53,12 +59,13 @@ def test_energy_hand_example():
     # Ia=100, Im=10, Ie=1e-11, Il=32, DRAM power 1.051 W, t=3.9889e-9,
     # BW=6.7108864e9, D side silent:
     # 1e-9 + 3.2e-9 + 10*1.051*(3.9889e-9 + 32/6.7108864e9)
-    got = energy(stats(100, 10), stats(), (1e-9, 1e-11), DCHAR, DEFAULT_BASELINE, DRAM)
+    assert ICHAR == (1e-9, 1e-11)
+    got = price(stats(100, 10), stats()).energy
     assert got == pytest.approx(9.623892432714842e-08, abs=1e-10)
 
 
 def test_energy_reduces_to_access_terms_without_misses():
-    got = energy(stats(100), stats(50), ICHAR, DCHAR, DEFAULT_BASELINE, DRAM)
+    got = price(stats(100), stats(50)).energy
     assert got == 100 * ICHAR[1] + 50 * DCHAR[1]
 
 
@@ -67,21 +74,17 @@ def test_models_linear_in_all_counters():
     d = SimStats(accesses=45, demand_misses=9, prefetch_fills=2)
     a2 = SimStats(accesses=240, demand_misses=60, prefetch_fills=14)
     d2 = SimStats(accesses=90, demand_misses=18, prefetch_fills=4)
-    for fn in (exec_time, energy):
-        once = fn(a, d, ICHAR, DCHAR, DEFAULT_BASELINE, DRAM)
-        twice = fn(a2, d2, ICHAR, DCHAR, DEFAULT_BASELINE, DRAM)
+    for once, twice in zip(price(a, d), price(a2, d2)):  # time, then energy
         assert twice == pytest.approx(2 * once, rel=1e-12)
 
 
 def test_miss_mode_prices_prefetch_traffic():
     with_pf = stats(100, 10, prefetch=5)
-    for fn in (exec_time, energy):
-        demand = fn(with_pf, stats(), ICHAR, DCHAR, DEFAULT_BASELINE, DRAM,
-                    MissMode.DEMAND_ONLY)
-        both = fn(with_pf, stats(), ICHAR, DCHAR, DEFAULT_BASELINE, DRAM,
-                  MissMode.DEMAND_PLUS_PREFETCH)
-        fifteen = fn(stats(100, 15), stats(), ICHAR, DCHAR, DEFAULT_BASELINE, DRAM,
-                     MissMode.DEMAND_ONLY)
+    for demand, both, fifteen in zip(  # time, then energy
+        price(with_pf, stats(), miss_mode=MissMode.DEMAND_ONLY),
+        price(with_pf, stats(), miss_mode=MissMode.DEMAND_PLUS_PREFETCH),
+        price(stats(100, 15), stats(), miss_mode=MissMode.DEMAND_ONLY),
+    ):
         assert both == pytest.approx(fifteen, rel=1e-12)
         assert both > demand
 
@@ -91,10 +94,10 @@ def test_negative_and_nonfinite_inputs_rejected():
         SimStats(accesses=-1)
     with pytest.raises(ValidationError, match="counter prefetch_fills"):
         stats(prefetch=float("nan"))
+    with pytest.raises(ValidationError):  # a bad row is refused when the table is built
+        CharTable([CharRow(8192, 32, 4, 2e-9, -1.0)])
     with pytest.raises(ValidationError):
-        exec_time(stats(), stats(), ICHAR, (2e-9, -1.0), DEFAULT_BASELINE, DRAM)
-    with pytest.raises(ValidationError):
-        energy(stats(), stats(), (float("nan"), 1e-11), DCHAR, DEFAULT_BASELINE, DRAM)
+        CharTable([CharRow(16384, 32, 4, float("nan"), 1e-11)])
     with pytest.raises(ValidationError):
         Metrics(exec_time=-1.0, energy=0.0)
     with pytest.raises(ValidationError):
@@ -187,9 +190,7 @@ def test_config_metrics_checks_each_side_once(monkeypatch):
     istats, dstats = simulate(DEFAULT_BASELINE, streams)
     _, through = simulate(DEFAULT_BASELINE._replace(dwback="n"), streams)
     assert built == [tuple(istats), tuple(istats), tuple(dstats), tuple(through)]
-    char = table.lookup(16384, 32, 4)  # the baseline's I and D rows
-    assert metrics.exec_time == exec_time(istats, dstats, char, char, DEFAULT_BASELINE, DRAM)
-    assert metrics.energy == energy(istats, dstats, char, char, DEFAULT_BASELINE, DRAM)
+    assert metrics == metrics_from_stats(istats, dstats, table, DEFAULT_BASELINE, DRAM)
 
 
 def test_infeasible_sentinel_value():

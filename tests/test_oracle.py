@@ -411,8 +411,7 @@ def test_exhaustive_bounds_ge_best():
     result = exhaustive(sub, trace, TABLE, DRAM, baseline)
     grammar = parse_bnf(sub.grammar_text())
     for seed in range(3):
-        evaluator = Evaluator(trace, TABLE, DRAM)
-        evaluator.set_baseline(DEFAULT_BASELINE)
+        evaluator = Evaluator(trace, TABLE, DRAM, DEFAULT_BASELINE)
         ge = evolve(GEParams(generations=5, population=8, rng_seed=seed),
                     grammar, evaluator)
         assert result.ranked[0].fitness <= ge.best.fitness

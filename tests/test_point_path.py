@@ -27,10 +27,10 @@ from cacheopt.cachesim import (
     SimStats,
     validate,
 )
-from cacheopt.charmodel import DramParams, surrogate_generate
+from cacheopt.charmodel import CharRow, CharTable, DramParams, surrogate_generate
 from cacheopt.errors import ConfigError, ValidationError
 from cacheopt.evolve import Evaluator
-from cacheopt.objectives import Metrics, _check_char
+from cacheopt.objectives import Metrics
 from cacheopt.trace import gen_synthetic
 
 configs = st.builds(CacheConfig, *(st.sampled_from(domain) for domain in DOMAINS.values()))
@@ -152,12 +152,6 @@ def named_check_counters(accesses, demand_misses, prefetch_fills):
             raise ValidationError(f"counter {name} must be finite and >= 0, got {value!r}")
 
 
-def named_check_char(pair):
-    for value in pair:
-        if not math.isfinite(value) or value < 0:
-            raise ValidationError(f"characterization value must be finite and >= 0, got {value!r}")
-
-
 def named_metrics(exec_time, energy):
     for name, value in (("exec_time", exec_time), ("energy", energy)):
         if not math.isfinite(value) or value < 0:
@@ -186,7 +180,9 @@ def test_counter_checks_raise_as_the_named_check(a, b, c):
 @settings(max_examples=300, deadline=None)
 @given(a=values, b=values)
 def test_characterization_and_metrics_checks_raise_as_the_named_check(a, b):
-    assert raised(_check_char, (a, b)) == raised(named_check_char, (a, b))
+    # Characterization values are checked once, when the table is built.
+    accepted = raised(CharTable, [CharRow(512, 8, 1, a, b)]) is None
+    assert accepted == (0 < a < math.inf and 0 < b < math.inf)
     assert raised(Metrics, a, b) == raised(named_metrics, a, b)
 
 
@@ -195,7 +191,6 @@ def test_bad_pricing_inputs_still_raise(value):
     assert raised(SimStats, value) is not None
     assert raised(SimStats._make, (0, value, 0, 0, 0, 0)) is not None
     assert raised(lambda: SimStats()._replace(prefetch_fills=value)) is not None
-    assert raised(_check_char, (1.0, value)) is not None
     assert raised(Metrics, value, 1.0) is not None
     if value == 10**400:  # too large for a float, as math.isfinite says
         assert raised(Metrics, value, 1.0) == (OverflowError, "int too large to convert to float")
@@ -210,8 +205,7 @@ TABLE = surrogate_generate(1)
                                      min_size=23, max_size=23),
        canonical_first=st.booleans())
 def test_canonical_and_spaced_phenotypes_share_one_memo_key(config, gaps, canonical_first):
-    evaluator = Evaluator(TRACE, TABLE, DramParams())
-    evaluator.set_baseline(DEFAULT_BASELINE)
+    evaluator = Evaluator(TRACE, TABLE, DramParams(), DEFAULT_BASELINE)
     text = config.to_flags()
     spaced = gaps[0] + "".join(token + gap for token, gap in zip(text.split(), gaps[1:]))
     assert spaced != text
