@@ -490,7 +490,8 @@ def _count_distinct(blocks: array, cap: int) -> int:
 def _run_open(
     streams: SideStreams, side: str, block: int, fetch: str,
 ) -> tuple[tuple[int, ...], array]:
-    """One pass of an unbounded cache over the merged block stream.
+    """One _fill_order pass of an unbounded cache over the merged block
+    stream: one set (mask 0) with no way limit, so nothing is evicted.
 
     Returns the side's write-back counters (write-backs 0, every written
     block left dirty) and the blocks it filled, in fill order. A repeat
@@ -498,26 +499,9 @@ def _run_open(
     prefetch finds its block resident, so merged runs count alike.
     """
     blocks, writes = streams.blocks(side, block, True)
-    prefetch, always = fetch != "d", fetch == "a"
     resident: dict[int, int] = {}
-    misses = fills = 0
-    for b, w in zip(blocks, writes):
-        if b in resident:
-            if w:
-                resident[b] = 1
-            if not always:
-                continue
-        else:
-            misses += 1
-            resident[b] = w
-            if not prefetch:
-                continue
-        b += 1
-        if b not in resident:
-            fills += 1
-            resident[b] = 0
-    accesses = len(streams.iaddrs if side == "i" else streams.daddrs)
-    return (accesses, misses, fills, 0, sum(resident.values())), array("Q", resident)
+    counts = _fill_order(blocks, writes, 0, math.inf, fetch, None, resident)
+    return (len(streams.iaddrs if side == "i" else streams.daddrs), *counts), array("Q", resident)
 
 
 def _run_side(
@@ -578,16 +562,19 @@ def _lru(blocks: array, writes: bytes, mask: int, assoc: int, fetch: str) -> tup
 
 def _fill_order(
     blocks: array, writes: bytes, mask: int, assoc: int, fetch: str,
-    rng: random.Random | None,
+    rng: random.Random | None, resident: dict[int, int] | None = None,
 ) -> tuple[int, ...]:
     """FIFO and random: one dict of resident block -> dirty flag (a block
     maps to one set, so a hit needs no set) and a fill-order list per set.
     FIFO, passed no rng, evicts the head of a full set's list. Random evicts
     the block rng.choice(order) would pick, as CacheUnit does: a full set
     holds assoc blocks, so getrandbits(assoc.bit_length()) redrawn until < assoc.
+    resident, if passed, is filled in place, so a caller that never evicts
+    (assoc math.inf) reads the filled blocks in fill order.
     """
     prefetch, always = fetch != "d", fetch == "a"
-    resident: dict[int, int] = {}
+    if resident is None:
+        resident = {}
     orders: defaultdict[int, list] = defaultdict(list)
     getrandbits, k = (rng.getrandbits, assoc.bit_length()) if rng is not None else (None, 0)
     misses = fills = write_backs = 0

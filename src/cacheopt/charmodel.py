@@ -16,7 +16,7 @@ from itertools import product, repeat
 from pathlib import Path
 from typing import Iterable
 
-from .cachesim import ASSOCIATIVITIES, BLOCK_SIZES, CACHE_SIZES
+from .cachesim import _MAX_FLOAT, ASSOCIATIVITIES, BLOCK_SIZES, CACHE_SIZES
 from .errors import CharLookupError, CharTableError, ValidationError
 
 ALL_TRIPLES = tuple(product(CACHE_SIZES, BLOCK_SIZES, ASSOCIATIVITIES))
@@ -53,7 +53,7 @@ class DramParams:
     def __post_init__(self):
         for name in ("size", "access_time", "bandwidth", "access_power"):
             value = getattr(self, name)
-            if not value > 0 or not math.isfinite(value):
+            if not 0 < value <= _MAX_FLOAT:  # ints past float range fail too
                 raise ValidationError(f"dram {name} must be finite and > 0, got {value!r}")
 
 
@@ -103,9 +103,9 @@ def _checked_pairs(items: Iterable[tuple[tuple[int, int, int], tuple[float, floa
         if key in table:
             raise CharTableError(f"duplicate characterization row for {key}")
         access_time, access_energy = pair
-        if not 0 < access_time < math.inf:
+        if not 0 < access_time <= _MAX_FLOAT:  # ints past float range fail too
             raise CharTableError(f"non-positive access_time for {key}")
-        if not 0 < access_energy < math.inf:
+        if not 0 < access_energy <= _MAX_FLOAT:
             raise CharTableError(f"non-positive access_energy for {key}")
         table[key] = pair
     return table

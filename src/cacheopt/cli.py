@@ -436,7 +436,7 @@ def cmd_optimize(args) -> None:
         rng_seed=args.seed,
     )
     baseline = _baseline(args)
-    weights = FitnessWeights.from_time_weight(args.w_time)
+    weights = FitnessWeights(args.w_time)
     table = _load_char_table(args)
     table.check_complete(triples | _side_triples(baseline))  # not mid-campaign
     dram = _load_dram(args)
@@ -459,7 +459,7 @@ def cmd_optimize(args) -> None:
 
 def cmd_exhaustive(args) -> None:
     baseline_config = _baseline(args)
-    weights = FitnessWeights.from_time_weight(args.w_time)
+    weights = FitnessWeights(args.w_time)
     miss_mode = MissMode(args.miss_mode)
     values = {}
     for name in DOMAINS:

@@ -192,8 +192,9 @@ def flat_decoder(grammar: Grammar, max_wraps: int = 3) -> Callable[[Sequence[int
     Slot j takes alternative codons[j % n] % k of its k. Each slot has a
     table of 256 texts, one per codon value: the literal text before the
     slot followed by the alternative that codon picks; a decode joins one
-    entry per slot and the literal tail. It raises the same MappingError
-    cases as map_genotype, in the same order.
+    entry per slot and the literal tail. A genotype it cannot decode (empty,
+    a codon outside 0-255, or too few codons for the slots within max_wraps
+    passes) goes to map_genotype, which raises its MappingError.
     """
     template = flat_template(grammar)
     if template is None:
@@ -210,15 +211,9 @@ def flat_decoder(grammar: Grammar, max_wraps: int = 3) -> Callable[[Sequence[int
     n_slots = len(tables)
 
     def decode(codons: Sequence[int]) -> str:
-        if not codons:
-            raise MappingError("empty genotype")
-        for c in codons:
-            if not 0 <= c <= 255:
-                raise MappingError(f"codon {c!r} outside the 8-bit range")
-        n = len(codons)
-        if n_slots > n * max_wraps:
-            raise MappingError(f"wrap limit exceeded: {max_wraps} passes over {n} codons")
-        return "".join(map(getitem, tables, cycle(codons))) + literal
+        if codons and n_slots <= len(codons) * max_wraps and 0 <= min(codons) <= max(codons) <= 255:
+            return "".join(map(getitem, tables, cycle(codons))) + literal
+        return map_genotype(codons, grammar, max_wraps)
 
     return decode
 

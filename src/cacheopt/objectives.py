@@ -73,18 +73,17 @@ class Metrics(_MetricsValues):
 
 @dataclass(frozen=True)
 class FitnessWeights:
+    """The weight of normalized time; normalized energy takes the rest."""
+
     w_time: float = 0.5
-    w_energy: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 <= self.w_time <= 1.0 and 0.0 <= self.w_energy <= 1.0):
+        if not 0.0 <= self.w_time <= 1.0:
             raise ValidationError("fitness weights must lie in [0, 1]")
-        if abs(self.w_time + self.w_energy - 1.0) > 1e-9:
-            raise ValidationError("fitness weights must sum to 1")
 
-    @classmethod
-    def from_time_weight(cls, w_time: float) -> "FitnessWeights":
-        return cls(w_time=w_time, w_energy=1.0 - w_time)
+    @property
+    def w_energy(self) -> float:
+        return 1.0 - self.w_time
 
 
 def _price(

@@ -59,9 +59,6 @@ class Subspace:
                 f"subspace holds {self.cardinality()} points, above the cap of {cap}"
             )
 
-    def configs(self) -> Iterable[CacheConfig]:
-        return map(_from_checked, product(*(getattr(self, name) for name in DOMAINS)))
-
     def _flag_lists(self) -> list[list]:
         return [sorted(getattr(self, name), key=str) for name in DOMAINS]
 
@@ -139,8 +136,8 @@ def exhaustive(
     flags, and each distinct side runs once. Ties in fitness are broken by
     canonical flag-text order: the points are walked in that order
     (Subspace.flag_ordered) and sorted stably on fitness alone. Infeasible
-    points keep Subspace.configs() order, put back by each value's place in
-    its list.
+    points keep the walk's order, so neither tuple depends on the order in
+    which a value list names its values.
     """
     sub.check_cap(cap)
     streams = SideStreams.of(trace)
@@ -157,9 +154,6 @@ def exhaustive(
                  if ranked else fitness(metrics, baseline, weights))
         ranked.append(tuple.__new__(RankedConfig, (config, metrics, score)))
     ranked.sort(key=itemgetter(2))  # the fitness
-    if infeasible:
-        places = [{v: i for i, v in enumerate(getattr(sub, name))} for name in DOMAINS]
-        infeasible.sort(key=lambda item: tuple(map(dict.__getitem__, places, item[0])))
     return ExhaustiveResult(tuple(ranked), tuple(infeasible))
 
 

@@ -35,6 +35,9 @@ def test_dram_rejects_nonpositive():
         DramParams(access_time=0.0)
     with pytest.raises(ValidationError):
         DramParams(bandwidth=-1.0)
+    for name in ("size", "access_time", "bandwidth", "access_power"):  # past float range
+        with pytest.raises(ValidationError, match=f"dram {name} must be finite and > 0"):
+            DramParams(**{name: 10**400})
 
 
 def test_surrogate_covers_all_triples():
@@ -95,6 +98,11 @@ def test_nonpositive_values_rejected():
         CharTable([CharRow(512, 8, 1, 0.0, 1e-11)])
     with pytest.raises(CharTableError, match="access_energy"):
         CharTable([CharRow(512, 8, 1, 1e-9, -1e-11)])
+    # an int past float range is refused here, not when a point is priced
+    with pytest.raises(CharTableError, match=r"access_time for \(16384, 32, 4\)"):
+        CharTable([CharRow(16384, 32, 4, 10**400, 1e-11)])
+    with pytest.raises(CharTableError, match=r"access_energy for \(16384, 32, 4\)"):
+        CharTable([CharRow(16384, 32, 4, 1e-9, 10**400)])
 
 
 def test_save_load_round_trip(tmp_path):

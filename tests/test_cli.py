@@ -165,6 +165,7 @@ INFEASIBLE_BASELINE = (
     (["exhaustive"], "10616832 points, above the cap of 10000"),
     (["optimize", "--runs", "0"], "runs must be >= 1"),
     (["simulate", "--flags", INFEASIBLE_BASELINE], "D-cache"),
+    (["simulate", "--dram-size", "9" * 401], "dram size must be finite and > 0"),
 ])
 def test_bad_flags_fail_before_trace_is_read(tmp_path, capsys, args, named):
     if args[0] != "simulate":

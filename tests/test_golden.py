@@ -76,11 +76,11 @@ SIMULATE_FLAGS = (
 
 GOLDEN = {
     "exhaustive": {
-        "infeasible.csv": "b1a26ba62eb3f88988ecf474b08697aa708d116faecf6593d38b8b8bb4bd9aff",
+        "infeasible.csv": "abae49586d710b5074d66491c450b549518bcea4e28cc84f00c25a12dbb39d1a",
         "ranked.csv": "63be64722d56892c5f1c82b84b6a2d529fe69e64773c8330f43b66fb3769ef53",
     },
     "exhaustive_lru_fifo": {
-        "infeasible.csv": "5175dba68aa304fdc7c3eab0dfc39a182b4583c93f580509f3cafb247bdb8d77",
+        "infeasible.csv": "e079c0f6c7d731256d5f754232a0a32ec0db4cda67f6b7e4c51a526827db7130",
         "ranked.csv": "90d8f175b6bd3c24df92c1445eb5916ce48d2c9cd04c823e35570ebca8ee78cf",
     },
     "optimize_lru_fifo": {

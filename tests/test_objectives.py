@@ -114,14 +114,15 @@ def test_fitness_identity_and_linearity():
 def test_fitness_weights():
     baseline = Metrics(2e-3, 5e-6)
     candidate = Metrics(1e-3, 5e-6)
-    assert fitness(candidate, baseline, FitnessWeights.from_time_weight(1.0)) == \
+    assert fitness(candidate, baseline, FitnessWeights(1.0)) == \
         pytest.approx(0.5, abs=1e-12)
-    assert fitness(candidate, baseline, FitnessWeights.from_time_weight(0.0)) == \
+    assert fitness(candidate, baseline, FitnessWeights(0.0)) == \
         pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValidationError):
-        FitnessWeights(0.7, 0.7)
-    with pytest.raises(ValidationError):
-        FitnessWeights(-0.1, 1.1)
+    assert (FitnessWeights().w_time, FitnessWeights().w_energy) == (0.5, 0.5)
+    assert FitnessWeights(0.3).w_energy == 1.0 - 0.3
+    for w_time in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ValidationError, match=r"lie in \[0, 1\]"):
+            FitnessWeights(w_time)
 
 
 def test_fitness_requires_positive_baseline():

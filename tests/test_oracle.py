@@ -283,11 +283,15 @@ def listed_subspaces(draw, max_points=48):
 def test_flag_ordered_walk_ranks_as_the_flag_text_sort(sub, trace, base):
     """exhaustive walks the points in flag-text order and sorts on fitness
     alone; that equals the rule it replaces, a sort on (fitness, flag
-    text), bit for bit, while infeasible points keep configs() order."""
-    configs = list(sub.configs())
-    assert list(sub.flag_ordered()) == sorted(configs, key=CacheConfig.to_flags)
+    text), bit for bit, while infeasible points keep flag-text order. So
+    the result does not depend on the order each value list is given in."""
+    configs = sorted(starmap(CacheConfig, product(*(getattr(sub, n) for n in DOMAINS))),
+                     key=CacheConfig.to_flags)
+    assert list(sub.flag_ordered()) == configs
     baseline = baseline_metrics(trace)
     result = exhaustive(sub, trace, TABLE, DRAM, baseline, sim_seed_base=base)
+    reversed_sub = Subspace(**{name: getattr(sub, name)[::-1] for name in DOMAINS})
+    assert exhaustive(reversed_sub, trace, TABLE, DRAM, baseline, sim_seed_base=base) == result
     points = []
     for config in configs:
         if validate(config):
@@ -342,7 +346,7 @@ def test_exhaustive_equals_a_cacheunit_replay(repl, fetch, data, profile, record
     sub = data.draw(class_subspaces(repl, fetch))
     trace = gen_synthetic(profile, records, trace_seed)
     streams = SideStreams(trace)
-    weights = objectives.FitnessWeights.from_time_weight(w_time)
+    weights = objectives.FitnessWeights(w_time)
     baseline = replay_metrics(DEFAULT_BASELINE, trace, rng_seed=0)
     for base in bases:
         result = exhaustive(sub, streams if as_streams else trace, TABLE, DRAM, baseline,
@@ -372,18 +376,17 @@ def test_exhaustive_equals_a_cacheunit_replay(repl, fetch, data, profile, record
 @settings(max_examples=200, deadline=None)
 @given(sub=listed_subspaces(max_points=300))
 def test_subspace_points_equal_checked_configs(sub):
-    """configs(), flag_ordered() and canonical from_flags build points from
+    """flag_ordered() and canonical from_flags build points from
     values already checked, without CacheConfig's domain test: each equals
     the checked point, is exactly a CacheConfig and hashes alike; and
     flag_ordered_feasible() gives validate's verdict on each point."""
-    expected = list(starmap(CacheConfig, product(*(getattr(sub, n) for n in DOMAINS))))
-    flag_order = sorted(expected, key=CacheConfig.to_flags)
+    flag_order = sorted(starmap(CacheConfig, product(*(getattr(sub, n) for n in DOMAINS))),
+                        key=CacheConfig.to_flags)
     parsed = [CacheConfig.from_flags(config.to_flags()) for config in flag_order]
-    for built, want in ((list(sub.configs()), expected),
-                        (list(sub.flag_ordered()), flag_order), (parsed, flag_order)):
-        assert built == want
+    for built in (list(sub.flag_ordered()), parsed):
+        assert built == flag_order
         assert {type(config) for config in built} == {CacheConfig}
-        assert list(map(hash, built)) == list(map(hash, want))
+        assert list(map(hash, built)) == list(map(hash, flag_order))
     assert list(sub.flag_ordered_feasible()) == [bool(validate(c)) for c in flag_order]
 
 

@@ -180,9 +180,11 @@ def test_counter_checks_raise_as_the_named_check(a, b, c):
 @settings(max_examples=300, deadline=None)
 @given(a=values, b=values)
 def test_characterization_and_metrics_checks_raise_as_the_named_check(a, b):
-    # Characterization values are checked once, when the table is built.
+    # Characterization values are checked once, when the table is built:
+    # each must be positive and within float range, an int too.
     accepted = raised(CharTable, [CharRow(512, 8, 1, a, b)]) is None
-    assert accepted == (0 < a < math.inf and 0 < b < math.inf)
+    top = sys.float_info.max
+    assert accepted == (0 < a <= top and 0 < b <= top)
     assert raised(Metrics, a, b) == raised(named_metrics, a, b)
 
 
