@@ -48,6 +48,7 @@ DOMAINS = {
 FLAG_ORDER = tuple(f"-l1-{name}" for name in DOMAINS)
 _FLAGS_FORMAT = " ".join(f"{flag} {{}}" for flag in FLAG_ORDER)
 _DOMAIN_VALUES = tuple(DOMAINS.values())
+_DOMAIN_TYPES = tuple(type(domain[0]) for domain in _DOMAIN_VALUES)  # int or str
 
 # Each parameter's permitted values by the one spelling to_flags renders:
 # flag text spells an integer as str(value), so "016384" or "16_384" is no
@@ -57,9 +58,15 @@ _TOKEN_VALUES = tuple(VALUE_TOKENS.values())
 
 
 # A design point's values, named and ordered as DOMAINS.
-_ConfigValues = NamedTuple(
-    "_ConfigValues", [(name, type(domain[0])) for name, domain in DOMAINS.items()]
-)
+_ConfigValues = NamedTuple("_ConfigValues", list(zip(DOMAINS, _DOMAIN_TYPES)))
+
+
+def _check_domain(name: str, value) -> None:
+    """Raise ConfigError unless value is one of its parameter's domain
+    values and of that domain's type: 32.0 and True are no ints here."""
+    domain = DOMAINS[name]
+    if type(value) is not type(domain[0]) or value not in domain:
+        raise ConfigError(f"{name}={value!r} outside permitted set {domain}")
 
 
 class CacheConfig(_ConfigValues):
@@ -72,10 +79,10 @@ class CacheConfig(_ConfigValues):
                 dwback):
         values = (isize, ibsize, irepl, iassoc, ifetch, dsize, dbsize, drepl, dassoc, dfetch,
                   dwback)
-        if not all(map(contains, _DOMAIN_VALUES, values)):
-            for (name, domain), value in zip(DOMAINS.items(), values):
-                if value not in domain:
-                    raise ConfigError(f"{name}={value!r} not in permitted set {domain}")
+        if not (all(map(contains, _DOMAIN_VALUES, values))
+                and tuple(map(type, values)) == _DOMAIN_TYPES):
+            for name, value in zip(DOMAINS, values):
+                _check_domain(name, value)
         return tuple.__new__(cls, values)
 
     @classmethod
@@ -187,19 +194,23 @@ class _SimCounts(NamedTuple):
 # The counters pricing reads, each checked finite and >= 0 whenever a SimStats is built.
 _PRICED_COUNTERS = ("accesses", "demand_misses", "prefetch_fills")
 
-# [0, _MAX_FLOAT] passes; any other value, ints past float range too, takes the named check.
+# Every number the models read lies in [0, _MAX_FLOAT], or in (0, _MAX_FLOAT].
 _MAX_FLOAT = sys.float_info.max
 
 
-def _check_counters(*counters) -> None:
-    for name, value in zip(_PRICED_COUNTERS, counters):
-        if value < 0 or not math.isfinite(value):
-            raise ValidationError(f"counter {name} must be finite and >= 0, got {value!r}")
+def _check_range(name: str, value, positive: bool = False, error=ValidationError) -> None:
+    """The raising fallback of every such range test's chained comparison:
+    NaN, infinities and ints past float range fail as negatives do."""
+    if positive:
+        if not 0 < value <= _MAX_FLOAT:
+            raise error(f"{name} must be finite and > 0, got {value!r}")
+    elif not 0 <= value <= _MAX_FLOAT:
+        raise error(f"{name} must be finite and >= 0, got {value!r}")
 
 
 class SimStats(_SimCounts):
     """Event counters for one cache side: a tuple of six counts, its
-    priced counters checked whenever one is built.
+    priced counters checked finite and >= 0 (_check_range) whenever one is built.
 
     demand hits = accesses - demand_misses. Prefetch fills are tracked
     apart from demand misses and are never counted as accesses. Dirty
@@ -212,7 +223,8 @@ class SimStats(_SimCounts):
                 write_throughs=0, final_flush=0):
         if not (0 <= accesses <= _MAX_FLOAT and 0 <= demand_misses <= _MAX_FLOAT
                 and 0 <= prefetch_fills <= _MAX_FLOAT):
-            _check_counters(accesses, demand_misses, prefetch_fills)
+            for name, value in zip(_PRICED_COUNTERS, (accesses, demand_misses, prefetch_fills)):
+                _check_range(f"counter {name}", value)
         return tuple.__new__(cls, (accesses, demand_misses, prefetch_fills, write_backs,
                                    write_throughs, final_flush))
 

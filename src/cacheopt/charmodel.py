@@ -16,7 +16,7 @@ from itertools import product, repeat
 from pathlib import Path
 from typing import Iterable
 
-from .cachesim import _MAX_FLOAT, ASSOCIATIVITIES, BLOCK_SIZES, CACHE_SIZES
+from .cachesim import _MAX_FLOAT, ASSOCIATIVITIES, BLOCK_SIZES, CACHE_SIZES, _check_range
 from .errors import CharLookupError, CharTableError, ValidationError
 
 ALL_TRIPLES = tuple(product(CACHE_SIZES, BLOCK_SIZES, ASSOCIATIVITIES))
@@ -39,22 +39,19 @@ class CharRow:
 
 @dataclass(frozen=True)
 class DramParams:
-    """Main-memory constants: size, latency, bandwidth, access power.
+    """Main-memory constants the models read: latency, bandwidth, access
+    power, each checked finite and > 0 (cachesim._check_range).
 
-    Defaults model a 64 MiB embedded DRAM. size is stored for reporting
-    only; the time/energy models never read it.
+    Defaults model a 64 MiB embedded DRAM.
     """
 
-    size: int = 67108864
     access_time: float = 3.9889e-9  # seconds
     bandwidth: float = 6.7108864e9  # bytes/second
     access_power: float = 1.051  # watts
 
     def __post_init__(self):
-        for name in ("size", "access_time", "bandwidth", "access_power"):
-            value = getattr(self, name)
-            if not 0 < value <= _MAX_FLOAT:  # ints past float range fail too
-                raise ValidationError(f"dram {name} must be finite and > 0, got {value!r}")
+        for name in ("access_time", "bandwidth", "access_power"):
+            _check_range(f"dram {name}", getattr(self, name), positive=True)
 
 
 class CharTable:
@@ -97,16 +94,15 @@ class CharTable:
 
 def _checked_pairs(items: Iterable[tuple[tuple[int, int, int], tuple[float, float]]]) -> dict:
     """The lookup dict of (triple, (access_time, access_energy)) items: one
-    per triple, each value finite and positive."""
+    per triple, each value finite and > 0."""
     table = {}
     for key, pair in items:
         if key in table:
             raise CharTableError(f"duplicate characterization row for {key}")
         access_time, access_energy = pair
-        if not 0 < access_time <= _MAX_FLOAT:  # ints past float range fail too
-            raise CharTableError(f"non-positive access_time for {key}")
-        if not 0 < access_energy <= _MAX_FLOAT:
-            raise CharTableError(f"non-positive access_energy for {key}")
+        if not (0 < access_time <= _MAX_FLOAT and 0 < access_energy <= _MAX_FLOAT):
+            _check_range(f"access_time for {key}", access_time, True, CharTableError)
+            _check_range(f"access_energy for {key}", access_energy, True, CharTableError)
         table[key] = pair
     return table
 
@@ -254,7 +250,6 @@ _DRAM_KEYS = {
     "dram.access_time_s": "access_time",
     "dram.bandwidth_bps": "bandwidth",
     "dram.access_power_w": "access_power",
-    "dram.size_bytes": "size",
 }
 
 
@@ -262,8 +257,9 @@ def load_dram_params(path: str | Path) -> DramParams:
     """Read DRAM constants from a flat TOML/INI-style key-value file.
 
     Recognized keys: dram.access_time_s, dram.bandwidth_bps,
-    dram.access_power_w, dram.size_bytes. A `[dram]` section header with
-    bare keys is accepted too. Missing keys keep their defaults.
+    dram.access_power_w. A `[dram]` section header with bare keys is
+    accepted too. Missing keys keep their defaults. Each value must be
+    finite and > 0; a bad one is named by its file, line and key.
     """
     path = Path(path)
     values: dict[str, float] = {}
@@ -293,14 +289,6 @@ def load_dram_params(path: str | Path) -> DramParams:
             raise ValidationError(
                 f"{path}: line {lineno}: non-numeric value for {key!r}"
             ) from None
-        if not math.isfinite(number):  # int() of an infinite size would overflow
-            raise ValidationError(f"{path}: line {lineno}: {key!r} must be finite, got {number!r}")
-        if key == "dram.size_bytes":
-            if not number.is_integer():
-                raise ValidationError(
-                    f"{path}: line {lineno}: {key!r} must be a whole number of bytes, "
-                    f"got {number!r}"
-                )
-            number = int(number)
+        _check_range(f"{path}: line {lineno}: {key!r}", number, positive=True)
         values[_DRAM_KEYS[key]] = number
     return DramParams(**values)

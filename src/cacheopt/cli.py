@@ -214,8 +214,6 @@ def _load_dram(args) -> DramParams:
         overrides["bandwidth"] = args.dram_bandwidth
     if args.dram_access_power is not None:
         overrides["access_power"] = args.dram_access_power
-    if args.dram_size is not None:
-        overrides["size"] = args.dram_size
     return replace(dram, **overrides) if overrides else dram
 
 
@@ -244,7 +242,6 @@ def _add_dram_options(parser) -> None:
     parser.add_argument("--dram-access-time", type=float, default=None, metavar="S")
     parser.add_argument("--dram-bandwidth", type=float, default=None, metavar="BPS")
     parser.add_argument("--dram-access-power", type=float, default=None, metavar="W")
-    parser.add_argument("--dram-size", type=int, default=None, metavar="BYTES")
 
 
 def _add_model_options(parser) -> None:

@@ -19,12 +19,11 @@ here. Units are seconds, joules, watts, bytes, bytes/second throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .cachesim import _MAX_FLOAT, CacheConfig, SimStats, simulate
+from .cachesim import _MAX_FLOAT, CacheConfig, SimStats, _check_range, simulate
 from .charmodel import CharTable, DramParams
 from .errors import ValidationError
 
@@ -54,15 +53,15 @@ class _MetricsValues(NamedTuple):
 
 
 class Metrics(_MetricsValues):
-    """A point's (execution time, energy), each checked finite and >= 0."""
+    """A point's (execution time, energy), each checked finite and >= 0
+    (cachesim._check_range) whenever one is built."""
 
     __slots__ = ()
 
     def __new__(cls, exec_time, energy):
         if not (0 <= exec_time <= _MAX_FLOAT and 0 <= energy <= _MAX_FLOAT):
-            for name, value in (("exec_time", exec_time), ("energy", energy)):
-                if not math.isfinite(value) or value < 0:
-                    raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+            _check_range("exec_time", exec_time)
+            _check_range("energy", energy)
         return tuple.__new__(cls, (exec_time, energy))
 
     @classmethod

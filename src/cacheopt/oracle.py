@@ -13,7 +13,9 @@ from itertools import product, starmap
 from operator import and_, itemgetter
 from typing import Iterable, NamedTuple
 
-from .cachesim import DOMAINS, CacheConfig, SideStreams, _from_checked, n_sets, validate
+from .cachesim import (
+    DOMAINS, CacheConfig, SideStreams, _check_domain, _from_checked, n_sets, validate
+)
 from .charmodel import CharTable, DramParams
 from .errors import SubspaceCapError, ValidationError
 from .objectives import FitnessWeights, Metrics, MissMode, config_metrics, fitness
@@ -37,18 +39,15 @@ class Subspace:
     dwback: tuple[str, ...] = DOMAINS["dwback"]
 
     def __post_init__(self):
-        for name, domain in DOMAINS.items():
+        for name in DOMAINS:
             values = tuple(getattr(self, name))
             object.__setattr__(self, name, values)
             if not values:
                 raise ValidationError(f"subspace {name} must be nonempty")
             if len(set(values)) != len(values):
                 raise ValidationError(f"subspace {name} has duplicate values")
-            outside = [v for v in values if v not in domain]
-            if outside:
-                raise ValidationError(
-                    f"subspace {name} values {outside} outside permitted set {domain}"
-                )
+            for value in values:
+                _check_domain(name, value)
 
     def cardinality(self) -> int:
         return math.prod(len(getattr(self, name)) for name in DOMAINS)

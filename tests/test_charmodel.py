@@ -27,7 +27,6 @@ def test_dram_defaults():
     assert dram.access_time == 3.9889e-9
     assert dram.bandwidth == 6.7108864e9
     assert dram.access_power == 1.051
-    assert dram.size == 67108864
 
 
 def test_dram_rejects_nonpositive():
@@ -35,7 +34,7 @@ def test_dram_rejects_nonpositive():
         DramParams(access_time=0.0)
     with pytest.raises(ValidationError):
         DramParams(bandwidth=-1.0)
-    for name in ("size", "access_time", "bandwidth", "access_power"):  # past float range
+    for name in ("access_time", "bandwidth", "access_power"):  # past float range
         with pytest.raises(ValidationError, match=f"dram {name} must be finite and > 0"):
             DramParams(**{name: 10**400})
 
@@ -103,6 +102,15 @@ def test_nonpositive_values_rejected():
         CharTable([CharRow(16384, 32, 4, 10**400, 1e-11)])
     with pytest.raises(CharTableError, match=r"access_energy for \(16384, 32, 4\)"):
         CharTable([CharRow(16384, 32, 4, 1e-9, 10**400)])
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, pytest.param(10**400, id="10**400")])
+def test_out_of_range_values_are_named_as_such(value):
+    """Not "non-positive": the table says which rule the value breaks."""
+    with pytest.raises(CharTableError) as info:
+        CharTable([CharRow(16384, 32, 4, value, 1e-11)])
+    assert str(info.value) == (
+        f"access_time for (16384, 32, 4) must be finite and > 0, got {value!r}")
 
 
 def test_save_load_round_trip(tmp_path):
@@ -198,13 +206,11 @@ def test_dram_file_dotted_keys(tmp_path):
         "dram.access_time_s = 4.0e-9\n"
         "dram.bandwidth_bps = 6.4e9\n"
         "dram.access_power_w = 1.0\n"
-        "dram.size_bytes = 33554432\n"
     )
     dram = load_dram_params(path)
     assert dram.access_time == 4.0e-9
     assert dram.bandwidth == 6.4e9
     assert dram.access_power == 1.0
-    assert dram.size == 33554432
 
 
 def test_dram_file_ini_section_and_defaults(tmp_path):
@@ -242,7 +248,7 @@ def test_dram_file_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("line", [
-    "dram.size_bytes = inf", "dram.size_bytes = 1e400", "dram.size_bytes = nan",
+    "dram.access_time_s = inf", "dram.access_time_s = 1e400", "dram.access_time_s = nan",
     "dram.access_time_s = -inf",
 ])
 def test_dram_file_rejects_non_finite_values(tmp_path, line):
@@ -251,23 +257,6 @@ def test_dram_file_rejects_non_finite_values(tmp_path, line):
     key = line.split(" = ")[0]
     with pytest.raises(ValidationError, match=f"dram.toml: line 2: '{key}' must be finite"):
         load_dram_params(path)
-
-
-@pytest.mark.parametrize("value", ["1.5", "0.5", "33554432.25"])
-def test_dram_file_rejects_fractional_size(tmp_path, value):
-    path = tmp_path / "dram.toml"
-    path.write_text("dram.bandwidth_bps = 6.4e9\ndram.size_bytes = " + value + "\n")
-    with pytest.raises(
-        ValidationError,
-        match=rf"dram.toml: line 2: 'dram.size_bytes' must be a whole number of bytes, got {value}",
-    ):
-        load_dram_params(path)
-
-
-def test_dram_file_accepts_integral_size_in_float_spelling(tmp_path):
-    path = tmp_path / "dram.toml"
-    path.write_text("dram.size_bytes = 3.3554432e7\n")
-    assert load_dram_params(path).size == 33554432
 
 
 def row_reader_items(path: Path, strict: bool = False) -> list:
@@ -300,10 +289,10 @@ def row_reader_items(path: Path, strict: bool = False) -> list:
     for key, (access_time, access_energy) in pairs:
         if key in table:
             raise CharTableError(f"duplicate characterization row for {key}")
-        if not 0 < access_time < math.inf:
-            raise CharTableError(f"non-positive access_time for {key}")
-        if not 0 < access_energy < math.inf:
-            raise CharTableError(f"non-positive access_energy for {key}")
+        for name, value in (("access_time", access_time), ("access_energy", access_energy)):
+            if not 0 < value < math.inf:
+                raise CharTableError(
+                    f"{name} for {key} must be finite and > 0, got {value!r}")
         table[key] = (access_time, access_energy)
     if strict:
         for key in sorted(ALL_TRIPLES):

@@ -165,7 +165,8 @@ INFEASIBLE_BASELINE = (
     (["exhaustive"], "10616832 points, above the cap of 10000"),
     (["optimize", "--runs", "0"], "runs must be >= 1"),
     (["simulate", "--flags", INFEASIBLE_BASELINE], "D-cache"),
-    (["simulate", "--dram-size", "9" * 401], "dram size must be finite and > 0"),
+    pytest.param(["simulate", "--dram-access-time", "9" * 401],
+                 "dram access_time must be finite and > 0", id="dram-access-time-inf"),
 ])
 def test_bad_flags_fail_before_trace_is_read(tmp_path, capsys, args, named):
     if args[0] != "simulate":
@@ -177,13 +178,19 @@ def test_bad_flags_fail_before_trace_is_read(tmp_path, capsys, args, named):
     assert not (tmp_path / "out").exists()
 
 
-def test_infinite_dram_size_fails_before_trace_is_read(tmp_path, capsys):
+@pytest.mark.parametrize("line, named", [
+    ("dram.access_time_s = 1e400", "'dram.access_time_s' must be finite and > 0, got inf"),
+    ("dram.access_time_s = -1", "'dram.access_time_s' must be finite and > 0, got -1.0"),
+    ("dram.access_time_s = 0", "'dram.access_time_s' must be finite and > 0, got 0.0"),
+    ("dram.size_bytes = 67108864", "unknown key 'dram.size_bytes'"),
+], ids=["infinite", "negative", "zero", "size"])
+def test_bad_dram_file_fails_before_trace_is_read(tmp_path, capsys, line, named):
     dram_path = tmp_path / "dram.toml"
-    dram_path.write_text("dram.size_bytes = 1e400\n")
+    dram_path.write_text(line + "\n")
     assert main(["optimize", "--dram-config", str(dram_path), "--trace",
                  str(tmp_path / "absent.din"), "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "dram.toml: line 1: 'dram.size_bytes' must be finite, got inf" in err
+    assert f"{dram_path}: line 1: {named}" in err
     assert "absent.din" not in err
     assert not (tmp_path / "out").exists()
 

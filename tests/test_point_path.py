@@ -4,13 +4,15 @@ design point.
 Each fast path is compared with the rule it replaces, written out here as
 it stood before: flag text joined pair by pair, the general flag parser
 (text in any other order), the per-side problem list of validate, and the
-named finiteness checks of the pricing inputs.
+named range checks of the pricing inputs.
 """
 
 import math
 import pickle
 import sys
+import tempfile
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,10 +29,17 @@ from cacheopt.cachesim import (
     SimStats,
     validate,
 )
-from cacheopt.charmodel import CharRow, CharTable, DramParams, surrogate_generate
+from cacheopt.charmodel import (
+    CharRow,
+    CharTable,
+    DramParams,
+    load_dram_params,
+    surrogate_generate,
+)
 from cacheopt.errors import ConfigError, ValidationError
 from cacheopt.evolve import Evaluator
 from cacheopt.objectives import Metrics
+from cacheopt.oracle import Subspace
 from cacheopt.trace import gen_synthetic
 
 configs = st.builds(CacheConfig, *(st.sampled_from(domain) for domain in DOMAINS.values()))
@@ -90,6 +99,18 @@ def test_make_and_replace_check_as_the_constructor_does(config, name, bad):
     assert raised(lambda: config._replace(**{name: bad})) == built
 
 
+@pytest.mark.parametrize("name, bad", [("iassoc", True), ("ibsize", 32.0), ("dsize", 16384.0)])
+def test_a_design_value_must_have_its_domain_type(name, bad):
+    """An equal value of another type is no domain value: its flag text
+    would not round-trip."""
+    values = [bad if field == name else value for field, value in zip(DOMAINS, DEFAULT_BASELINE)]
+    built = raised(CacheConfig, *values)
+    assert built == (ConfigError, f"{name}={bad!r} outside permitted set {DOMAINS[name]}")
+    assert raised(CacheConfig._make, values) == built
+    assert raised(lambda: DEFAULT_BASELINE._replace(**{name: bad})) == built
+    assert raised(lambda: Subspace(**{name: (bad,)})) == built
+
+
 def test_metrics_make_and_replace_check_as_the_constructor_does():
     metrics = Metrics(1.0, 2.0)
     assert raised(lambda: metrics._replace(exec_time=-1.0)) == raised(Metrics, -1.0, 2.0) == (
@@ -144,21 +165,24 @@ def test_validate_verdict_matches_the_problem_list_on_every_geometry_pair():
         )
 
 
-# The finiteness checks as they stood, each value tested by name.
+TOP = sys.float_info.max
+
+
+# The range checks, each value tested by name against [0, TOP].
 def named_check_counters(accesses, demand_misses, prefetch_fills):
     for name, value in (("accesses", accesses), ("demand_misses", demand_misses),
                         ("prefetch_fills", prefetch_fills)):
-        if value < 0 or not math.isfinite(value):
+        if not 0 <= value <= TOP:
             raise ValidationError(f"counter {name} must be finite and >= 0, got {value!r}")
 
 
 def named_metrics(exec_time, energy):
     for name, value in (("exec_time", exec_time), ("energy", energy)):
-        if not math.isfinite(value) or value < 0:
+        if not 0 <= value <= TOP:
             raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-BIG = int(sys.float_info.max)
+BIG = int(TOP)
 EDGES = [math.nan, math.inf, -math.inf, -1, -0.0, 0, 0.0, 10**400, -(10**400),
          BIG, BIG + 1, 2**1024, sys.float_info.max, 5e-324, True]
 values = st.one_of(st.sampled_from(EDGES), st.floats(), st.integers(),
@@ -183,19 +207,57 @@ def test_characterization_and_metrics_checks_raise_as_the_named_check(a, b):
     # Characterization values are checked once, when the table is built:
     # each must be positive and within float range, an int too.
     accepted = raised(CharTable, [CharRow(512, 8, 1, a, b)]) is None
-    top = sys.float_info.max
-    assert accepted == (0 < a <= top and 0 < b <= top)
+    assert accepted == (0 < a <= TOP and 0 < b <= TOP)
     assert raised(Metrics, a, b) == raised(named_metrics, a, b)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -1, 10**400])
+def dram_file_outcome(text: str):
+    """raised() of load_dram_params on a file whose line 1 is text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dram.toml"
+        path.write_text(text + "\n")
+        return raised(load_dram_params, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=values)
+def test_every_range_site_takes_one_rule_per_bound(value):
+    """SimStats and Metrics accept [0, TOP]; DramParams, CharTable and a
+    DRAM file accept (0, TOP]. Each refusal ends in one message per bound."""
+    at_least_zero = [
+        raised(SimStats, value),
+        raised(SimStats._make, (0, 0, value, 0, 0, 0)),
+        raised(lambda: SimStats()._replace(demand_misses=value)),
+        raised(Metrics, 0.0, value),
+    ]
+    positive = [
+        raised(lambda: DramParams(bandwidth=value)),
+        raised(CharTable, [CharRow(512, 8, 1, 1e-9, value)]),
+    ]
+    if isinstance(value, float):  # a file value is read back exactly as float(repr(value))
+        positive.append(dram_file_outcome(f"dram.access_power_w = {value!r}"))
+    for outcomes, accepted, bound in ((at_least_zero, 0 <= value <= TOP, ">="),
+                                      (positive, 0 < value <= TOP, ">")):
+        for outcome in outcomes:
+            if accepted:
+                assert outcome is None
+            else:
+                assert issubclass(outcome[0], ValidationError)
+                assert outcome[1].endswith(f" must be finite and {bound} 0, got {value!r}")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1, 10**400,
+                                   pytest.param(BIG + 1, id="BIG+1"),
+                                   pytest.param(2**1024, id="2**1024")])
 def test_bad_pricing_inputs_still_raise(value):
-    assert raised(SimStats, value) is not None
-    assert raised(SimStats._make, (0, value, 0, 0, 0, 0)) is not None
-    assert raised(lambda: SimStats()._replace(prefetch_fills=value)) is not None
-    assert raised(Metrics, value, 1.0) is not None
-    if value == 10**400:  # too large for a float, as math.isfinite says
-        assert raised(Metrics, value, 1.0) == (OverflowError, "int too large to convert to float")
+    assert raised(SimStats, value) == (
+        ValidationError, f"counter accesses must be finite and >= 0, got {value!r}")
+    assert raised(SimStats._make, (0, value, 0, 0, 0, 0)) == (
+        ValidationError, f"counter demand_misses must be finite and >= 0, got {value!r}")
+    assert raised(lambda: SimStats()._replace(prefetch_fills=value)) == (
+        ValidationError, f"counter prefetch_fills must be finite and >= 0, got {value!r}")
+    assert raised(Metrics, value, 1.0) == (
+        ValidationError, f"exec_time must be finite and >= 0, got {value!r}")
 
 
 TRACE = gen_synthetic("mixed", 200, 5)
