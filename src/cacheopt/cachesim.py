@@ -201,11 +201,13 @@ _MAX_FLOAT = sys.float_info.max
 def _check_range(name: str, value, positive: bool = False, error=ValidationError) -> None:
     """The raising fallback of every such range test's chained comparison:
     NaN, infinities and ints past float range fail as negatives do."""
-    if positive:
-        if not 0 < value <= _MAX_FLOAT:
-            raise error(f"{name} must be finite and > 0, got {value!r}")
-    elif not 0 <= value <= _MAX_FLOAT:
-        raise error(f"{name} must be finite and >= 0, got {value!r}")
+    if (0 < value <= _MAX_FLOAT) if positive else (0 <= value <= _MAX_FLOAT):
+        return
+    try:
+        shown = repr(value)
+    except ValueError:  # Python gives no text for an int over 4,300 digits
+        shown = f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    raise error(f"{name} must be finite and {'>' if positive else '>='} 0, got {shown}")
 
 
 class SimStats(_SimCounts):

@@ -183,6 +183,14 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """Write one result CSV: a header row, then rows, each line ended by "\n"."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _load_trace(args) -> SideStreams:
     cap = args.max_records
     if cap is not None and cap < 0:
@@ -207,13 +215,8 @@ def _load_char_table(args) -> CharTable:
 
 def _load_dram(args) -> DramParams:
     dram = load_dram_params(args.dram_config) if args.dram_config else DramParams()
-    overrides = {}
-    if args.dram_access_time is not None:
-        overrides["access_time"] = args.dram_access_time
-    if args.dram_bandwidth is not None:
-        overrides["bandwidth"] = args.dram_bandwidth
-    if args.dram_access_power is not None:
-        overrides["access_power"] = args.dram_access_power
+    overrides = {name: value for name in ("access_time", "bandwidth", "access_power")
+                 if (value := getattr(args, "dram_" + name)) is not None}
     return replace(dram, **overrides) if overrides else dram
 
 
@@ -251,7 +254,7 @@ def _add_model_options(parser) -> None:
         help="whether prefetch fills are priced like demand misses",
     )
     parser.add_argument(
-        "--w-time", type=float, default=0.5, metavar="W",
+        "--w-time", type=float, default=FitnessWeights.w_time, metavar="W",
         help="fitness weight on execution time (energy gets 1-W)",
     )
     parser.add_argument(
@@ -314,10 +317,7 @@ def cmd_simulate(args) -> None:
     print(f"exec_time_s = {_fmt(metrics.exec_time)}")
     print(f"energy_j = {_fmt(metrics.energy)}")
     if args.out:
-        with Path(args.out).open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("key", "value"))
-            writer.writerows(rows)
+        _write_csv(Path(args.out), ("key", "value"), rows)
 
 
 def run_optimize(rc: RunConfig) -> dict:
@@ -343,15 +343,12 @@ def run_optimize(rc: RunConfig) -> dict:
         result = evolve(replace(rc.params, rng_seed=rc.seed + run), grammar, evaluator)
         total_sims += evaluator.stats().sim_invocations - sims_before
         bests.append(result.best)
-        log_path = rc.outdir / f"run_{run:02d}_log.csv"
-        with log_path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("generation", "best", "mean", "worst", "unique_evals", "memo_hits"))
-            for row in result.log:
-                writer.writerow(
-                    (row.generation, _fmt(row.best), _fmt(row.mean), _fmt(row.worst),
-                     row.unique_evals, row.memo_hits)
-                )
+        _write_csv(
+            rc.outdir / f"run_{run:02d}_log.csv",
+            ("generation", "best", "mean", "worst", "unique_evals", "memo_hits"),
+            ((row.generation, _fmt(row.best), _fmt(row.mean), _fmt(row.worst),
+              row.unique_evals, row.memo_hits) for row in result.log),
+        )
     baseline = evaluator.baseline_metrics  # every evaluator prices the same baseline
 
     best_fits = [best.fitness for best in bests]
@@ -371,13 +368,12 @@ def run_optimize(rc: RunConfig) -> dict:
         pct_energies.append(pct_e)
         rows.append((*head, _fmt(t), _fmt(e), _fmt(pct_t), _fmt(pct_e), best.phenotype))
 
-    with (rc.outdir / "runs.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ("run", "seed", "best_fitness", "exec_time_s", "energy_j",
-             "pct_time", "pct_energy", "phenotype")
-        )
-        writer.writerows(rows)
+    _write_csv(
+        rc.outdir / "runs.csv",
+        ("run", "seed", "best_fitness", "exec_time_s", "energy_j",
+         "pct_time", "pct_energy", "phenotype"),
+        rows,
+    )
 
     summary = {
         "runs": rc.runs,
@@ -393,12 +389,11 @@ def run_optimize(rc: RunConfig) -> dict:
         "max_evals": max_evals,
         "memo_savings_pct": savings_pct,
     }
-    with (rc.outdir / "summary.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(summary.keys())
-        writer.writerow(
-            [_fmt(v) if isinstance(v, float) else v for v in summary.values()]
-        )
+    _write_csv(
+        rc.outdir / "summary.csv",
+        summary.keys(),
+        [[_fmt(v) if isinstance(v, float) else v for v in summary.values()]],
+    )
 
     best = bests[best_fits.index(best_fitness)]
     lines = [best.phenotype or "", f"fitness = {_fmt(best.fitness)}"]
@@ -413,6 +408,12 @@ def run_optimize(rc: RunConfig) -> dict:
     return summary
 
 
+# The GEParams fields that optimize takes as options, defaults and all;
+# rng_seed is --seed + run.
+_GE_OPTIONS = ("generations", "population", "p_crossover", "p_mutation", "elitism",
+               "tournament_size", "max_wraps", "codon_count")
+
+
 def cmd_optimize(args) -> None:
     if args.runs < 1:
         raise ValidationError(f"--runs must be >= 1, got {args.runs}")
@@ -421,17 +422,7 @@ def cmd_optimize(args) -> None:
     )
     grammar = parse_bnf(grammar_text)  # a bad grammar fails before any input is read
     triples = _grammar_triples(grammar)
-    params = GEParams(
-        generations=args.generations,
-        population=args.population,
-        p_crossover=args.p_crossover,
-        p_mutation=args.p_mutation,
-        elitism=args.elitism,
-        tournament_size=args.tournament_size,
-        max_wraps=args.max_wraps,
-        codon_count=args.codon_count,
-        rng_seed=args.seed,
-    )
+    params = GEParams(**{name: getattr(args, name) for name in _GE_OPTIONS})
     baseline = _baseline(args)
     weights = FitnessWeights(args.w_time)
     table = _load_char_table(args)
@@ -480,19 +471,17 @@ def cmd_exhaustive(args) -> None:
     )
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    with (outdir / "ranked.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("fitness", "exec_time_s", "energy_j", "phenotype"))
-        for r in result.ranked:
-            writer.writerow(
-                (_fmt(r.fitness), _fmt(r.metrics.exec_time), _fmt(r.metrics.energy),
-                 r.config.to_flags())
-            )
-    with (outdir / "infeasible.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("phenotype", "problem"))
-        for config, problems in result.infeasible:
-            writer.writerow((config.to_flags(), "; ".join(problems)))
+    _write_csv(
+        outdir / "ranked.csv",
+        ("fitness", "exec_time_s", "energy_j", "phenotype"),
+        ((_fmt(r.fitness), _fmt(r.metrics.exec_time), _fmt(r.metrics.energy),
+          r.config.to_flags()) for r in result.ranked),
+    )
+    _write_csv(
+        outdir / "infeasible.csv",
+        ("phenotype", "problem"),
+        ((config.to_flags(), "; ".join(problems)) for config, problems in result.infeasible),
+    )
     print(
         f"evaluated {len(result.ranked)} feasible configurations "
         f"({len(result.infeasible)} infeasible)"
@@ -519,10 +508,7 @@ def cmd_report(args) -> None:
         rows.append(
             (Path(directory).name, summary["avg_pct_energy"], summary["avg_pct_time"])
         )
-    with Path(args.out).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("benchmark", "pct_energy", "pct_time"))
-        writer.writerows(rows)
+    _write_csv(Path(args.out), ("benchmark", "pct_energy", "pct_time"), rows)
     for name, pct_e, pct_t in rows:
         print(f"{name}: energy {pct_e}% of baseline, time {pct_t}% of baseline")
 
@@ -567,15 +553,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_dram_options(p)
     _add_model_options(p)
     p.add_argument("--grammar", default=None, help="BNF grammar file (default: built-in)")
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--generations", type=int, default=100)
-    p.add_argument("--population", type=int, default=50)
-    p.add_argument("--p-crossover", type=float, default=0.9)
-    p.add_argument("--p-mutation", type=float, default=0.01)
-    p.add_argument("--elitism", type=int, default=1)
-    p.add_argument("--tournament-size", type=int, default=2)
-    p.add_argument("--max-wraps", type=int, default=3)
-    p.add_argument("--codon-count", type=int, default=11)
+    p.add_argument("--runs", type=int, default=RunConfig.runs)
+    for name in _GE_OPTIONS:
+        default = getattr(GEParams, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--seed", type=int, default=0, help="master seed; run i uses seed+i")
     p.add_argument("--no-shared-memo", action="store_true",
                    help="give each run its own evaluation memo")

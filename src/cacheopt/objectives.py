@@ -85,22 +85,30 @@ class FitnessWeights:
         return 1.0 - self.w_time
 
 
-def _price(
+def metrics_from_stats(
     istats: SimStats,
     dstats: SimStats,
-    ichar: tuple[float, float],
-    dchar: tuple[float, float],
+    table: CharTable,
     config: CacheConfig,
     dram: DramParams,
-    miss_mode: MissMode,
+    miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
 ) -> Metrics:
-    """(execution time, energy) of inputs checked where they were made: a
-    SimStats checks its counters when built, a CharTable its rows when built."""
+    """Price simulated counters with each side's characterization row.
+
+    The one pricing body: config_metrics simulates, then prices here. Its
+    inputs were checked where they were made: a SimStats checks its counters
+    when built, a CharTable its rows. A missing row raises CharLookupError
+    (CharTable.lookup's message), the I row's first.
+    """
+    isize, ibsize, _, iassoc, _, dsize, dbsize, _, dassoc, _, _ = config
+    try:
+        ichar, dchar = table._table[isize, ibsize, iassoc], table._table[dsize, dbsize, dassoc]
+    except KeyError:
+        ichar, dchar = table.lookup(isize, ibsize, iassoc), table.lookup(dsize, dbsize, dassoc)
     im, dm = istats.demand_misses, dstats.demand_misses
     if miss_mode is _ALL_FILLS:
         im += istats.prefetch_fills
         dm += dstats.prefetch_fills
-    ibsize, dbsize = config.ibsize, config.dbsize
     access_time, bandwidth = dram.access_time, dram.bandwidth
     t = (
         istats.accesses * ichar[0]
@@ -123,24 +131,6 @@ def _price(
     return Metrics(t, e)
 
 
-def metrics_from_stats(
-    istats: SimStats,
-    dstats: SimStats,
-    table: CharTable,
-    config: CacheConfig,
-    dram: DramParams,
-    miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
-) -> Metrics:
-    """Price simulated counters with each side's characterization row.
-
-    The one public pricing function for counters that are already simulated;
-    config_metrics simulates and prices in one call.
-    """
-    ichar = table.lookup(config.isize, config.ibsize, config.iassoc)
-    dchar = table.lookup(config.dsize, config.dbsize, config.dassoc)
-    return _price(istats, dstats, ichar, dchar, config, dram, miss_mode)
-
-
 def config_metrics(
     config: CacheConfig,
     trace,
@@ -149,7 +139,7 @@ def config_metrics(
     miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
     rng_seed: int = 0,
 ) -> Metrics:
-    """Simulate a configuration and price it with the models.
+    """Simulate a configuration, then price it with metrics_from_stats.
 
     trace is passed to simulate as is: records or a SideStreams. simulate
     raises InfeasibleConfigError for an impossible geometry. rng_seed is
@@ -157,13 +147,7 @@ def config_metrics(
     its own flags, so results do not depend on evaluation order.
     """
     istats, dstats = simulate(config, trace, rng_seed)
-    isize, ibsize, _, iassoc, _, dsize, dbsize, _, dassoc, _, _ = config
-    ikey, dkey = (isize, ibsize, iassoc), (dsize, dbsize, dassoc)
-    try:
-        ichar, dchar = table._table[ikey], table._table[dkey]
-    except KeyError:  # lookup names the missing row
-        ichar, dchar = table.lookup(*ikey), table.lookup(*dkey)
-    return _price(istats, dstats, ichar, dchar, config, dram, miss_mode)
+    return metrics_from_stats(istats, dstats, table, config, dram, miss_mode)
 
 
 def fitness(

@@ -136,9 +136,11 @@ def exhaustive(
     canonical flag-text order: the points are walked in that order
     (Subspace.flag_ordered) and sorted stably on fitness alone. Infeasible
     points keep the walk's order, so neither tuple depends on the order in
-    which a value list names its values.
+    which a value list names its values. A baseline that fitness() refuses
+    is refused before anything is simulated.
     """
     sub.check_cap(cap)
+    fitness(baseline, baseline, weights)  # rejects a bad baseline before anything is simulated
     streams = SideStreams.of(trace)
     ranked, infeasible = [], []
     w_time, w_energy = weights.w_time, weights.w_energy
@@ -148,9 +150,8 @@ def exhaustive(
             infeasible.append((config, validate(config).problems))
             continue
         metrics = config_metrics(config, streams, table, dram, miss_mode, sim_seed_base)
-        # fitness()'s expression; the first point's fitness() rejects a bad baseline
-        score = (w_time * metrics[0] / base_time + w_energy * metrics[1] / base_energy
-                 if ranked else fitness(metrics, baseline, weights))
+        # fitness()'s expression, so a score is the bits fitness() would give
+        score = w_time * metrics[0] / base_time + w_energy * metrics[1] / base_energy
         ranked.append(tuple.__new__(RankedConfig, (config, metrics, score)))
     ranked.sort(key=itemgetter(2))  # the fitness
     return ExhaustiveResult(tuple(ranked), tuple(infeasible))

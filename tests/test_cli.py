@@ -1,11 +1,12 @@
 import csv
+from dataclasses import fields
 
 import pytest
 
 import cacheopt.evolve as EVOLVE
 from cacheopt import objectives
 from cacheopt.charmodel import CharRow, CharTable, DramParams, save_table, surrogate_generate
-from cacheopt.cli import RunConfig, _grammar_triples, main, run_optimize
+from cacheopt.cli import RunConfig, _build_parser, _grammar_triples, main, run_optimize
 from cacheopt.cachesim import DEFAULT_BASELINE, SideStreams, simulate
 from cacheopt.errors import ValidationError
 from cacheopt.evolve import GEParams
@@ -219,6 +220,16 @@ def test_run_config_accepts_only_one_job(tmp_path):
     assert RunConfig(**kwargs, jobs=1).jobs == 1
     with pytest.raises(ValidationError, match="jobs"):
         RunConfig(**kwargs, jobs=2)
+
+
+def test_optimize_defaults_are_the_library_defaults():
+    # Every GEParams field but the per-run seed is an option of its own.
+    args = _build_parser().parse_args(["optimize", "--trace", "t.din", "-o", "out"])
+    for field in fields(GEParams):
+        if field.name != "rng_seed":
+            assert getattr(args, field.name) == field.default, field.name
+    assert args.runs == next(f.default for f in fields(RunConfig) if f.name == "runs")
+    assert args.w_time == FitnessWeights().w_time
 
 
 def test_run_config_rejects_an_empty_trace(tmp_path):
@@ -646,6 +657,29 @@ def test_optimize_non_flat_grammar_reaching_a_missing_row_fails_up_front(tmp_pat
     assert not outdir.exists()
 
 
+def test_optimize_nested_grammar_sharing_a_size_rule_reaching_a_missing_row_fails_up_front(
+    tmp_path, capsys
+):
+    # <S> and <A> give both sides their size and assoc, the I side's through
+    # the nested <I> rule, so some points look up the missing 4096/32/4 row.
+    table_path = _table_without(tmp_path, (4096, 32, 4))
+    grammar_path = tmp_path / "nested.bnf"
+    grammar_path.write_text(
+        "<P> ::= <I> -l1-dsize <S> -l1-dbsize 32 -l1-drepl l -l1-dassoc <A> -l1-dfetch d"
+        " -l1-dwback <W>\n"
+        "<I> ::= -l1-isize <S> -l1-ibsize 32 -l1-irepl <R> -l1-iassoc <A> -l1-ifetch d\n"
+        "<S> ::= 1024 | 4096 | 16384\n<A> ::= 1 | 4\n<R> ::= l | r\n<W> ::= a | n\n"
+    )
+    outdir = tmp_path / "run"
+    rc = main(["optimize", "--trace", str(tmp_path / "absent.din"), "--table", str(table_path),
+               "--grammar", str(grammar_path), "--runs", "1", "--generations", "3",
+               "--population", "6", "-o", str(outdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "size=4096 block=32 assoc=4" in err and "absent.din" not in err
+    assert not outdir.exists()
+
+
 def test_optimize_non_flat_grammar_with_an_impossible_terminal_fails_up_front(tmp_path, capsys):
     grammar_path = tmp_path / "bad_nested.bnf"
     grammar_path.write_text(
@@ -726,10 +760,13 @@ ALL_BUT_DWBACK = (
      "more than 22 tokens, not 22"),
     (ONE_POINT_GRAMMAR.replace("<A> ::= 4", "<A> ::= 4 | 8 -l1-x"),
      "'-l1-x' is neither a flag nor a value"),
+    ("<P> ::= -l1-isize 1024 -l1-ibsize 32 -l1-irepl <R> -l1-iassoc 4 -l1-ifetch d"
+     " -l1-dsize 1024 -l1-dbsize 32 -l1-drepl l -l1-dassoc 4 -l1-dfetch d -l1-dwback a\n"
+     "<R> ::= l | f | x\n", "-l1-irepl the value 'x'"),
 ], ids=["value-of-another-flag", "0512", "through-follow", "flag-at-the-end", "repeated-flag",
         "repeated-flag-alone", "recursive-flag", "recursive-repeat", "repeated-geometry-flag",
         "unproductive-recursion", "unproductive-loop", "missing-nested-flags", "missing-flag",
-        "extra-value", "recursive-value", "stray-after-a-value"])
+        "extra-value", "recursive-value", "stray-after-a-value", "flat-irepl-x"])
 def test_optimize_grammar_with_a_value_its_flag_cannot_take_fails_up_front(
     tmp_path, capsys, grammar, named
 ):

@@ -4,7 +4,7 @@ import pytest
 
 from cacheopt.cachesim import DEFAULT_BASELINE, CacheConfig, SideStreams, SimStats, simulate
 from cacheopt.charmodel import CharRow, CharTable, DramParams, surrogate_generate
-from cacheopt.errors import ValidationError
+from cacheopt.errors import CharLookupError, ValidationError
 from cacheopt.objectives import (
     INFEASIBLE_FITNESS,
     FitnessWeights,
@@ -192,6 +192,23 @@ def test_config_metrics_checks_each_side_once(monkeypatch):
     _, through = simulate(DEFAULT_BASELINE._replace(dwback="n"), streams)
     assert built == [tuple(istats), tuple(istats), tuple(dstats), tuple(through)]
     assert metrics == metrics_from_stats(istats, dstats, table, DEFAULT_BASELINE, DRAM)
+
+
+@pytest.mark.parametrize("rows, missing", [
+    ([CharRow(8192, 32, 4, *DCHAR)], "size=16384 block=32 assoc=4"),
+    ([CharRow(16384, 32, 4, *ICHAR)], "size=8192 block=32 assoc=4"),
+    ([], "size=16384 block=32 assoc=4"),
+], ids=["no-I-row", "no-D-row", "no-rows"])
+def test_a_missing_row_is_named_the_I_row_first(rows, missing):
+    """Both pricing entry points name the missing row as CharTable.lookup
+    does, the I side's before the D side's."""
+    table = CharTable(rows)
+    message = f"^no characterization row for {missing}$"
+    with pytest.raises(CharLookupError, match=message):
+        metrics_from_stats(stats(10, 1), stats(10, 1), table, CONFIG, DRAM)
+    streams = SideStreams(gen_synthetic("mixed", 50, 1))
+    with pytest.raises(CharLookupError, match=message):
+        config_metrics(CONFIG, streams, table, DRAM)
 
 
 def test_infeasible_sentinel_value():

@@ -407,6 +407,20 @@ def test_exhaustive_cap():
         exhaustive(Subspace(), trace, TABLE, DRAM, baseline_metrics(trace), cap=1000)
 
 
+@pytest.mark.parametrize("sub", [
+    small_subspace(isize=(512, 1024)),
+    small_subspace(ibsize=(64,), iassoc=(128,)),
+], ids=["feasible-points", "no-feasible-point"])
+def test_exhaustive_refuses_a_bad_baseline_before_simulating(sub, monkeypatch):
+    calls = []
+    real = objectives.simulate
+    monkeypatch.setattr(objectives, "simulate",
+                        lambda *args: (calls.append(args), real(*args))[1])
+    with pytest.raises(ValidationError, match="baseline metrics must be strictly positive"):
+        exhaustive(sub, gen_synthetic("mixed", 100, 5), TABLE, DRAM, objectives.Metrics(0.0, 1.0))
+    assert calls == []
+
+
 def test_exhaustive_bounds_ge_best():
     trace = gen_synthetic("mixed", 2000, 6)
     sub = small_subspace(isize=(512, 65536), dsize=(512, 65536), dwback=("a", "n"))

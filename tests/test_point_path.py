@@ -36,7 +36,7 @@ from cacheopt.charmodel import (
     load_dram_params,
     surrogate_generate,
 )
-from cacheopt.errors import ConfigError, ValidationError
+from cacheopt.errors import CharTableError, ConfigError, ValidationError
 from cacheopt.evolve import Evaluator
 from cacheopt.objectives import Metrics
 from cacheopt.oracle import Subspace
@@ -258,6 +258,25 @@ def test_bad_pricing_inputs_still_raise(value):
         ValidationError, f"counter prefetch_fills must be finite and >= 0, got {value!r}")
     assert raised(Metrics, value, 1.0) == (
         ValidationError, f"exec_time must be finite and >= 0, got {value!r}")
+
+
+@pytest.mark.parametrize("value", [pytest.param(10**5000, id="10**5000"),
+                                   pytest.param(-(10**5000), id="-(10**5000)")])
+def test_ints_too_long_for_text_are_refused_by_sign_and_bit_length(value):
+    """Python gives no decimal text for an int over 4,300 digits, so the
+    refusal names such an int by its sign and bit length, in the shared
+    error type of each input."""
+    shown = f"{'a negative' if value < 0 else 'an'} int of 16610 bits"
+    assert raised(SimStats, value) == (
+        ValidationError, f"counter accesses must be finite and >= 0, got {shown}")
+    assert raised(Metrics, value, 1.0) == (
+        ValidationError, f"exec_time must be finite and >= 0, got {shown}")
+    assert raised(Metrics, 1.0, value) == (
+        ValidationError, f"energy must be finite and >= 0, got {shown}")
+    assert raised(lambda: DramParams(access_time=value)) == (
+        ValidationError, f"dram access_time must be finite and > 0, got {shown}")
+    assert raised(CharTable, [CharRow(16384, 32, 4, 1e-9, value)]) == (
+        CharTableError, f"access_energy for (16384, 32, 4) must be finite and > 0, got {shown}")
 
 
 TRACE = gen_synthetic("mixed", 200, 5)
