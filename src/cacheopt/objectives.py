@@ -10,7 +10,7 @@ DRAM service of each miss as power x time (the product keeps the term in
 joules; see README):
 
     E = Ia*Ie + Da*De + Im*Ie*Il + Dm*De*Dl
-        + Im*P_dram*(Dram_t + Il/BW) + Dm*P_dram*(Dram_t + Dl/BW)
+        + Im*(P_dram*(Dram_t + Il/BW)) + Dm*(P_dram*(Dram_t + Dl/BW))
 
 No CPU term and no write-traffic term enter either model; write-back and
 write-through counters are reported by the simulator but priced at zero
@@ -21,9 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .cachesim import _MAX_FLOAT, CacheConfig, SimStats, _check_range, simulate
+from .cachesim import (
+    _MAX_FLOAT, CacheConfig, SideStreams, SimStats, _check_range, _from_checked, simulate
+)
 from .charmodel import CharTable, DramParams
 from .errors import ValidationError
 
@@ -85,6 +87,20 @@ class FitnessWeights:
         return 1.0 - self.w_time
 
 
+def side_terms(stats: SimStats, row: tuple[float, float], block: int, dram: DramParams,
+               miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH) -> tuple[float, ...]:
+    """One side's six priced terms from its counters and its characterization
+    row (access time, access energy): access time, miss latency and line
+    transfer, then access energy, refill energy and DRAM service."""
+    accesses, misses = stats.accesses, stats.demand_misses
+    if miss_mode is _ALL_FILLS:
+        misses += stats.prefetch_fills
+    access_time, bandwidth = dram.access_time, dram.bandwidth
+    return (accesses * row[0], misses * access_time, misses * block / bandwidth,
+            accesses * row[1], misses * row[1] * block,
+            misses * (dram.access_power * (access_time + block / bandwidth)))
+
+
 def metrics_from_stats(
     istats: SimStats,
     dstats: SimStats,
@@ -95,40 +111,52 @@ def metrics_from_stats(
 ) -> Metrics:
     """Price simulated counters with each side's characterization row.
 
-    The one pricing body: config_metrics simulates, then prices here. Its
-    inputs were checked where they were made: a SimStats checks its counters
-    when built, a CharTable its rows. A missing row raises CharLookupError
-    (CharTable.lookup's message), the I row's first.
+    The sum of both sides' side_terms in the models' order: T adds the
+    three I terms, then the three D terms; E alternates I and D. Its
+    inputs were checked where they were made: a SimStats checks its
+    counters when built, a CharTable its rows. A missing row raises
+    CharLookupError (CharTable.lookup's message), the I row's first.
     """
     isize, ibsize, _, iassoc, _, dsize, dbsize, _, dassoc, _, _ = config
     try:
         ichar, dchar = table._table[isize, ibsize, iassoc], table._table[dsize, dbsize, dassoc]
     except KeyError:
         ichar, dchar = table.lookup(isize, ibsize, iassoc), table.lookup(dsize, dbsize, dassoc)
-    im, dm = istats.demand_misses, dstats.demand_misses
-    if miss_mode is _ALL_FILLS:
-        im += istats.prefetch_fills
-        dm += dstats.prefetch_fills
-    access_time, bandwidth = dram.access_time, dram.bandwidth
-    t = (
-        istats.accesses * ichar[0]
-        + im * access_time
-        + im * ibsize / bandwidth
-        + dstats.accesses * dchar[0]
-        + dm * access_time
-        + dm * dbsize / bandwidth
-    )
-    i_dram = dram.access_power * (access_time + ibsize / bandwidth)
-    d_dram = dram.access_power * (access_time + dbsize / bandwidth)
-    e = (
-        istats.accesses * ichar[1]
-        + dstats.accesses * dchar[1]
-        + im * ichar[1] * ibsize
-        + dm * dchar[1] * dbsize
-        + im * i_dram
-        + dm * d_dram
-    )
-    return Metrics(t, e)
+    it, il, ix, ie, ir, idram = side_terms(istats, ichar, ibsize, dram, miss_mode)
+    dt, dl, dx, de, dr, ddram = side_terms(dstats, dchar, dbsize, dram, miss_mode)
+    return Metrics(it + il + ix + dt + dl + dx, ie + de + ir + dr + idram + ddram)
+
+
+def price_parts(iparts: list, dparts: list, streams: SideStreams, table: CharTable,
+                dram: DramParams, miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
+                rng_seed: int = 0) -> Iterator[tuple[CacheConfig, Metrics | None]]:
+    """Yield each point of the product of I and D parts (Subspace.parts), I
+    parts outer, with its metrics, or None if either part is infeasible.
+
+    Each feasible point is simulated (a side memo hit once its sides ran).
+    An I part's terms are priced once per row, a D part's once per walk,
+    and summed in metrics_from_stats's order, so each value is the bits
+    config_metrics gives, and a missing row raises at the first point that
+    needs it, the I row first.
+    """
+    dterms = [None] * len(dparts)
+    for iflags, ifeasible in iparts:
+        iterms = None
+        for j, (dflags, dfeasible) in enumerate(dparts):
+            config = _from_checked(iflags + dflags)
+            if not (ifeasible and dfeasible):
+                yield config, None
+                continue
+            istats, dstats = simulate(config, streams, rng_seed)
+            if iterms is None:
+                row = table.lookup(iflags[0], iflags[1], iflags[3])
+                iterms = side_terms(istats, row, iflags[1], dram, miss_mode)
+            if dterms[j] is None:
+                row = table.lookup(dflags[0], dflags[1], dflags[3])
+                dterms[j] = side_terms(dstats, row, dflags[1], dram, miss_mode)
+            it, il, ix, ie, ir, idram = iterms
+            dt, dl, dx, de, dr, ddram = dterms[j]
+            yield config, Metrics(it + il + ix + dt + dl + dx, ie + de + ir + dr + idram + ddram)
 
 
 def config_metrics(

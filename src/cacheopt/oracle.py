@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product, starmap
-from operator import and_, itemgetter
+from itertools import product
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .cachesim import (
-    DOMAINS, CacheConfig, SideStreams, _check_domain, _from_checked, n_sets, validate
-)
+from .cachesim import DOMAINS, CacheConfig, SideStreams, _check_domain, n_sets, validate
 from .charmodel import CharTable, DramParams
 from .errors import SubspaceCapError, ValidationError
-from .objectives import FitnessWeights, Metrics, MissMode, config_metrics, fitness
+from .objectives import (  # config_metrics is unused here, kept for perfbench's patches
+    FitnessWeights, Metrics, MissMode, config_metrics, fitness, price_parts
+)
 from .trace import TraceRecord
 
 
@@ -58,32 +58,22 @@ class Subspace:
                 f"subspace holds {self.cardinality()} points, above the cap of {cap}"
             )
 
-    def _flag_lists(self) -> list[list]:
-        return [sorted(getattr(self, name), key=str) for name in DOMAINS]
+    def parts(self) -> tuple[list[tuple[tuple, bool]], list[tuple[tuple, bool]]]:
+        """The I parts and the D parts: each side's value tuples in to_flags()
+        text order, with whether the part's geometry holds a set (n_sets,
+        the rule of validate).
 
-    def flag_ordered(self) -> Iterable[CacheConfig]:
-        """The points in to_flags() text order, each built once.
-
-        Each parameter's values are sorted by their text, and the product
-        of those lists is in flag-text order: two flag texts first differ at
-        the first differing value, and where one value's text is a prefix of
-        the other's ("1" and "16"), the shorter is followed by a space,
-        which sorts below every digit, as the shorter text sorts first.
+        A point is an I part followed by a D part, feasible when both are,
+        and the product with I parts outer is in flag-text order: each
+        parameter's values are sorted by their text, two flag texts first
+        differ at the first differing value, and where one value's text is
+        a prefix of the other's ("1" and "16"), the shorter is followed by a
+        space, which sorts below every digit, as the shorter text sorts first.
         """
-        return map(_from_checked, product(*self._flag_lists()))
-
-    def flag_ordered_feasible(self) -> Iterable[bool]:
-        """Whether each point of flag_ordered() is feasible, in that order.
-
-        Feasibility is decided once per side, as triples() decides it: the
-        I values lead each point, so the walk is the product of the I parts'
-        verdicts and the D parts'.
-        """
-        lists = self._flag_lists()
+        lists = [sorted(getattr(self, name), key=str) for name in DOMAINS]
         iside, dside = self._feasible_sides("i"), self._feasible_sides("d")
-        iparts = [(s, b, a) in iside for s, b, _, a, _ in product(*lists[:5])]
-        dparts = [(s, b, a) in dside for s, b, _, a, _, _ in product(*lists[5:])]
-        return starmap(and_, product(iparts, dparts))
+        return ([(p, (p[0], p[1], p[3]) in iside) for p in product(*lists[:5])],
+                [(p, (p[0], p[1], p[3]) in dside) for p in product(*lists[5:])])
 
     def _feasible_sides(self, side: str) -> set[tuple[int, int, int]]:
         """The (size, block, assoc) triples of one side ('i' or 'd') that
@@ -133,8 +123,8 @@ def exhaustive(
     Deterministic and rng-free: sim_seed_base (default 0) is simulate's
     seed base, so a random-replacement side is seeded from it and its own
     flags, and each distinct side runs once. Ties in fitness are broken by
-    canonical flag-text order: the points are walked in that order
-    (Subspace.flag_ordered) and sorted stably on fitness alone. Infeasible
+    canonical flag-text order: objectives.price_parts walks the points in
+    that order and they are sorted stably on fitness alone. Infeasible
     points keep the walk's order, so neither tuple depends on the order in
     which a value list names its values. A baseline that fitness() refuses
     is refused before anything is simulated.
@@ -145,11 +135,11 @@ def exhaustive(
     ranked, infeasible = [], []
     w_time, w_energy = weights.w_time, weights.w_energy
     base_time, base_energy = baseline
-    for config, feasible in zip(sub.flag_ordered(), sub.flag_ordered_feasible()):
-        if not feasible:  # simulate checks each feasible point itself
+    walk = price_parts(*sub.parts(), streams, table, dram, miss_mode, sim_seed_base)
+    for config, metrics in walk:
+        if metrics is None:  # simulate checks each feasible point itself
             infeasible.append((config, validate(config).problems))
             continue
-        metrics = config_metrics(config, streams, table, dram, miss_mode, sim_seed_base)
         # fitness()'s expression, so a score is the bits fitness() would give
         score = w_time * metrics[0] / base_time + w_energy * metrics[1] / base_energy
         ranked.append(tuple.__new__(RankedConfig, (config, metrics, score)))

@@ -12,13 +12,13 @@ from cacheopt.cachesim import (
     DEFAULT_BASELINE, DOMAINS, FLAG_ORDER, CacheConfig, CacheUnit, SideStreams, simulate,
     validate,
 )
-from cacheopt.charmodel import DramParams, surrogate_generate
+from cacheopt.charmodel import CharTable, DramParams, surrogate_generate
 from cacheopt.errors import (
-    InfeasibleConfigError, MappingError, SubspaceCapError, ValidationError,
+    CharLookupError, InfeasibleConfigError, MappingError, SubspaceCapError, ValidationError,
 )
 from cacheopt.evolve import Evaluator, GEParams, evolve
 from cacheopt.grammar import DEFAULT_GRAMMAR, map_genotype, parse_bnf
-from cacheopt.objectives import config_metrics, fitness
+from cacheopt.objectives import MissMode, config_metrics, fitness
 from cacheopt.oracle import Subspace, exhaustive, reference_lru
 from cacheopt.trace import PROFILES, AccessKind, TraceRecord, gen_synthetic
 
@@ -172,7 +172,7 @@ def test_exhaustive_runs_each_distinct_side_once(monkeypatch):
     assert len(result.ranked) == 27
     assert Counter(passes) == {("engine", "d"): 1, ("engine", "i"): 6, ("open", "i"): 3}
     for r in result.ranked:
-        assert r.metrics == replay_metrics(r.config, trace, rng_seed=5)
+        assert r.metrics == readme_metrics(*replay_stats(r.config, trace, 5), r.config)
 
 
 def test_sides_that_never_evict_share_one_open_pass(monkeypatch):
@@ -192,7 +192,7 @@ def test_sides_that_never_evict_share_one_open_pass(monkeypatch):
         result = exhaustive(sub, streams, TABLE, DRAM, baseline, sim_seed_base=base)
         assert len(result.ranked) == 216
         for r in result.ranked[::13]:
-            assert r.metrics == replay_metrics(r.config, trace, rng_seed=base)
+            assert r.metrics == readme_metrics(*replay_stats(r.config, trace, base), r.config)
     assert Counter(passes) == {("open", "d"): 1, ("open", "i"): 1}
 
     # 512 B holds 16 blocks of 32 B, no fewer than the 14 the I-side reads,
@@ -203,9 +203,9 @@ def test_sides_that_never_evict_share_one_open_pass(monkeypatch):
     assert Counter(passes) == {("engine", "d"): 1, ("engine", "i"): 1, ("open", "i"): 1}
 
 
-def replay_metrics(config, trace, rng_seed):
-    """A point's metrics from a fresh CacheUnit replay of each side, with its
-    own replacement policy and generator."""
+def replay_stats(config, trace, rng_seed):
+    """A point's (I, D) counters from a fresh CacheUnit replay of each side,
+    with its own replacement policy and generator."""
     units = {
         side: CacheUnit(
             side, size, block, assoc, repl, fetch, wback,
@@ -219,10 +219,24 @@ def replay_metrics(config, trace, rng_seed):
     }
     for record in trace:
         units["i" if record.kind == AccessKind.IFETCH else "d"].step(record)
-    return objectives.metrics_from_stats(
-        units["i"].stats, units["d"].stats, TABLE, config, DRAM,
-        objectives.MissMode.DEMAND_PLUS_PREFETCH,
-    )
+    return units["i"].stats, units["d"].stats
+
+
+def readme_metrics(istats, dstats, config, miss_mode=MissMode.DEMAND_PLUS_PREFETCH):
+    """The README's T and E models written out term by term in its order,
+    independently of objectives' pricing code."""
+    It, Ie = TABLE.lookup(config.isize, config.ibsize, config.iassoc)
+    Dt, De = TABLE.lookup(config.dsize, config.dbsize, config.dassoc)
+    Ia, Da = istats.accesses, dstats.accesses
+    Im, Dm = istats.demand_misses, dstats.demand_misses
+    if miss_mode is MissMode.DEMAND_PLUS_PREFETCH:
+        Im, Dm = Im + istats.prefetch_fills, Dm + dstats.prefetch_fills
+    Il, Dl = config.ibsize, config.dbsize
+    Tm, BW, P = DRAM.access_time, DRAM.bandwidth, DRAM.access_power
+    T = Ia*It + Im*Tm + Im*Il/BW + Da*Dt + Dm*Tm + Dm*Dl/BW
+    E = (Ia*Ie + Da*De + Im*Ie*Il + Dm*De*Dl
+         + Im*(P*(Tm + Il/BW)) + Dm*(P*(Tm + Dl/BW)))
+    return objectives.Metrics(T, E)
 
 
 def test_exhaustive_prices_every_point_with_the_seed_base():
@@ -287,7 +301,7 @@ def test_flag_ordered_walk_ranks_as_the_flag_text_sort(sub, trace, base):
     the result does not depend on the order each value list is given in."""
     configs = sorted(starmap(CacheConfig, product(*(getattr(sub, n) for n in DOMAINS))),
                      key=CacheConfig.to_flags)
-    assert list(sub.flag_ordered()) == configs
+    assert [CacheConfig(*i, *d) for (i, _), (d, _) in product(*sub.parts())] == configs
     baseline = baseline_metrics(trace)
     result = exhaustive(sub, trace, TABLE, DRAM, baseline, sim_seed_base=base)
     reversed_sub = Subspace(**{name: getattr(sub, name)[::-1] for name in DOMAINS})
@@ -337,25 +351,30 @@ def class_subspaces(draw, repl, fetch):
        w_time=st.floats(0.0, 1.0), as_streams=st.booleans())
 def test_exhaustive_equals_a_cacheunit_replay(repl, fetch, data, profile, records, trace_seed,
                                                bases, w_time, as_streams):
-    """Independently of config_metrics: each ranked point's metrics equal a
-    CacheUnit replay priced by metrics_from_stats, and its fitness equals
-    fitness(), bit for bit. simulate raises validate's problems for each
-    infeasible point, given records or a SideStreams, and a direct-mapped
-    side's l, f and r twins share one memo entry. Both seed bases price
-    through one SideStreams when as_streams."""
+    """Independently of objectives' pricing: under both miss modes, each
+    ranked point's metrics equal the README's models applied to a CacheUnit
+    replay's counters, and its fitness equals fitness(), bit for bit.
+    simulate raises validate's problems for each infeasible point, given
+    records or a SideStreams, and a direct-mapped side's l, f and r twins
+    share one memo entry. Both seed bases price through one SideStreams
+    when as_streams."""
     sub = data.draw(class_subspaces(repl, fetch))
     trace = gen_synthetic(profile, records, trace_seed)
     streams = SideStreams(trace)
     weights = objectives.FitnessWeights(w_time)
-    baseline = replay_metrics(DEFAULT_BASELINE, trace, rng_seed=0)
+    baseline = readme_metrics(*replay_stats(DEFAULT_BASELINE, trace, 0), DEFAULT_BASELINE)
     for base in bases:
-        result = exhaustive(sub, streams if as_streams else trace, TABLE, DRAM, baseline,
-                            weights, sim_seed_base=base)
-        assert len(result.ranked) + len(result.infeasible) == sub.cardinality()
-        for r in result.ranked:
-            metrics = replay_metrics(r.config, trace, rng_seed=base)
-            assert tuple(r.metrics) == tuple(metrics), r.config.to_flags()
-            assert r.fitness == fitness(metrics, baseline, weights), r.config.to_flags()
+        replays = {}
+        for mode in MissMode:
+            result = exhaustive(sub, streams if as_streams else trace, TABLE, DRAM, baseline,
+                                weights, mode, sim_seed_base=base)
+            assert len(result.ranked) + len(result.infeasible) == sub.cardinality()
+            for r in result.ranked:
+                if r.config not in replays:
+                    replays[r.config] = replay_stats(r.config, trace, base)
+                metrics = readme_metrics(*replays[r.config], r.config, mode)
+                assert tuple(r.metrics) == tuple(metrics), (mode, r.config.to_flags())
+                assert r.fitness == fitness(metrics, baseline, weights), r.config.to_flags()
     for config, problems in result.infeasible:
         assert problems == validate(config).problems and problems
         for given_trace in (trace, streams):
@@ -376,18 +395,97 @@ def test_exhaustive_equals_a_cacheunit_replay(repl, fetch, data, profile, record
 @settings(max_examples=200, deadline=None)
 @given(sub=listed_subspaces(max_points=300))
 def test_subspace_points_equal_checked_configs(sub):
-    """flag_ordered() and canonical from_flags build points from
-    values already checked, without CacheConfig's domain test: each equals
-    the checked point, is exactly a CacheConfig and hashes alike; and
-    flag_ordered_feasible() gives validate's verdict on each point."""
+    """The walk over the product of Subspace.parts() and canonical
+    from_flags build points from values already checked, without
+    CacheConfig's domain test: each equals the checked point, is exactly a
+    CacheConfig and hashes alike; and the parts' verdicts give validate's
+    verdict on each point, which the walk prices exactly when feasible."""
     flag_order = sorted(starmap(CacheConfig, product(*(getattr(sub, n) for n in DOMAINS))),
                         key=CacheConfig.to_flags)
     parsed = [CacheConfig.from_flags(config.to_flags()) for config in flag_order]
-    for built in (list(sub.flag_ordered()), parsed):
+    walked = list(objectives.price_parts(*sub.parts(), SideStreams([]), TABLE, DRAM))
+    for built in ([config for config, _ in walked], parsed):
         assert built == flag_order
         assert {type(config) for config in built} == {CacheConfig}
         assert list(map(hash, built)) == list(map(hash, flag_order))
-    assert list(sub.flag_ordered_feasible()) == [bool(validate(c)) for c in flag_order]
+    verdicts = [bool(validate(c)) for c in flag_order]
+    assert [i and d for (_, i), (_, d) in product(*sub.parts())] == verdicts
+    assert [metrics is not None for _, metrics in walked] == verdicts
+
+
+def count_simulations(monkeypatch) -> list:
+    """Record the point of each objectives.simulate call, the seam that
+    perfbench counts."""
+    calls, real = [], objectives.simulate
+
+    def counted(config, *args):
+        calls.append(config)
+        return real(config, *args)
+
+    monkeypatch.setattr(objectives, "simulate", counted)
+    return calls
+
+
+def test_exhaustive_simulates_each_feasible_point_once(monkeypatch):
+    """exhaustive calls objectives.simulate, looked up at call time, once
+    per feasible point in walk order and never for an infeasible one."""
+    trace = gen_synthetic("mixed", 300, 6)
+    baseline = baseline_metrics(trace)
+    calls = count_simulations(monkeypatch)
+    sub = small_subspace(isize=(512, 1024), irepl=("l", "r"), iassoc=(1, 128),
+                         dassoc=(1, 2, 128), dwback=("a", "n"))
+    result = exhaustive(sub, trace, TABLE, DRAM, baseline)
+    assert result.ranked and result.infeasible
+    assert calls == sorted((r.config for r in result.ranked), key=CacheConfig.to_flags)
+
+
+def test_a_baseline_point_inside_a_sweep_ranks_at_exactly_one():
+    """The baseline priced inside a sweep has config_metrics's metrics and
+    fitness exactly 1.0."""
+    trace = gen_synthetic("mixed", 500, 7)
+    baseline = config_metrics(DEFAULT_BASELINE, trace, TABLE, DRAM)
+    sub = Subspace(isize=(512, 16384), ibsize=(32,), irepl=("l",), iassoc=(1, 4), ifetch=("d",),
+                   dsize=(16384, 1024), dbsize=(32,), drepl=("l",), dassoc=(4, 32),
+                   dfetch=("d",), dwback=("a", "n"))
+    result = exhaustive(sub, trace, TABLE, DRAM, baseline, sim_seed_base=7)
+    [point] = [r for r in result.ranked if r.config == DEFAULT_BASELINE]
+    assert point.metrics == baseline
+    assert point.fitness == 1.0
+
+
+# I rows are (size, 8, assoc) and D rows (size, 16, assoc), so no row serves
+# both sides. Walk order: I rows 2048/{1,128,2}, then 512/{1,2} (512/128 is
+# infeasible); D parts 1024/{1,2} (1024/128 is infeasible), then 4096/{1,128,2}.
+@pytest.mark.parametrize("missing", [
+    [(512, 8, 2)],  # the last I row, met after every D part's terms are kept
+    [(4096, 16, 2)],  # a D row, first met late in the first row
+    [(2048, 8, 1), (1024, 16, 1)],  # the first point needs both: the I row is named
+    [(512, 8, 1), (4096, 16, 128)],  # the D row is met first
+])
+def test_exhaustive_names_a_missing_row_where_config_metrics_does(monkeypatch, missing):
+    """A missing row raises config_metrics's CharLookupError at the walk's
+    first point that needs it, the I row first: the simulations before the
+    error are the feasible points up to and including that point."""
+    trace = gen_synthetic("mixed", 300, 8)
+    table = CharTable(row for row in TABLE.rows() if (row.size, row.block, row.assoc)
+                      not in missing)
+    sub = small_subspace(isize=(2048, 512), iassoc=(1, 2, 128), dsize=(1024, 4096),
+                         dbsize=(16,), dassoc=(1, 2, 128), dwback=("a", "n"))
+    points = sorted(starmap(CacheConfig, product(*(getattr(sub, n) for n in DOMAINS))),
+                    key=CacheConfig.to_flags)
+    feasible = [config for config in points if validate(config)]
+    for reached, config in enumerate(feasible, 1):
+        try:
+            config_metrics(config, trace, table, DRAM)
+        except CharLookupError as error:
+            expected = str(error)
+            break
+    baseline = baseline_metrics(trace)
+    calls = count_simulations(monkeypatch)
+    with pytest.raises(CharLookupError) as info:
+        exhaustive(sub, trace, table, DRAM, baseline)
+    assert str(info.value) == expected
+    assert calls == feasible[:reached]
 
 
 def test_exhaustive_reports_infeasible_with_constraint():
