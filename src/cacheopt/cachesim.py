@@ -15,8 +15,8 @@ from array import array
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
-from operator import contains
+from itertools import compress, repeat
+from operator import contains, rshift
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, FlagTextError, InfeasibleConfigError, ValidationError
@@ -372,9 +372,9 @@ class SideStreams:
 
     simulate accepts raw records or a SideStreams; callers that simulate
     one trace many times build it once, from records or (from_din) from
-    din text. Block streams are derived lazily for each (side, block size)
-    and kept. Streams are compact arrays: addresses and block numbers as
-    unsigned 64-bit, write flags as bytes.
+    din text. One run-merged block stream is derived lazily for each
+    (side, block size) and kept (blocks). Streams are compact arrays:
+    addresses and block numbers as unsigned 64-bit, write flags as bytes.
 
     The streams also hold simulate's per-side memo (_counts), which only
     simulate reads and fills: the I-cache sees only ifetches, the D-cache
@@ -412,7 +412,9 @@ class SideStreams:
         self.daddrs = daddrs
         self.dwrites = bytes(dwrites)
         self.writes = self.dwrites.count(1)
-        self._blocks: dict[tuple[str, int, bool], tuple[array, bytes]] = {}
+        # Each side's addresses and write flags; the I side's are one shared repeat(0).
+        self._sides = {"i": (iaddrs, repeat(0)), "d": (daddrs, self.dwrites)}
+        self._blocks: dict[tuple[str, int], tuple[array, bytes]] = {}
         self._counts: dict[tuple, tuple[SimStats, SimStats]] = {}
         self._distinct: dict[tuple[str, int], int] = {}
         self._open: dict[tuple[str, int, str], tuple[tuple[int, ...], array]] = {}
@@ -426,34 +428,23 @@ class SideStreams:
         """The number of trace records."""
         return len(self.iaddrs) + len(self.daddrs)
 
-    def blocks(self, side: str, block: int, merge: bool) -> tuple[array, bytes]:
-        """Block numbers of one side's accesses and each one's write flag.
-
-        With merge, consecutive accesses to the same block become one entry
-        whose write flag is the OR of theirs.
-        """
-        key = (side, block, merge)
-        cached = self._blocks.get(key)
+    def blocks(self, side: str, block: int) -> tuple[array, bytes]:
+        """One side's block stream: per run of consecutive accesses to one
+        block, its block number and the OR of the run's write flags."""
+        cached = self._blocks.get((side, block))
         if cached is None:
+            addrs, writes = self._sides[side]
             shift = block.bit_length() - 1
-            if side == "i":
-                addrs, writes = self.iaddrs, bytes(len(self.iaddrs))
-            else:
-                addrs, writes = self.daddrs, self.dwrites
-            if merge:
-                runs, flags, last = array("Q"), bytearray(), -1
-                for address, write in zip(addrs, writes):
-                    b = address >> shift
-                    if b != last:
-                        runs.append(b)
-                        flags.append(write)
-                        last = b
-                    elif write:
-                        flags[-1] = 1
-                cached = (runs, bytes(flags))
-            else:
-                cached = (array("Q", [a >> shift for a in addrs]), writes)
-            self._blocks[key] = cached
+            runs, flags, last = array("Q"), bytearray(), -1
+            for address, write in zip(addrs, writes):
+                b = address >> shift
+                if b != last:
+                    runs.append(b)
+                    flags.append(write)
+                    last = b
+                elif write:
+                    flags[-1] = 1
+            cached = self._blocks[side, block] = (runs, bytes(flags))
         return cached
 
 
@@ -467,15 +458,14 @@ def _open_counts(
     filled blocks than it has ways; then replacement never acts and a random
     side draws nothing. Every cache holds size // block blocks, so a side
     with more distinct blocks than that cannot qualify: it costs one lookup
-    of a count taken once per (side, block) from the stream its engine pass
-    reads anyway. The largest per-set share is kept per n_sets.
+    of a count taken once per (side, block) from its block stream. The
+    largest per-set share is kept per n_sets.
     """
     n = n_sets(size, block, assoc)
     distinct = streams._distinct.get((side, block))
     if distinct is None:
-        blocks, _ = streams.blocks(side, block, fetch == "d" or n > 1)
         distinct = streams._distinct[side, block] = _count_distinct(
-            blocks, CACHE_SIZES[-1] // block)
+            streams.blocks(side, block)[0], CACHE_SIZES[-1] // block)
     if distinct > size // block:
         return None
     passed = streams._open.get((side, block, fetch))
@@ -504,18 +494,18 @@ def _count_distinct(blocks: array, cap: int) -> int:
 def _run_open(
     streams: SideStreams, side: str, block: int, fetch: str,
 ) -> tuple[tuple[int, ...], array]:
-    """One _fill_order pass of an unbounded cache over the merged block
-    stream: one set (mask 0) with no way limit, so nothing is evicted.
+    """One _fill_order pass of an unbounded cache over the block stream:
+    one set (mask 0) with no way limit, so nothing is evicted.
 
     Returns the side's write-back counters (write-backs 0, every written
     block left dirty) and the blocks it filled, in fill order. A repeat
     access to a resident block changes only its dirty flag, and a repeated
     prefetch finds its block resident, so merged runs count alike.
     """
-    blocks, writes = streams.blocks(side, block, True)
+    blocks, writes = streams.blocks(side, block)
     resident: dict[int, int] = {}
     counts = _fill_order(blocks, writes, 0, math.inf, fetch, None, resident)
-    return (len(streams.iaddrs if side == "i" else streams.daddrs), *counts), array("Q", resident)
+    return (len(streams._sides[side][0]), *counts), array("Q", resident)
 
 
 def _run_side(
@@ -532,20 +522,26 @@ def _run_side(
     its fill under `d`, and any other access prefetches block b + 1.
     """
     n = n_sets(size, block, assoc)
-    # A run of accesses to one block is one access plus hits that change
-    # nothing but the dirty flag, unless a prefetch of the next block can
-    # land in the same set: a fully associative side with prefetch.
-    blocks, writes = streams.blocks(side, block, fetch == "d" or n > 1)
+    # A run of accesses to one block is one access plus hits that change only
+    # the dirty flag, unless a prefetch of the next block can land in the same
+    # set: a fully associative side with prefetch reads every access.
+    if n == 1 and fetch != "d":  # derived for this pass, not kept
+        addrs, writes = streams._sides[side]
+        blocks = array("Q", map(rshift, addrs, repeat(block.bit_length() - 1)))
+    else:
+        blocks, writes = streams.blocks(side, block)
     if repl == "l":
         counts = _lru(blocks, writes, n - 1, assoc, fetch)
     else:
         seed = f"{rng_seed} {side} {size} {block} {assoc} {fetch}"  # see simulate
         rng = random.Random(seed) if repl == "r" else None
         counts = _fill_order(blocks, writes, n - 1, assoc, fetch, rng)
-    return (len(streams.iaddrs if side == "i" else streams.daddrs), *counts)
+    return (len(streams._sides[side][0]), *counts)
 
 
-def _lru(blocks: array, writes: bytes, mask: int, assoc: int, fetch: str) -> tuple[int, ...]:
+def _lru(
+    blocks: array, writes: Iterable[int], mask: int, assoc: int, fetch: str,
+) -> tuple[int, ...]:
     """Each set is a dict of block -> dirty flag in recency order (a hit
     re-inserts its block), so its first key is the victim."""
     prefetch, always = fetch != "d", fetch == "a"
@@ -575,7 +571,7 @@ def _lru(blocks: array, writes: bytes, mask: int, assoc: int, fetch: str) -> tup
 
 
 def _fill_order(
-    blocks: array, writes: bytes, mask: int, assoc: int, fetch: str,
+    blocks: array, writes: Iterable[int], mask: int, assoc: int, fetch: str,
     rng: random.Random | None, resident: dict[int, int] | None = None,
 ) -> tuple[int, ...]:
     """FIFO and random: one dict of resident block -> dirty flag (a block

@@ -53,6 +53,8 @@ class Subspace:
         return math.prod(len(getattr(self, name)) for name in DOMAINS)
 
     def check_cap(self, cap: int) -> None:
+        if cap < 1:
+            raise ValidationError(f"cap must be >= 1, got {cap}")
         if self.cardinality() > cap:
             raise SubspaceCapError(
                 f"subspace holds {self.cardinality()} points, above the cap of {cap}"
@@ -157,6 +159,8 @@ def reference_lru(
     """
     if capacity_blocks < 1:
         raise ValidationError("capacity_blocks must be >= 1")
+    if block_size < 1:
+        raise ValidationError(f"block_size must be >= 1, got {block_size}")
     recency: list[int] = []  # least recent first
     misses = 0
     for record in trace:

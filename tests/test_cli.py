@@ -168,6 +168,8 @@ INFEASIBLE_BASELINE = (
     (["simulate", "--flags", INFEASIBLE_BASELINE], "D-cache"),
     pytest.param(["simulate", "--dram-access-time", "9" * 401],
                  "dram access_time must be finite and > 0", id="dram-access-time-inf"),
+    pytest.param(["exhaustive", "--cap", "-1"], "cap must be >= 1, got -1", id="cap-negative"),
+    pytest.param(["exhaustive", "--cap", "0"], "cap must be >= 1, got 0", id="cap-zero"),
 ])
 def test_bad_flags_fail_before_trace_is_read(tmp_path, capsys, args, named):
     if args[0] != "simulate":

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cacheopt.evolve as EVOLVE
-from cacheopt.cachesim import DEFAULT_BASELINE
+from cacheopt.cachesim import DEFAULT_BASELINE, CacheConfig
 from cacheopt.charmodel import DramParams, surrogate_generate
+from cacheopt.cli import RunConfig, run_optimize
 from cacheopt.errors import FlagTextError, ValidationError
 from cacheopt.evolve import (
     Evaluator,
@@ -24,7 +25,7 @@ from cacheopt.evolve import (
     tournament,
 )
 from cacheopt.grammar import DEFAULT_GRAMMAR, map_genotype, parse_bnf
-from cacheopt.objectives import INFEASIBLE_FITNESS
+from cacheopt.objectives import INFEASIBLE_FITNESS, FitnessWeights, MissMode
 from cacheopt.oracle import Subspace
 from cacheopt.trace import gen_synthetic
 
@@ -371,3 +372,44 @@ def test_evolve_mapping_failure_marks_infeasible():
     assert result.best.metrics is None
     assert result.best.fitness == INFEASIBLE_FITNESS
     assert evaluator.stats().sim_invocations == 0
+
+
+def test_campaign_seams_a_benchmark_recounts(tmp_path, monkeypatch):
+    """The counts a benchmark takes by wrapping Evaluator.evaluate and
+    evolve's config_metrics in a shared-memo campaign. evaluate gets the
+    phenotype text of each decoded individual not yet evaluated: every
+    individual of generation 1, every one but the elite later (the default
+    grammar decodes every genotype). An evaluator's memo_hits are its
+    evaluate calls on a key it had seen. config_metrics prices each new
+    feasible key once, plus the baseline."""
+    calls, priced = [], []
+    evaluate, config_metrics = Evaluator.evaluate, EVOLVE.config_metrics
+
+    def counted_evaluate(evaluator, phenotype):
+        calls.append((evaluator, phenotype))
+        return evaluate(evaluator, phenotype)
+
+    def counted_config_metrics(*args, **kwargs):
+        priced.append(args[0])
+        return config_metrics(*args, **kwargs)
+
+    monkeypatch.setattr(Evaluator, "evaluate", counted_evaluate)
+    monkeypatch.setattr(EVOLVE, "config_metrics", counted_config_metrics)
+    params = GEParams(generations=5, population=8)
+    summary = run_optimize(RunConfig(
+        trace=gen_synthetic("mixed", 400, 2), table=surrogate_generate(1), dram=DramParams(),
+        baseline=DEFAULT_BASELINE, params=params, weights=FitnessWeights(),
+        miss_mode=MissMode.DEMAND_PLUS_PREFETCH, grammar_text=DEFAULT_GRAMMAR,
+        outdir=tmp_path, runs=2, shared_memo=True, seed=4,
+    ))
+    per_run = params.population + (params.generations - 1) * (params.population - params.elitism)
+    assert len(calls) == 2 * per_run
+    assert all(CacheConfig.from_flags(text).to_flags() == text for _, text in calls)
+    (evaluator,) = {id(e): e for e, _ in calls}.values()  # one shared memo
+    seen, hits = set(), 0
+    for _, text in calls:
+        hits += memo_key(text) in seen
+        seen.add(memo_key(text))
+    assert 0 < hits == evaluator.stats().memo_hits
+    assert len(priced) == summary["unique_evals"] + 1
+    assert priced[0] == DEFAULT_BASELINE

@@ -505,6 +505,15 @@ def test_exhaustive_cap():
         exhaustive(Subspace(), trace, TABLE, DRAM, baseline_metrics(trace), cap=1000)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_exhaustive_refuses_a_cap_below_one(cap):
+    """A cap below 1 is named as such, not as a subspace over the cap,
+    even for a one-point subspace."""
+    trace = gen_synthetic("mixed", 100, 5)
+    with pytest.raises(ValidationError, match=f"^cap must be >= 1, got {cap}$"):
+        exhaustive(small_subspace(), trace, TABLE, DRAM, baseline_metrics(trace), cap=cap)
+
+
 @pytest.mark.parametrize("sub", [
     small_subspace(isize=(512, 1024)),
     small_subspace(ibsize=(64,), iassoc=(128,)),
@@ -540,6 +549,13 @@ def test_reference_lru_cold_and_repeat():
     assert reference_lru(repeat, capacity_blocks=1, block_size=16) == 1
     with pytest.raises(ValidationError):
         reference_lru(repeat, capacity_blocks=0)
+
+
+@pytest.mark.parametrize("block_size", [0, -16])
+def test_reference_lru_refuses_a_block_size_below_one(block_size):
+    trace = gen_synthetic("mixed", 50, 1)
+    with pytest.raises(ValidationError, match=f"block_size must be >= 1, got {block_size}"):
+        reference_lru(trace, capacity_blocks=4, block_size=block_size)
 
 
 def test_reference_lru_matches_cachesim():

@@ -1,6 +1,7 @@
 """Property tests: simulate against a step-by-step CacheUnit replay.
 
-simulate runs each side over a prepared, run-merged block stream;
+simulate runs each side over a prepared, run-merged block stream (a
+fully associative side with prefetch over every access instead);
 CacheUnit is the reference engine that applies one record at a time. The
 two must agree on every SimStats field for every feasible configuration,
 trace profile and seed, random replacement included.
@@ -10,7 +11,8 @@ write policy left out; replay spells that rule out on its own.
 """
 
 import random
-from itertools import product
+from itertools import groupby, product
+from operator import add, itemgetter
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -36,7 +38,7 @@ from cacheopt.cachesim import (
 from cacheopt.charmodel import DramParams, surrogate_generate
 from cacheopt.objectives import Metrics
 from cacheopt.oracle import Subspace, exhaustive
-from cacheopt.trace import PROFILES, AccessKind, TraceRecord, gen_synthetic
+from cacheopt.trace import PROFILES, AccessKind, TraceRecord, gen_synthetic, to_din
 
 CLASSES = [(repl, fetch) for repl in REPL_POLICIES for fetch in FETCH_POLICIES]
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -364,3 +366,57 @@ def test_mutating_a_result_leaves_the_side_memo_alone():
     # Another point with the same I-side reads the same stored counters.
     istats, _ = simulate(config._replace(dsize=512), streams)
     assert istats is first[0]
+
+
+def reference_blocks(records, side: str, block: int) -> tuple[list[int], list[int]]:
+    """One side's block stream by groupby: per run of consecutive accesses
+    to one block, the block number and the OR of the run's write flags."""
+    shift = block.bit_length() - 1
+    accesses = [(r.address >> shift, r.kind == AccessKind.WRITE) for r in records
+                if (r.kind == AccessKind.IFETCH) == (side == "i")]
+    runs = [(b, any(w for _, w in run)) for b, run in groupby(accesses, key=itemgetter(0))]
+    return [b for b, _ in runs], [int(w) for _, w in runs]
+
+
+# Byte addresses near a few bases, so runs of one block are common, some
+# at and above 2**32 and up to the last din address.
+addresses = st.builds(
+    add,
+    st.sampled_from([0, 2**32 - 128, 2**32, 2**48, 2**64 - 256]),
+    st.integers(0, 255),
+)
+
+
+@PROPERTY
+@given(records=st.lists(st.builds(TraceRecord, st.sampled_from(AccessKind), addresses),
+                        max_size=200))
+def test_block_streams_match_a_grouped_reference(records):
+    """Streams built from records and from din text hold, for each side
+    and block size, the reference's block stream; I-side flags are all 0."""
+    din = to_din(records).splitlines(keepends=True)
+    for streams in (SideStreams(records), SideStreams.from_din(din)):
+        for side in "id":
+            for block in BLOCK_SIZES:
+                blocks, flags = streams.blocks(side, block)
+                assert (list(blocks), list(flags)) == reference_blocks(records, side, block)
+                if side == "i":
+                    assert not any(flags)
+
+
+def test_stream_cache_keeps_one_merged_stream_per_side_and_block():
+    """Every class at every block size, fully associative sides with `m`
+    and `a` included, leaves only (side, block) streams in the cache, none
+    longer than its side's merged stream: the per-access stream a fully
+    associative prefetch pass reads is not kept."""
+    trace = gen_synthetic("mixed", 600, 5)
+    streams = SideStreams(trace)
+    for block in BLOCK_SIZES:
+        for (repl, fetch), fully_associative in product(CLASSES, (True, False)):
+            assoc = 512 // block if fully_associative else 2
+            simulate(CacheConfig(512, block, repl, assoc, fetch,
+                                 512, block, repl, assoc, fetch, "a"), streams)
+    assert set(streams._blocks) == set(product("id", BLOCK_SIZES))
+    for (side, block), (blocks, flags) in streams._blocks.items():
+        merged, _ = reference_blocks(trace, side, block)
+        assert len(blocks) == len(flags) == len(merged)
+    assert len(streams._blocks["i", 8][0]) < len(streams.iaddrs)  # runs did merge
