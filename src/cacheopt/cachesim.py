@@ -376,12 +376,12 @@ class SideStreams:
     (side, block size) and kept (blocks). Streams are compact arrays:
     addresses and block numbers as unsigned 64-bit, write flags as bytes.
 
-    The streams also hold simulate's per-side memo (_counts), which only
-    simulate reads and fills: the I-cache sees only ifetches, the D-cache
-    only reads and writes, and a random side is seeded from its own flags,
-    so one side's counters never depend on the other side's flags. A side
-    that never evicts reads one unbounded ("open") cache pass per (side,
-    block, fetch); see _open_counts.
+    The streams also hold simulate's memo of each side (_imemo, _dmemo; an
+    I and a D side of equal values differ), which only simulate reads and
+    fills: the I-cache sees only ifetches, the D-cache only reads and writes,
+    and a random side is seeded from its own flags, so one side's counters
+    never depend on the other side's flags. A side that never evicts reads
+    one unbounded ("open") cache pass per (side, block, fetch); see _open_counts.
     """
 
     def __init__(self, trace: Iterable[TraceRecord]):
@@ -415,7 +415,8 @@ class SideStreams:
         # Each side's addresses and write flags; the I side's are one shared repeat(0).
         self._sides = {"i": (iaddrs, repeat(0)), "d": (daddrs, self.dwrites)}
         self._blocks: dict[tuple[str, int], tuple[array, bytes]] = {}
-        self._counts: dict[tuple, tuple[SimStats, SimStats]] = {}
+        self._imemo: dict[tuple, tuple[SimStats, SimStats]] = {}
+        self._dmemo: dict[tuple, tuple[SimStats, SimStats]] = {}
         self._distinct: dict[tuple[str, int], int] = {}
         self._open: dict[tuple[str, int, str], tuple[tuple[int, ...], array]] = {}
         self._shares: dict[tuple[str, int, str, int], int] = {}
@@ -636,42 +637,50 @@ def simulate(
     generator is random.Random(f"{rng_seed} {side} {size} {block} {assoc} {fetch}"):
     its own flags, write policy left out, so it never depends on the other side.
     trace is records or a SideStreams built from them; pass the latter to
-    simulate one trace many times: each side's SimStats are memoized in it,
-    keyed on geometry, replacement and fetch policy, plus the seed base for
-    a random side. A direct-mapped side has one victim whatever its policy,
-    so its `l`, `f` and `r` twins share one FIFO entry. Write-through only
-    drops a write-back pass's write-backs and flush and counts every write
-    (write misses allocate; dirty flags pick no victim), so a miss stores
-    both write policies' SimStats, from the open pass if the side never
-    evicts (_open_counts), else an engine pass (_run_side).
+    simulate one trace many times: it stores each feasible side (_side_pair),
+    so a point whose two sides are stored returns after two lookups.
     """
-    isize, ibsize, irepl, iassoc, ifetch, dsize, dbsize, drepl, dassoc, dfetch, dwback = config
+    if isinstance(trace, SideStreams):
+        try:
+            return (trace._imemo[config[:5], rng_seed][0],
+                    trace._dmemo[config[5:10], rng_seed][config[10] == "n"])
+        except KeyError:  # a side not stored yet
+            pass
+    isize, ibsize, _, iassoc, _, dsize, dbsize, _, dassoc, _, dwback = config
     if ibsize * iassoc > isize or dbsize * dassoc > dsize:
         raise InfeasibleConfigError("; ".join(validate(config).problems))
     streams = trace if isinstance(trace, SideStreams) else SideStreams(trace)
-    memo = streams._counts
-    pairs = []
-    for side, size, block, assoc, repl, fetch in (("i", isize, ibsize, iassoc, irepl, ifetch),
-                                                  ("d", dsize, dbsize, dassoc, drepl, dfetch)):
+    return (_side_pair(streams, "i", streams._imemo, config[:5], rng_seed)[0],
+            _side_pair(streams, "d", streams._dmemo, config[5:10], rng_seed)[dwback == "n"])
+
+
+def _side_pair(streams: SideStreams, side: str, memo: dict, values: tuple, rng_seed: int):
+    """A feasible side's (write-back, write-through) SimStats, stored under
+    (values, rng_seed) and a canonical key of that shape: a direct-mapped
+    side's `l`, `f` and `r` twins share one FIFO entry, and only a random
+    side keeps the seed base. Write-through only drops write-backs and flush
+    and counts every write (write misses allocate; dirty flags pick no
+    victim), so one pass gives both: the open pass if the side never evicts
+    (_open_counts), else an engine pass (_run_side)."""
+    pair = memo.get((values, rng_seed))
+    if pair is None:
+        size, block, repl, assoc, fetch = values
         if assoc == 1:
             repl = "f"
-        key = (side, size, block, assoc, repl, fetch, rng_seed if repl == "r" else 0)
-        pair = memo.get(key)
+        canonical = ((size, block, repl, assoc, fetch), rng_seed if repl == "r" else 0)
+        pair = memo.get(canonical)
         if pair is None:
             accesses, misses, fills, write_backs, dirty = (
                 _open_counts(streams, side, size, block, assoc, fetch)
                 or _run_side(streams, side, size, block, assoc, repl, fetch, rng_seed))
             writes = streams.writes if side == "d" else 0
-            pair = memo[key] = (SimStats(accesses, misses, fills, write_backs, 0, dirty),
-                                SimStats(accesses, misses, fills, 0, writes, 0))
-        pairs.append(pair)
-    return pairs[0][0], pairs[1][dwback == "n"]
+            pair = memo[canonical] = (SimStats(accesses, misses, fills, write_backs, 0, dirty),
+                                      SimStats(accesses, misses, fills, 0, writes, 0))
+        memo[values, rng_seed] = pair
+    return pair
 
 
 def config_sim_seed(config: CacheConfig, base: int = 0) -> int:
-    """A seed hashed from a whole configuration's flag text and base.
-
-    No program path calls it; it is kept for perfbench and library callers.
-    """
+    """A seed hashed from a configuration's flag text and base; only perfbench calls it."""
     digest = hashlib.sha256(config.to_flags().encode()).digest()
     return int.from_bytes(digest[:8], "big") ^ (base & ((1 << 64) - 1))

@@ -12,7 +12,9 @@ import argparse
 import csv
 import statistics
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 from .cachesim import (
@@ -39,7 +41,7 @@ from .evolve import Evaluator, GEParams, evolve
 from .grammar import DEFAULT_GRAMMAR, Grammar, parse_bnf
 from .objectives import FitnessWeights, MissMode, config_metrics, metrics_from_stats
 from .oracle import Subspace, exhaustive
-from .trace import PROFILES, TraceRecord, gen_synthetic, to_din
+from .trace import PROFILES, TraceRecord, synthetic_records, to_din
 
 
 @dataclass
@@ -263,14 +265,15 @@ def _add_model_options(parser) -> None:
     )
 
 
+DIN_CHUNK = 1 << 16  # records gentrace renders per write: it never holds a whole trace
+
+
 def cmd_gentrace(args) -> None:
-    records = gen_synthetic(args.profile, args.records, args.seed)
-    text = to_din(records)
+    records = synthetic_records(args.profile, args.records, args.seed)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        out.writelines(iter(lambda: to_din(islice(records, DIN_CHUNK)), ""))
     if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {len(records)} records to {args.out}")
-    else:
-        sys.stdout.write(text)
+        print(f"wrote {args.records} records to {args.out}")
 
 
 def cmd_characterize(args) -> None:

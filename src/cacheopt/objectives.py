@@ -21,11 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .cachesim import (
-    _MAX_FLOAT, CacheConfig, SideStreams, SimStats, _check_range, _from_checked, simulate
-)
+from .cachesim import _MAX_FLOAT, CacheConfig, SimStats, _check_range, simulate
 from .charmodel import CharTable, DramParams
 from .errors import ValidationError
 
@@ -125,38 +123,6 @@ def metrics_from_stats(
     it, il, ix, ie, ir, idram = side_terms(istats, ichar, ibsize, dram, miss_mode)
     dt, dl, dx, de, dr, ddram = side_terms(dstats, dchar, dbsize, dram, miss_mode)
     return Metrics(it + il + ix + dt + dl + dx, ie + de + ir + dr + idram + ddram)
-
-
-def price_parts(iparts: list, dparts: list, streams: SideStreams, table: CharTable,
-                dram: DramParams, miss_mode: MissMode = MissMode.DEMAND_PLUS_PREFETCH,
-                rng_seed: int = 0) -> Iterator[tuple[CacheConfig, Metrics | None]]:
-    """Yield each point of the product of I and D parts (Subspace.parts), I
-    parts outer, with its metrics, or None if either part is infeasible.
-
-    Each feasible point is simulated (a side memo hit once its sides ran).
-    An I part's terms are priced once per row, a D part's once per walk,
-    and summed in metrics_from_stats's order, so each value is the bits
-    config_metrics gives, and a missing row raises at the first point that
-    needs it, the I row first.
-    """
-    dterms = [None] * len(dparts)
-    for iflags, ifeasible in iparts:
-        iterms = None
-        for j, (dflags, dfeasible) in enumerate(dparts):
-            config = _from_checked(iflags + dflags)
-            if not (ifeasible and dfeasible):
-                yield config, None
-                continue
-            istats, dstats = simulate(config, streams, rng_seed)
-            if iterms is None:
-                row = table.lookup(iflags[0], iflags[1], iflags[3])
-                iterms = side_terms(istats, row, iflags[1], dram, miss_mode)
-            if dterms[j] is None:
-                row = table.lookup(dflags[0], dflags[1], dflags[3])
-                dterms[j] = side_terms(dstats, row, dflags[1], dram, miss_mode)
-            it, il, ix, ie, ir, idram = iterms
-            dt, dl, dx, de, dr, ddram = dterms[j]
-            yield config, Metrics(it + il + ix + dt + dl + dx, ie + de + ir + dr + idram + ddram)
 
 
 def config_metrics(

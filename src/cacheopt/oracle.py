@@ -13,11 +13,14 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .cachesim import DOMAINS, CacheConfig, SideStreams, _check_domain, n_sets, validate
+from . import objectives
+from .cachesim import (
+    DOMAINS, CacheConfig, SideStreams, _check_domain, _from_checked, n_sets, validate
+)
 from .charmodel import CharTable, DramParams
 from .errors import SubspaceCapError, ValidationError
 from .objectives import (  # config_metrics is unused here, kept for perfbench's patches
-    FitnessWeights, Metrics, MissMode, config_metrics, fitness, price_parts
+    FitnessWeights, Metrics, MissMode, config_metrics, fitness, side_terms
 )
 from .trace import TraceRecord
 
@@ -122,29 +125,44 @@ def exhaustive(
 ) -> ExhaustiveResult:
     """Simulate every feasible point of the subspace once and rank it.
 
-    Deterministic and rng-free: sim_seed_base (default 0) is simulate's
-    seed base, so a random-replacement side is seeded from it and its own
-    flags, and each distinct side runs once. Ties in fitness are broken by
-    canonical flag-text order: objectives.price_parts walks the points in
-    that order and they are sorted stably on fitness alone. Infeasible
-    points keep the walk's order, so neither tuple depends on the order in
-    which a value list names its values. A baseline that fitness() refuses
-    is refused before anything is simulated.
+    Deterministic and rng-free: sim_seed_base (default 0) is simulate's seed
+    base, so each distinct side runs once. The walk is Subspace.parts()'s
+    product in flag-text order, one objectives.simulate call per feasible
+    point. It prices an I part's side_terms once per row and a D part's once
+    per walk and sums them in metrics_from_stats's order: each value has
+    config_metrics's bits, and a missing row raises at the first point that
+    needs it, the I row first. Fitness ties and infeasible points keep the
+    walk's order. A baseline that fitness() refuses is refused up front.
     """
     sub.check_cap(cap)
     fitness(baseline, baseline, weights)  # rejects a bad baseline before anything is simulated
     streams = SideStreams.of(trace)
+    simulate = objectives.simulate  # looked up per call, as callers patch it there
     ranked, infeasible = [], []
     w_time, w_energy = weights.w_time, weights.w_energy
     base_time, base_energy = baseline
-    walk = price_parts(*sub.parts(), streams, table, dram, miss_mode, sim_seed_base)
-    for config, metrics in walk:
-        if metrics is None:  # simulate checks each feasible point itself
-            infeasible.append((config, validate(config).problems))
-            continue
-        # fitness()'s expression, so a score is the bits fitness() would give
-        score = w_time * metrics[0] / base_time + w_energy * metrics[1] / base_energy
-        ranked.append(tuple.__new__(RankedConfig, (config, metrics, score)))
+    iparts, dparts = sub.parts()
+    dterms = [None] * len(dparts)
+    for iflags, ifeasible in iparts:
+        iterms = None
+        for j, (dflags, dfeasible) in enumerate(dparts):
+            config = _from_checked(iflags + dflags)
+            if not (ifeasible and dfeasible):
+                infeasible.append((config, validate(config).problems))
+                continue
+            istats, dstats = simulate(config, streams, sim_seed_base)
+            if iterms is None:
+                row = table.lookup(iflags[0], iflags[1], iflags[3])
+                iterms = side_terms(istats, row, iflags[1], dram, miss_mode)
+            if dterms[j] is None:
+                row = table.lookup(dflags[0], dflags[1], dflags[3])
+                dterms[j] = side_terms(dstats, row, dflags[1], dram, miss_mode)
+            it, il, ix, ie, ir, idram = iterms
+            dt, dl, dx, de, dr, ddram = dterms[j]
+            metrics = Metrics(it + il + ix + dt + dl + dx, ie + de + ir + dr + idram + ddram)
+            # fitness()'s expression, so a score is the bits fitness() would give
+            score = w_time * metrics[0] / base_time + w_energy * metrics[1] / base_energy
+            ranked.append(tuple.__new__(RankedConfig, (config, metrics, score)))
     ranked.sort(key=itemgetter(2))  # the fitness
     return ExhaustiveResult(tuple(ranked), tuple(infeasible))
 

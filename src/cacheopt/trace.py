@@ -155,7 +155,11 @@ def trace_stats(records: Iterable[TraceRecord]) -> TraceStats:
 
 
 def gen_synthetic(profile: str, n: int, seed: int) -> list[TraceRecord]:
-    """Generate a deterministic n-record trace for the named access profile.
+    return list(synthetic_records(profile, n, seed))
+
+
+def synthetic_records(profile: str, n: int, seed: int) -> Iterator[TraceRecord]:
+    """A deterministic n-record trace of the named access profile, made as read.
 
     Profiles:
       sequential  ifetch at consecutive 4-byte addresses
@@ -170,7 +174,7 @@ def gen_synthetic(profile: str, n: int, seed: int) -> list[TraceRecord]:
         stream = _STREAMS[profile]
     except KeyError:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}") from None
-    return list(islice(stream(random.Random(seed)), n))
+    return islice(stream(random.Random(seed)), n)
 
 
 def _sequential_stream(rng: random.Random) -> Iterator[TraceRecord]:

@@ -4,7 +4,7 @@ from dataclasses import fields
 import pytest
 
 import cacheopt.evolve as EVOLVE
-from cacheopt import objectives
+from cacheopt import cli, objectives
 from cacheopt.charmodel import CharRow, CharTable, DramParams, save_table, surrogate_generate
 from cacheopt.cli import RunConfig, _build_parser, _grammar_triples, main, run_optimize
 from cacheopt.cachesim import DEFAULT_BASELINE, SideStreams, simulate
@@ -53,6 +53,23 @@ def test_gentrace_writes_din_file(tmp_path):
 def test_gentrace_stdout(capsys):
     assert main(["gentrace", "--profile", "sequential", "-n", "2"]) == 0
     assert capsys.readouterr().out == "2 0\n2 4\n"
+
+
+@pytest.mark.parametrize("chunk,n", [(7, 0), (7, 6), (7, 7), (7, 8), (7, 23), (None, 1 << 16 | 3)])
+def test_gentrace_chunks_write_one_text(tmp_path, capsys, monkeypatch, chunk, n):
+    """gentrace renders DIN_CHUNK records at a time (7 here, or its own
+    size): across chunk boundaries the file and stdout each hold exactly
+    to_din(gen_synthetic(...))."""
+    if chunk is not None:
+        monkeypatch.setattr(cli, "DIN_CHUNK", chunk)
+    args = ["gentrace", "--profile", "mixed", "-n", str(n), "--seed", "3"]
+    want = to_din(gen_synthetic("mixed", n, 3))
+    out = tmp_path / "t.din"
+    assert main([*args, "-o", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    assert capsys.readouterr().out == f"wrote {n} records to {out}\n"
+    assert main(args) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_characterize_is_byte_identical(tmp_path):

@@ -18,7 +18,7 @@ from cacheopt.errors import (
 )
 from cacheopt.evolve import Evaluator, GEParams, evolve
 from cacheopt.grammar import DEFAULT_GRAMMAR, map_genotype, parse_bnf
-from cacheopt.objectives import MissMode, config_metrics, fitness
+from cacheopt.objectives import Metrics, MissMode, config_metrics, fitness
 from cacheopt.oracle import Subspace, exhaustive, reference_lru
 from cacheopt.trace import PROFILES, AccessKind, TraceRecord, gen_synthetic
 
@@ -388,29 +388,37 @@ def test_exhaustive_equals_a_cacheunit_replay(repl, fetch, data, profile, record
                      for p in DOMAINS["irepl"]]
             got = [pair[side == "d"] for pair in twins]
             assert got[0] is got[1] is got[2], (side, r.config.to_flags())
-    direct = [key for key in streams._counts if key[3] == 1]
-    assert all(key[4] == "f" and key[6] == 0 for key in direct)
+    for memo in (streams._imemo, streams._dmemo):
+        for (values, seed), pair in memo.items():
+            size, block, _, assoc, fetch = values
+            if assoc == 1:  # served by the one canonical entry: FIFO, seed base 0
+                assert memo[(size, block, "f", 1, fetch), 0] is pair, (values, seed)
 
 
 @settings(max_examples=200, deadline=None)
 @given(sub=listed_subspaces(max_points=300))
 def test_subspace_points_equal_checked_configs(sub):
-    """The walk over the product of Subspace.parts() and canonical
+    """exhaustive's walk over the product of Subspace.parts() and canonical
     from_flags build points from values already checked, without
     CacheConfig's domain test: each equals the checked point, is exactly a
     CacheConfig and hashes alike; and the parts' verdicts give validate's
-    verdict on each point, which the walk prices exactly when feasible."""
+    verdict on each point, which exhaustive ranks exactly when feasible. On
+    an empty trace every point prices at 0, so the stable ranking keeps the
+    walk's order, as the infeasible points do."""
     flag_order = sorted(starmap(CacheConfig, product(*(getattr(sub, n) for n in DOMAINS))),
                         key=CacheConfig.to_flags)
-    parsed = [CacheConfig.from_flags(config.to_flags()) for config in flag_order]
-    walked = list(objectives.price_parts(*sub.parts(), SideStreams([]), TABLE, DRAM))
-    for built in ([config for config, _ in walked], parsed):
-        assert built == flag_order
-        assert {type(config) for config in built} == {CacheConfig}
-        assert list(map(hash, built)) == list(map(hash, flag_order))
     verdicts = [bool(validate(c)) for c in flag_order]
+    result = exhaustive(sub, SideStreams([]), TABLE, DRAM, Metrics(1.0, 1.0))
+    ranked = [r.config for r in result.ranked]
+    infeasible = [config for config, _ in result.infeasible]
+    parsed = [CacheConfig.from_flags(config.to_flags()) for config in flag_order]
+    for built, want in ((ranked, [c for c, ok in zip(flag_order, verdicts) if ok]),
+                        (infeasible, [c for c, ok in zip(flag_order, verdicts) if not ok]),
+                        (parsed, flag_order)):
+        assert built == want
+        assert list(map(hash, built)) == list(map(hash, want))
+    assert {type(config) for config in ranked + infeasible + parsed} == {CacheConfig}
     assert [i and d for (_, i), (_, d) in product(*sub.parts())] == verdicts
-    assert [metrics is not None for _, metrics in walked] == verdicts
 
 
 def count_simulations(monkeypatch) -> list:

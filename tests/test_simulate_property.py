@@ -18,7 +18,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cacheopt import objectives
+from cacheopt import cachesim, objectives
 from cacheopt.cachesim import (
     ASSOCIATIVITIES,
     BLOCK_SIZES,
@@ -208,6 +208,75 @@ def test_shared_side_memo_matches_fresh_streams(repl, fetch, data, trace, bases)
         assert [s._asdict() for s in twin_got] == [s._asdict() for s in want], twin.to_flags()
         for stats in (*got, *twin_got):
             spoil(stats)
+
+
+@st.composite
+def memo_points(draw):
+    """Points over a pool of up to four small-cache sides, each free to
+    serve as an I side or a D side; the first point has equal I and D
+    value slices."""
+    def side():
+        size = draw(st.sampled_from(CACHE_SIZES[:3]))
+        block = draw(st.sampled_from(BLOCK_SIZES))
+        assoc = draw(st.sampled_from([a for a in ASSOCIATIVITIES if a * block <= size]))
+        return (size, block, draw(st.sampled_from(REPL_POLICIES)), assoc,
+                draw(st.sampled_from(FETCH_POLICIES)))
+
+    pool = [side() for _ in range(draw(st.integers(1, 4)))]
+    rows = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool),
+                                   st.sampled_from(WRITE_POLICIES)), max_size=12))
+    return [CacheConfig(*i, *d, wback) for i, d, wback in [(pool[0], pool[0], "a"), *rows]]
+
+
+def as_dicts(pair) -> list[dict]:
+    return [s._asdict() for s in pair]
+
+
+# Each example replays its mirrored points record by record; a failure
+# reports unshrunk.
+@settings(max_examples=25, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(
+    data=st.data(),
+    trace=st.builds(gen_synthetic, st.sampled_from(PROFILES), st.integers(100, 400),
+                    st.integers(0, 2**32 - 1)),
+    bases=st.lists(seeds, min_size=2, max_size=2, unique=True),
+)
+def test_side_memo_keeps_each_side_in_its_own_entry(data, trace, bases):
+    """One warmed SideStreams answers random points under two seed bases as
+    a fresh SideStreams per point does, and a point whose I and D slices
+    are equal as a CacheUnit replay does: no side is served the other
+    side's entry. A direct-mapped side's l, f and r twins under either base
+    return one stored SimStats; a random side keeps one entry per seed
+    base; an LRU or FIFO side serves both bases from one pass, and no
+    distinct side runs two engine passes."""
+    shared, passes, real_run_side = SideStreams(trace), [], cachesim._run_side
+
+    def counting(streams, side, size, block, assoc, repl, fetch, rng_seed):
+        if streams is shared:
+            passes.append((side, size, block, assoc, repl, fetch, rng_seed if repl == "r" else 0))
+        return real_run_side(streams, side, size, block, assoc, repl, fetch, rng_seed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cachesim, "_run_side", counting)
+        for config in data.draw(memo_points()):
+            got = [simulate(config, shared, base) for base in bases]
+            for base, pair in zip(bases, got):
+                assert as_dicts(pair) == as_dicts(simulate(config, SideStreams(trace), base))
+            if config[:5] == config[5:10]:
+                assert as_dicts(got[0]) == as_dicts(replay(config, trace, bases[0]))
+            for k, side in enumerate("id"):
+                _, _, repl, assoc, _ = config[5 * k:5 * k + 5]
+                first, second = got[0][k], got[1][k]
+                if assoc == 1:
+                    twins = [simulate(config._replace(**{side + "repl": twin}), shared, base)[k]
+                             for twin in REPL_POLICIES for base in bases]
+                    assert all(stats is first for stats in twins), config.to_flags()
+                elif repl == "r":
+                    assert first is not second, config.to_flags()
+                else:
+                    assert first is second, config.to_flags()
+    assert len(set(passes)) == len(passes)
 
 
 @st.composite
