@@ -505,7 +505,7 @@ def _run_open(
     """
     blocks, writes = streams.blocks(side, block)
     resident: dict[int, int] = {}
-    counts = _fill_order(blocks, writes, 0, math.inf, fetch, None, resident)
+    counts = _fill_order(blocks, writes, 0, math.inf, "f", fetch, None, resident)
     return (len(streams._sides[side][0]), *counts), array("Q", resident)
 
 
@@ -516,11 +516,10 @@ def _run_side(
     """Run one side's stream as write-back; same semantics as CacheUnit.
 
     Returns (accesses, demand misses, prefetch fills, write-backs, dirty
-    blocks left); the loop returns all but the first. Blocks are keyed by
-    block number (the tag is implied by the set). The replacement policy
-    picks the loop, _lru or _fill_order, and the fetch policy is its
-    argument: a hit ends its access unless fetch is `a`, a miss ends after
-    its fill under `d`, and any other access prefetches block b + 1.
+    blocks left); _fill_order returns all but the first, for every
+    replacement policy. Blocks are keyed by block number (the tag is implied
+    by the set). A hit ends its access unless fetch is `a`, a miss ends
+    after its fill under `d`, and any other access prefetches block b + 1.
     """
     n = n_sets(size, block, assoc)
     # A run of accesses to one block is one access plus hits that change only
@@ -531,68 +530,42 @@ def _run_side(
         blocks = array("Q", map(rshift, addrs, repeat(block.bit_length() - 1)))
     else:
         blocks, writes = streams.blocks(side, block)
-    if repl == "l":
-        counts = _lru(blocks, writes, n - 1, assoc, fetch)
-    else:
-        seed = f"{rng_seed} {side} {size} {block} {assoc} {fetch}"  # see simulate
-        rng = random.Random(seed) if repl == "r" else None
-        counts = _fill_order(blocks, writes, n - 1, assoc, fetch, rng)
+    seed = f"{rng_seed} {side} {size} {block} {assoc} {fetch}"  # see simulate
+    rng = random.Random(seed) if repl == "r" else None
+    counts = _fill_order(blocks, writes, n - 1, assoc, repl, fetch, rng)
     return (len(streams._sides[side][0]), *counts)
 
 
-def _lru(
-    blocks: array, writes: Iterable[int], mask: int, assoc: int, fetch: str,
-) -> tuple[int, ...]:
-    """Each set is a dict of block -> dirty flag in recency order (a hit
-    re-inserts its block), so its first key is the victim."""
-    prefetch, always = fetch != "d", fetch == "a"
-    sets: defaultdict[int, dict] = defaultdict(dict)
-    misses = fills = write_backs = 0
-    for b, w in zip(blocks, writes):
-        entries = sets[b & mask]
-        if b in entries:
-            entries[b] = entries.pop(b) or w  # now the most recent
-            if not always:
-                continue
-        else:
-            misses += 1
-            if len(entries) >= assoc and entries.pop(next(iter(entries))):
-                write_backs += 1
-            entries[b] = w
-            if not prefetch:
-                continue
-        b += 1
-        entries = sets[b & mask]
-        if b not in entries:
-            fills += 1
-            if len(entries) >= assoc and entries.pop(next(iter(entries))):
-                write_backs += 1
-            entries[b] = 0
-    return misses, fills, write_backs, sum(map(sum, map(dict.values, sets.values())))
-
-
 def _fill_order(
-    blocks: array, writes: Iterable[int], mask: int, assoc: int, fetch: str,
+    blocks: array, writes: Iterable[int], mask: int, assoc: int, repl: str, fetch: str,
     rng: random.Random | None, resident: dict[int, int] | None = None,
 ) -> tuple[int, ...]:
-    """FIFO and random: one dict of resident block -> dirty flag (a block
-    maps to one set, so a hit needs no set) and a fill-order list per set.
-    FIFO, passed no rng, evicts the head of a full set's list. Random evicts
-    the block rng.choice(order) would pick, as CacheUnit does: a full set
-    holds assoc blocks, so getrandbits(assoc.bit_length()) redrawn until < assoc.
+    """The engine loop of every replacement policy: one dict of resident
+    block -> dirty flag (a block maps to one set, so a hit needs no set, and
+    its flag is the OR of its writes) and a list per set, which holds fill
+    order under `f` and `r` and recency under `l`: an LRU hit moves its
+    block to the end of its set's list unless it is already last. `l` and
+    `f` evict the head of a full set's list. `r` evicts the block
+    rng.choice(order) would pick, as CacheUnit does: a full set holds assoc
+    blocks, so getrandbits(assoc.bit_length()) redrawn until < assoc.
     resident, if passed, is filled in place, so a caller that never evicts
-    (assoc math.inf) reads the filled blocks in fill order.
+    (assoc math.inf, `f`) reads the filled blocks in fill order.
     """
-    prefetch, always = fetch != "d", fetch == "a"
+    prefetch, always, lru = fetch != "d", fetch == "a", repl == "l"
     if resident is None:
         resident = {}
     orders: defaultdict[int, list] = defaultdict(list)
-    getrandbits, k = (rng.getrandbits, assoc.bit_length()) if rng is not None else (None, 0)
+    getrandbits, k = (rng.getrandbits, assoc.bit_length()) if repl == "r" else (None, 0)
     misses = fills = write_backs = 0
     for b, w in zip(blocks, writes):
         if b in resident:
             if w:
                 resident[b] = True
+            if lru:
+                order = orders[b & mask]
+                if order[-1] != b:
+                    order.remove(b)
+                    order.append(b)
             if not always:
                 continue
         else:

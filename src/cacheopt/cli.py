@@ -425,6 +425,9 @@ def cmd_optimize(args) -> None:
     )
     grammar = parse_bnf(grammar_text)  # a bad grammar fails before any input is read
     triples = _grammar_triples(grammar)
+    if not triples:
+        raise ValidationError("grammar derives no feasible configuration: on some side,"
+                              " every block x assoc it can pick exceeds its cache size")
     params = GEParams(**{name: getattr(args, name) for name in _GE_OPTIONS})
     baseline = _baseline(args)
     weights = FitnessWeights(args.w_time)

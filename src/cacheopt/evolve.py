@@ -4,9 +4,11 @@ The loop is elitist generational replacement: binary tournament selection,
 single-point crossover, per-codon integer mutation. Each run decodes a
 distinct genotype once. An Evaluator is built with its trace, table and
 baseline, and prices the baseline once when built. Fitness evaluation is
-memoized on the canonical phenotype flag text, so one evaluator never
-simulates the same configuration twice; evaluators may be shared across
-runs to pool that memo.
+memoized on the whitespace-normalized phenotype text, so one evaluator
+prices each phenotype once. A grammar that spells one configuration in two
+flag orders gives it two keys: it is priced twice, and the second pricing
+takes both sides from simulate's side memo. Evaluators may be shared
+across runs to pool that memo.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ class Individual:
 
 
 def memo_key(phenotype: str) -> str:
-    """Whitespace-normalized phenotype text; equal configs get equal keys."""
+    """Whitespace-normalized phenotype text: equal texts get equal keys, but
+    one configuration in two flag orders gets two."""
     return " ".join(phenotype.split())
 
 

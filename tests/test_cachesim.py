@@ -210,7 +210,7 @@ def test_random_victim_is_the_one_choice_draws(n):
     for seed in range(300):
         pick = random.Random(seed).choice(range(n))
         writes = bytes(b == pick for b in blocks)
-        counts = cachesim._fill_order(blocks, writes, 0, n, "d", random.Random(seed))
+        counts = cachesim._fill_order(blocks, writes, 0, n, "r", "d", random.Random(seed))
         assert counts == (n + 1, 0, 1, 0)
 
 

@@ -226,6 +226,21 @@ def test_optimize_bad_grammar_fails_before_trace_is_read(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_optimize_grammar_with_no_feasible_point_fails_before_trace_is_read(tmp_path, capsys):
+    # Every I geometry the grammar derives is 8 B x 128 ways in a 512 B cache.
+    grammar_path = tmp_path / "infeasible.bnf"
+    grammar_path.write_text(
+        "<P> ::= -l1-isize 512 -l1-ibsize 8 -l1-irepl l -l1-iassoc 128 -l1-ifetch d"
+        " -l1-dsize <S> -l1-dbsize 32 -l1-drepl l -l1-dassoc 4 -l1-dfetch d -l1-dwback a\n"
+        "<S> ::= 512 | 1024\n")
+    assert main(["optimize", "--grammar", str(grammar_path),
+                 "--trace", str(tmp_path / "absent.din"), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "grammar derives no feasible configuration" in err
+    assert "absent.din" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def run_config_kwargs(tmp_path, trace):
     return dict(
         trace=trace, table=surrogate_generate(0), dram=DramParams(), baseline=DEFAULT_BASELINE,

@@ -133,6 +133,63 @@ def test_fully_associative_prefetch_matches_replay(repl, fetch, data, trace, rng
     assert_matches_replay(config, trace, rng_seed)
 
 
+# LRU geometries of 2-128 ways in one set or a few, so a short trace evicts.
+LRU_GEOMETRIES = {
+    fully_associative: [(s, b, a) for s in CACHE_SIZES for b in BLOCK_SIZES
+                        for a in ASSOCIATIVITIES[1:]
+                        if n_sets(s, b, a) in ((1,) if fully_associative else (2, 4))]
+    for fully_associative in (True, False)
+}
+
+
+@pytest.mark.parametrize("fully_associative", (True, False))
+@pytest.mark.parametrize("fetch", FETCH_POLICIES)
+@PROPERTY
+@given(data=st.data())
+def test_lru_engine_pass_matches_replay(fetch, fully_associative, data):
+    """_run_side's LRU pass against a CacheUnit replay, on a side that
+    evicts, so the open pass answers nothing. The trace is built while the
+    replay runs: more blocks than ways in one set, a block of the next set,
+    drawn accesses, a hit on a set's most recent block (no move), a hit on
+    a block in the middle of a set's list (the first of two), and more
+    drawn accesses. Only a fully associative `d` side never skips a move:
+    its merged stream never repeats a block."""
+    side = data.draw(st.sampled_from("id"))
+    size, block, assoc = data.draw(st.sampled_from(LRU_GEOMETRIES[fully_associative]))
+    n = n_sets(size, block, assoc)
+    unit = CacheUnit(side, size, block, assoc, "l", fetch)
+    trace = []
+
+    def access(b: int) -> bool:
+        write = side == "d" and data.draw(st.booleans())
+        kind = AccessKind.IFETCH if side == "i" else AccessKind.WRITE if write else AccessKind.READ
+        trace.append(TraceRecord(kind, b * block + data.draw(st.integers(0, block - 1))))
+        return unit.step(trace[-1]).hit
+
+    def hit(pick) -> None:
+        """Access the block pick chooses from a set's tags, least recent
+        first; a set other than the last access's if one holds a block."""
+        last_set = (trace[-1].address // block) % n
+        sets = [k for k in range(n) if unit.sets[k] and k != last_set] or [last_set]
+        k = data.draw(st.sampled_from(sets))
+        assert access(pick(list(unit.sets[k])) * n + k)
+
+    home = data.draw(st.integers(0, n - 1))
+    hot = [home + n * j for j in range(assoc + data.draw(st.integers(1, 3)))]
+    pool = st.one_of(st.sampled_from(hot), st.integers(0, 4 * n * assoc))
+    for b in [*hot, home + 1, *data.draw(st.lists(pool, max_size=60))]:
+        access(b)
+    hit(lambda tags: tags[-1])
+    hit(lambda tags: tags[(len(tags) - 1) // 2])
+    for b in data.draw(st.lists(pool, max_size=60)):
+        access(b)
+    streams = SideStreams(trace)
+    assert _open_counts(streams, side, size, block, assoc, fetch) is None
+    accesses, misses, fills, write_backs, dirty = cachesim._run_side(
+        streams, side, size, block, assoc, "l", fetch, 0)
+    assert SimStats(accesses, misses, fills, write_backs, 0, dirty) == unit.stats
+
+
 @PROPERTY
 @given(data=st.data(), trace=traces, rng_seed=seeds)
 def test_trace_forms_give_equal_results(data, trace, rng_seed):
