@@ -235,10 +235,6 @@ class SimStats(_SimCounts):
         """Build from six counts in field order, checked; _replace builds through it."""
         return cls(*iterable)
 
-    @property
-    def demand_hits(self) -> int:
-        return self.accesses - self.demand_misses
-
 
 @dataclass
 class _Tally:
@@ -260,7 +256,8 @@ class CacheUnit:
     """Mutable state of one cache side ('i' or 'd') during a run.
 
     The step-by-step reference engine: simulate's per-side engine must
-    match a CacheUnit replay of the same trace in every counter.
+    match a CacheUnit replay of the same trace in every counter. The
+    program never calls step; it stays as the tests' replay API.
 
     Each set is an OrderedDict mapping tag -> dirty flag. LRU keeps the
     order by recency (least recent first), FIFO by fill order (first in

@@ -38,7 +38,7 @@ from .charmodel import (
 )
 from .errors import CacheOptError, InfeasibleConfigError, ValidationError
 from .evolve import Evaluator, GEParams, evolve
-from .grammar import DEFAULT_GRAMMAR, Grammar, parse_bnf
+from .grammar import DEFAULT_GRAMMAR, Grammar, min_codons, parse_bnf
 from .objectives import FitnessWeights, MissMode, config_metrics, metrics_from_stats
 from .oracle import Subspace, exhaustive
 from .trace import PROFILES, TraceRecord, synthetic_records, to_din
@@ -429,6 +429,12 @@ def cmd_optimize(args) -> None:
         raise ValidationError("grammar derives no feasible configuration: on some side,"
                               " every block x assoc it can pick exceeds its cache size")
     params = GEParams(**{name: getattr(args, name) for name in _GE_OPTIONS})
+    budget, need = params.codon_count * params.max_wraps, min_codons(grammar)
+    if budget < need:
+        raise ValidationError(
+            f"--codon-count {params.codon_count} x --max-wraps {params.max_wraps} gives"
+            f" {budget} codons, but every derivation of the grammar consumes at least"
+            f" {need}: no genotype would decode")
     baseline = _baseline(args)
     weights = FitnessWeights(args.w_time)
     table = _load_char_table(args)

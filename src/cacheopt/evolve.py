@@ -17,7 +17,7 @@ import heapq
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .cachesim import CacheConfig, SideStreams, validate
 from .charmodel import CharTable, DramParams
@@ -161,39 +161,6 @@ def random_genotype(length: int, rng: random.Random) -> Genotype:
     return [rng.randrange(256) for _ in range(length)]
 
 
-def tournament(population: Sequence[Individual], size: int, rng: random.Random) -> Individual:
-    """Lowest-fitness winner among `size` contestants drawn with replacement;
-    ties go to the lower population index."""
-    n = len(population)
-    best = None
-    for _ in range(size):
-        i = rng.randrange(n)
-        if best is None or (population[i].fitness, i) < (population[best].fitness, best):
-            best = i
-    return population[best]
-
-
-def single_point_crossover(a: Genotype, b: Genotype, cut: int) -> tuple[Genotype, Genotype]:
-    """Swap tails at `cut`; cut must lie in [1, len-1]."""
-    return a[:cut] + b[cut:], b[:cut] + a[cut:]
-
-
-def crossover(
-    a: Genotype, b: Genotype, rng: random.Random, p_crossover: float
-) -> tuple[Genotype, Genotype]:
-    """With probability p_crossover swap tails at one shared cut point,
-    otherwise return copies. Genotypes shorter than 2 are always copied."""
-    if len(a) < 2 or len(b) < 2 or rng.random() >= p_crossover:
-        return list(a), list(b)
-    cut = rng.randint(1, min(len(a), len(b)) - 1)
-    return single_point_crossover(a, b, cut)
-
-
-def mutate(genotype: Genotype, p_mutation: float, rng: random.Random) -> Genotype:
-    """Redraw each codon uniformly from [0, 255] with probability p_mutation."""
-    return [rng.randrange(256) if rng.random() < p_mutation else c for c in genotype]
-
-
 @dataclass(frozen=True)
 class GenerationLog:
     generation: int
@@ -260,11 +227,11 @@ def _next_generation(
 ) -> list[Individual]:
     """The elites, then children bred in one loop.
 
-    Each pair of children makes the draws of two tournament calls, one
-    crossover and a mutate per child, in that order, so the genotypes and
-    the generator's state are what those operators give. randrange(n) and
-    randint(1, w) are drawn inline as CPython's Random does:
-    getrandbits(n.bit_length()), redrawn until below n.
+    Each pair of children makes the draws of two tournaments, one crossover
+    and a mutation per child, in that order; the tests check the genotypes
+    and the generator's state against reference operators composed the same
+    way. randrange(n) and randint(1, w) are drawn inline as CPython's Random
+    does: getrandbits(n.bit_length()), redrawn until below n.
     """
     fits = [ind.fitness for ind in population]
     n = len(fits)

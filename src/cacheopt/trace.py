@@ -11,7 +11,6 @@ from __future__ import annotations
 import gc
 import re
 import random
-from dataclasses import dataclass
 from enum import IntEnum
 from itertools import islice, repeat
 from typing import Iterable, Iterator, NamedTuple
@@ -30,17 +29,6 @@ class AccessKind(IntEnum):
 class TraceRecord(NamedTuple):
     kind: AccessKind
     address: int
-
-
-@dataclass(frozen=True)
-class TraceStats:
-    n_ifetch: int
-    n_read: int
-    n_write: int
-
-    @property
-    def total(self) -> int:
-        return self.n_ifetch + self.n_read + self.n_write
 
 
 PROFILES = ("sequential", "loop", "strided", "random", "mixed")
@@ -145,13 +133,6 @@ def _parse_lines(chunk: list[str], lineno: int) -> tuple[bytes, list[int]]:
 def to_din(records: Iterable[TraceRecord]) -> str:
     """Render records as din text; inverse of parse_din."""
     return "".join(f"{int(r.kind)} {r.address:x}\n" for r in records)
-
-
-def trace_stats(records: Iterable[TraceRecord]) -> TraceStats:
-    counts = [0, 0, 0]
-    for r in records:
-        counts[r.kind] += 1
-    return TraceStats(n_ifetch=counts[2], n_read=counts[0], n_write=counts[1])
 
 
 def gen_synthetic(profile: str, n: int, seed: int) -> list[TraceRecord]:

@@ -11,7 +11,7 @@ from cacheopt.cachesim import DEFAULT_BASELINE, SideStreams, simulate
 from cacheopt.errors import ValidationError
 from cacheopt.evolve import GEParams
 from cacheopt.grammar import DEFAULT_GRAMMAR, parse_bnf
-from cacheopt.objectives import FitnessWeights, MissMode, metrics_from_stats
+from cacheopt.objectives import INFEASIBLE_FITNESS, FitnessWeights, MissMode, metrics_from_stats
 from cacheopt.oracle import Subspace
 from cacheopt.trace import AccessKind, TraceRecord, gen_synthetic, parse_din, to_din
 
@@ -239,6 +239,25 @@ def test_optimize_grammar_with_no_feasible_point_fails_before_trace_is_read(tmp_
     assert "grammar derives no feasible configuration" in err
     assert "absent.din" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_optimize_codon_budget_no_derivation_fits_fails_before_trace_is_read(tmp_path, capsys):
+    # The default grammar has 11 slots; 3 codons x 3 wraps give only 9.
+    assert main(["optimize", "--codon-count", "3", "--runs", "2", "--generations", "3",
+                 "--population", "6", "--trace", str(tmp_path / "absent.din"),
+                 "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "gives 9 codons" in err and "consumes at least 11" in err
+    assert "absent.din" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_optimize_codon_budget_that_fits_with_wraps_runs(tmp_path):
+    trace_path = write_trace(tmp_path / "t.din")
+    outdir = tmp_path / "run"
+    assert main(["optimize", "--codon-count", "4", "--runs", "1", "--generations", "2",
+                 "--population", "4", "--trace", str(trace_path), "-o", str(outdir)]) == 0
+    assert float(read_csv(outdir / "summary.csv")[0]["best_fitness"]) < INFEASIBLE_FITNESS
 
 
 def run_config_kwargs(tmp_path, trace):

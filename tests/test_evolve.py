@@ -16,13 +16,9 @@ from cacheopt.evolve import (
     GEParams,
     Individual,
     MemoStats,
-    crossover,
     evolve,
     memo_key,
-    mutate,
     random_genotype,
-    single_point_crossover,
-    tournament,
 )
 from cacheopt.grammar import DEFAULT_GRAMMAR, map_genotype, parse_bnf
 from cacheopt.objectives import INFEASIBLE_FITNESS, FitnessWeights, MissMode
@@ -87,6 +83,39 @@ def test_geparams_validation(kwargs):
 
 
 # --- operators --------------------------------------------------------------
+# The reference that _next_generation is checked against: the loop inlines
+# these, making the same draws in the same order.
+
+def tournament(population, size, rng):
+    """Lowest-fitness winner among `size` contestants drawn with replacement;
+    ties go to the lower population index."""
+    n = len(population)
+    best = None
+    for _ in range(size):
+        i = rng.randrange(n)
+        if best is None or (population[i].fitness, i) < (population[best].fitness, best):
+            best = i
+    return population[best]
+
+
+def single_point_crossover(a, b, cut):
+    """Swap tails at `cut`; cut must lie in [1, len-1]."""
+    return a[:cut] + b[cut:], b[:cut] + a[cut:]
+
+
+def crossover(a, b, rng, p_crossover):
+    """With probability p_crossover swap tails at one shared cut point,
+    otherwise return copies. Genotypes shorter than 2 are always copied."""
+    if len(a) < 2 or len(b) < 2 or rng.random() >= p_crossover:
+        return list(a), list(b)
+    cut = rng.randint(1, min(len(a), len(b)) - 1)
+    return single_point_crossover(a, b, cut)
+
+
+def mutate(genotype, p_mutation, rng):
+    """Redraw each codon uniformly from [0, 255] with probability p_mutation."""
+    return [rng.randrange(256) if rng.random() < p_mutation else c for c in genotype]
+
 
 def test_tournament_picks_lowest_fitness():
     pop = [Individual([0], fitness=0.9), Individual([1], fitness=0.4)]
@@ -162,7 +191,7 @@ def test_mutate_rate_within_binomial_band():
 # --- breeding loop -----------------------------------------------------------
 
 def reference_next_generation(population, params, rng):
-    """A generation bred by composing the public operators."""
+    """A generation bred by composing the reference operators."""
     order = sorted(range(len(population)), key=lambda i: (population[i].fitness, i))
     new_pop = [population[i] for i in order[: params.elitism]]
     while len(new_pop) < params.population:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from cacheopt.grammar import (
     derivation_count,
     flat_decoder,
     map_genotype,
+    min_codons,
     parse_bnf,
 )
 from cacheopt.oracle import Subspace
@@ -22,8 +25,8 @@ GOLDEN_CODONS = [20, 35, 71, 96, 123, 210, 137, 7, 5]
 
 def test_default_grammar_shape():
     assert CACHE_GRAMMAR.start == "<DineroParams>"
-    assert len(CACHE_GRAMMAR.nonterminals) == 7
-    counts = {nt: len(CACHE_GRAMMAR.alternatives(nt)) for nt in CACHE_GRAMMAR.nonterminals}
+    assert len(CACHE_GRAMMAR.rules) == 7
+    counts = {nt: len(alts) for nt, alts in CACHE_GRAMMAR.rules.items()}
     assert counts == {
         "<DineroParams>": 1,
         "<CacheSizeB>": 8,
@@ -36,7 +39,8 @@ def test_default_grammar_shape():
 
 
 def test_default_grammar_terminals_are_flag_tokens():
-    terminals = set(CACHE_GRAMMAR.terminals)
+    rules = CACHE_GRAMMAR.rules
+    terminals = {sym for alts in rules.values() for alt in alts for sym in alt if sym not in rules}
     assert {"-l1-isize", "-l1-dwback", "512", "65536", "l", "f", "r", "m", "d",
             "a", "n", "8", "128"} <= terminals
 
@@ -116,12 +120,51 @@ def test_parse_requires_rules():
 
 def test_parse_continuation_lines_and_comments():
     grammar = parse_bnf("# choice rule\n<S> ::= a <T>\n        | b <T>\n<T> ::= t\n")
-    assert len(grammar.alternatives("<S>")) == 2
+    assert len(grammar.rules["<S>"]) == 2
     assert map_genotype([1, 0], grammar) == "b t"
 
 
 def test_search_space_product():
     assert derivation_count(CACHE_GRAMMAR) == 10_616_832
+
+
+NESTED_GRAMMAR = parse_bnf(
+    "<P> ::= <I> -l1-dsize <S> -l1-dbsize 32 -l1-drepl l -l1-dassoc <A> -l1-dfetch d"
+    " -l1-dwback <W>\n"
+    "<I> ::= -l1-isize <S> -l1-ibsize 32 -l1-irepl <R> -l1-iassoc <A> -l1-ifetch d\n"
+    "<S> ::= 1024 | 4096 | 16384\n<A> ::= 1 | 4\n<R> ::= l | r\n<W> ::= a | n\n"
+)
+
+
+@pytest.mark.parametrize("grammar,need", [(CACHE_GRAMMAR, 11), (NESTED_GRAMMAR, 7)],
+                         ids=["default", "nested"])
+@pytest.mark.parametrize("max_wraps", [1, 3])
+def test_min_codons_is_the_decode_budget(grammar, need, max_wraps):
+    """Genotypes one codon too short for need within max_wraps passes decode
+    none of 2,000; at the shortest length that reaches need, all 2,000
+    decode (these grammars derive at one fixed depth)."""
+    assert min_codons(grammar) == need
+    rng = random.Random(need + max_wraps)
+    fits = -(-need // max_wraps)  # the fewest codons whose wraps reach need
+    assert (fits - 1) * max_wraps < need <= fits * max_wraps
+    for length, want in ((fits - 1, 0), (fits, 2000)):
+        decoded = 0
+        for _ in range(2000):
+            try:
+                map_genotype([rng.randrange(256) for _ in range(length)], grammar, max_wraps)
+                decoded += 1
+            except MappingError:
+                pass
+        assert decoded == want, (length, max_wraps)
+
+
+def test_min_codons_of_recursive_grammars():
+    # The start rule's choice costs a codon; a one-alternative start is free.
+    assert min_codons(parse_bnf("<S> ::= x <S> | y\n")) == 1
+    assert min_codons(parse_bnf("<S> ::= <T> x\n<T> ::= <T> x | y z\n")) == 1
+    assert min_codons(parse_bnf("<S> ::= a\n")) == 0
+    with pytest.raises(GrammarError, match="recurses"):
+        min_codons(parse_bnf("<S> ::= x <S>\n"))
 
 
 def test_derivation_count_rejects_recursion():

@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from cacheopt.trace import (
     gen_synthetic,
     parse_din,
     to_din,
-    trace_stats,
 )
 
 
@@ -91,18 +91,24 @@ def test_gen_synthetic_deterministic(profile):
 def test_gen_synthetic_length_and_stats_sum(profile):
     records = gen_synthetic(profile, 257, 3)
     assert len(records) == 257
-    assert trace_stats(records).total == 257
+    kinds = Counter(r.kind for r in records)
+    assert sum(kinds.values()) == 257 and set(kinds) <= set(AccessKind)
 
 
 def test_mixed_is_instruction_heavy():
     records = gen_synthetic("mixed", 10_000, 42)
-    stats = trace_stats(records)
-    assert 0.70 <= stats.n_ifetch / stats.total <= 0.80
+    kinds = Counter(r.kind for r in records)
+    assert 0.70 <= kinds[AccessKind.IFETCH] / len(records) <= 0.80
 
 
 def test_loop_profile_interleaves_data():
-    stats = trace_stats(gen_synthetic("loop", 1000, 11))
-    assert stats.n_ifetch > 0 and stats.n_read > 0 and stats.n_write > 0
+    kinds = Counter(r.kind for r in gen_synthetic("loop", 1000, 11))
+    assert all(kinds[kind] > 0 for kind in AccessKind)
+
+
+def test_sequential_profile_is_all_ifetch():
+    kinds = Counter(r.kind for r in gen_synthetic("sequential", 100, 7))
+    assert kinds == {AccessKind.IFETCH: 100}
 
 
 def test_gen_synthetic_rejects_bad_args():
@@ -110,18 +116,6 @@ def test_gen_synthetic_rejects_bad_args():
         gen_synthetic("zigzag", 10, 0)
     with pytest.raises(ValueError, match=">= 0"):
         gen_synthetic("sequential", -1, 0)
-
-
-def test_trace_stats_counts():
-    assert trace_stats([]) == trace_stats([])
-    empty = trace_stats([])
-    assert (empty.n_ifetch, empty.n_read, empty.n_write) == (0, 0, 0)
-    two = trace_stats(
-        [TraceRecord(AccessKind.IFETCH, 0xA), TraceRecord(AccessKind.READ, 0xB)]
-    )
-    assert (two.n_ifetch, two.n_read, two.n_write) == (1, 1, 0)
-    seq = trace_stats(gen_synthetic("sequential", 100, 7))
-    assert (seq.n_ifetch, seq.n_read, seq.n_write) == (100, 0, 0)
 
 
 def test_max_records_must_not_be_negative():
