@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
+import os
 import statistics
 import sys
 from contextlib import nullcontext
@@ -510,16 +512,19 @@ def cmd_report(args) -> None:
         if not path.exists():
             raise ValidationError(f"no summary.csv under {directory}")
         with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            summary = next(reader, None)
-        if summary is None:
-            raise ValidationError(f"{path}: empty summary")
+            summary = next(csv.DictReader(fh), {})
         for column in ("avg_pct_energy", "avg_pct_time"):
-            if not summary.get(column):
+            value = summary.get(column)
+            if not value:
                 raise ValidationError(f"{path}: no {column} value")
-        rows.append(
-            (Path(directory).name, summary["avg_pct_energy"], summary["avg_pct_time"])
-        )
+            try:
+                finite = math.isfinite(float(value))
+            except ValueError:
+                finite = False
+            if not finite:
+                raise ValidationError(f"{path}: {column} value {value!r} is not a finite number")
+        name = Path(os.path.abspath(directory)).name  # "." and "run/.." name a directory
+        rows.append((name, summary["avg_pct_energy"], summary["avg_pct_time"]))
     _write_csv(Path(args.out), ("benchmark", "pct_energy", "pct_time"), rows)
     for name, pct_e, pct_t in rows:
         print(f"{name}: energy {pct_e}% of baseline, time {pct_t}% of baseline")

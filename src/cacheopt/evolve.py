@@ -2,10 +2,11 @@
 
 The loop is elitist generational replacement: binary tournament selection,
 single-point crossover, per-codon integer mutation. Each run decodes a
-distinct genotype once. An Evaluator is built with its trace, table and
-baseline, and prices the baseline once when built. Fitness evaluation is
-memoized on the whitespace-normalized phenotype text, so one evaluator
-prices each phenotype once. A grammar that spells one configuration in two
+distinct genotype once, a flat grammar from per-slot codon tables. An
+Evaluator is built with its trace, table and baseline, and prices the
+baseline once when built. Fitness evaluation is memoized on the
+whitespace-normalized phenotype text, so one evaluator prices each
+phenotype once. A grammar that spells one configuration in two
 flag orders gives it two keys: it is priced twice, and the second pricing
 takes both sides from simulate's side memo. Evaluators may be shared
 across runs to pool that memo.
@@ -17,12 +18,14 @@ import heapq
 import random
 import statistics
 from dataclasses import dataclass, field
+from itertools import cycle
+from operator import getitem
 from typing import Callable, NamedTuple
 
 from .cachesim import CacheConfig, SideStreams, validate
 from .charmodel import CharTable, DramParams
 from .errors import MappingError, ValidationError
-from .grammar import Grammar, flat_decoder, map_genotype
+from .grammar import Grammar, map_genotype
 from .objectives import (
     INFEASIBLE_FITNESS,
     FitnessWeights,
@@ -178,13 +181,33 @@ class EvolveResult:
 
 
 def _decoder(grammar: Grammar, max_wraps: int) -> Callable[[Genotype], str | None]:
-    """Genotype -> phenotype text, or None where decoding raises
-    MappingError, memoized on the codon tuple.
+    """Genotype -> phenotype text, or None where map_genotype would raise
+    MappingError, memoized on the codon tuple; equal phenotypes share one
+    string object.
 
-    A flat grammar decodes through flat_decoder, any other through
-    map_genotype. Equal phenotypes share one string object.
+    A flat grammar (one start alternative whose nonterminals, the slots,
+    have only all-terminal alternatives) makes the same decisions in the
+    same order: slot j takes alternative codons[j % n] % k of its k. Each
+    slot's table holds 256 texts, the literal text before the slot plus the
+    alternative each codon value picks; a decode joins one entry per slot
+    and the literal tail. Empty, out-of-range (0-255) or too short genotypes
+    have no phenotype. Other grammars go to map_genotype.
     """
-    flat = flat_decoder(grammar, max_wraps)
+    rules = grammar.rules
+    body, *others = rules[grammar.start]
+    flat = not others and not any(
+        sym in rules for slot in body for alt in rules.get(slot, ()) for sym in alt
+    )
+    tables: list[list[str]] = []
+    literal = ""  # text since the last slot, separators included
+    for i, symbol in enumerate(body if flat else ()):
+        literal += " " if i else ""
+        alts = rules.get(symbol)
+        if alts is None:
+            literal += symbol
+        else:
+            tables.append([literal + " ".join(alts[c % len(alts)]) for c in range(256)])
+            literal = ""
     memo: dict[tuple[int, ...], str | None] = {}
     texts: dict[str, str] = {}
     missing = object()
@@ -194,11 +217,16 @@ def _decoder(grammar: Grammar, max_wraps: int) -> Callable[[Genotype], str | Non
         text = memo.get(key, missing)
         if text is not missing:
             return text
-        try:
-            text = flat(key) if flat else map_genotype(key, grammar, max_wraps)
+        if flat:
+            ok = key and len(tables) <= len(key) * max_wraps and 0 <= min(key) <= max(key) <= 255
+            text = "".join(map(getitem, tables, cycle(key))) + literal if ok else None
+        else:
+            try:
+                text = map_genotype(key, grammar, max_wraps)
+            except MappingError:
+                text = None
+        if text is not None:
             text = texts.setdefault(text, text)
-        except MappingError:
-            text = None
         memo[key] = text
         return text
 

@@ -5,12 +5,8 @@ configuration. Decoding walks the leftmost derivation: every nonterminal
 expansion consumes one codon and picks alternative (codon mod k), except
 the root expansion of a single-alternative start rule, which is purely
 structural and consumes nothing. When codons run out the decoder wraps to
-codon 0, up to max_wraps passes over the genotype.
-
-A flat grammar (one start alternative whose nonterminals have only
-all-terminal alternatives, like DEFAULT_GRAMMAR) always makes the same
-decisions in the same order, so flat_decoder compiles it to one codon
-lookup per slot; map_genotype stays the general decoder.
+codon 0, up to max_wraps passes over the genotype. map_genotype is the
+general decoder; evolve's run decoder compiles flat grammars to tables.
 """
 
 from __future__ import annotations
@@ -19,9 +15,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import cycle
-from operator import getitem
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import GrammarError, MappingError
 
@@ -144,60 +138,6 @@ def map_genotype(codons: Sequence[int], grammar: Grammar, max_wraps: int = 3) ->
         consumed += 1
         pending.extendleft(reversed(alts[codon % k]))
     return " ".join(out)
-
-
-def flat_template(grammar: Grammar) -> tuple[str | tuple[str, ...], ...] | None:
-    """The start rule's one alternative with each nonterminal (a slot)
-    replaced by the tuple of its alternatives' texts, or None unless the
-    grammar is flat: the start rule has exactly one alternative and every
-    nonterminal in it has only all-terminal alternatives. Terminals stay
-    plain strings."""
-    start_alts = grammar.rules[grammar.start]
-    if len(start_alts) != 1:
-        return None
-    template: list[str | tuple[str, ...]] = []
-    for symbol in start_alts[0]:
-        alts = grammar.rules.get(symbol)
-        if alts is None:
-            template.append(symbol)
-        elif any(sym in grammar.rules for alt in alts for sym in alt):
-            return None
-        else:
-            template.append(tuple(" ".join(alt) for alt in alts))
-    return tuple(template)
-
-
-def flat_decoder(grammar: Grammar, max_wraps: int = 3) -> Callable[[Sequence[int]], str] | None:
-    """A decoder equal to map_genotype(codons, grammar, max_wraps) for a
-    flat grammar, or None for any other grammar.
-
-    Slot j takes alternative codons[j % n] % k of its k. Each slot has a
-    table of 256 texts, one per codon value: the literal text before the
-    slot followed by the alternative that codon picks; a decode joins one
-    entry per slot and the literal tail. A genotype it cannot decode (empty,
-    a codon outside 0-255, or too few codons for the slots within max_wraps
-    passes) goes to map_genotype, which raises its MappingError.
-    """
-    template = flat_template(grammar)
-    if template is None:
-        return None
-    tables: list[list[str]] = []
-    literal = ""  # text since the last slot, separators included
-    for i, item in enumerate(template):
-        literal += " " if i else ""
-        if isinstance(item, tuple):
-            tables.append([literal + item[c % len(item)] for c in range(256)])
-            literal = ""
-        else:
-            literal += item
-    n_slots = len(tables)
-
-    def decode(codons: Sequence[int]) -> str:
-        if codons and n_slots <= len(codons) * max_wraps and 0 <= min(codons) <= max(codons) <= 255:
-            return "".join(map(getitem, tables, cycle(codons))) + literal
-        return map_genotype(codons, grammar, max_wraps)
-
-    return decode
 
 
 def derivation_count(grammar: Grammar) -> int:

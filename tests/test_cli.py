@@ -480,20 +480,58 @@ def test_report_rejects_missing_summary(tmp_path, capsys):
     assert "summary.csv" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text,missing", [
-    ("a,b\n1,2\n", "avg_pct_energy"),
-    ("avg_pct_energy,b\n1,2\n", "avg_pct_time"),
-    ("avg_pct_energy,avg_pct_time\n97.5\n", "avg_pct_time"),
-], ids=["no-columns", "no-time-column", "short-row"])
-def test_report_rejects_a_summary_without_its_values(tmp_path, capsys, text, missing):
+@pytest.mark.parametrize("text,message", [
+    ("a,b\n1,2\n", "no avg_pct_energy value"),
+    ("avg_pct_energy,b\n1,2\n", "no avg_pct_time value"),
+    ("avg_pct_energy,avg_pct_time\n97.5\n", "no avg_pct_time value"),
+    ("avg_pct_energy,avg_pct_time\nnan,nan\n",
+     "avg_pct_energy value 'nan' is not a finite number"),
+    ("avg_pct_energy,avg_pct_time\n97.5,fast\n",
+     "avg_pct_time value 'fast' is not a finite number"),
+    ("", "no avg_pct_energy value"),
+    ("avg_pct_energy,avg_pct_time\n", "no avg_pct_energy value"),
+], ids=["no-columns", "no-time-column", "short-row", "nan", "not-a-number", "empty", "no-rows"])
+def test_report_rejects_a_summary_without_its_values(tmp_path, capsys, text, message):
     rundir = tmp_path / "run"
     rundir.mkdir()
     (rundir / "summary.csv").write_text(text)
     rc = main(["report", str(rundir), "-o", str(tmp_path / "r.csv")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "summary.csv" in err and f"no {missing} value" in err
+    assert "summary.csv" in err and message in err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_report_rejects_a_campaign_with_no_feasible_design(tmp_path, capsys):
+    """Only <S> = 8192 makes this 128-way I-cache feasible, and seed 0's two
+    genotypes miss it: optimize writes nan averages and report refuses them."""
+    grammar_path = tmp_path / "rare.bnf"
+    grammar_path.write_text(
+        "<P> ::= -l1-isize <S> -l1-ibsize 64 -l1-irepl l -l1-iassoc 128 -l1-ifetch d"
+        " -l1-dsize 512 -l1-dbsize 32 -l1-drepl l -l1-dassoc 4 -l1-dfetch d -l1-dwback a\n"
+        "<S> ::= 512 | 1024 | 2048 | 4096 | 512 | 1024 | 2048 | 8192\n"
+    )
+    outdir = tmp_path / "rare_out"
+    assert main([
+        "optimize", "--trace", str(write_trace(tmp_path / "t.din")),
+        "--grammar", str(grammar_path), "--runs", "1", "--generations", "1",
+        "--population", "2", "--seed", "0", "-o", str(outdir),
+    ]) == 0
+    assert read_csv(outdir / "summary.csv")[0]["avg_pct_energy"] == "nan"
+    capsys.readouterr()
+    assert main(["report", str(outdir), "-o", str(tmp_path / "r.csv")]) == 2
+    assert "avg_pct_energy value 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_report_names_a_relative_directory_after_itself(tmp_path, monkeypatch, capsys):
+    rundir = tmp_path / "bench"
+    (rundir / "sub").mkdir(parents=True)
+    (rundir / "summary.csv").write_text("avg_pct_energy,avg_pct_time\n37.5,59.5\n")
+    monkeypatch.chdir(rundir)
+    assert main(["report", ".", "sub/..", str(rundir), "-o", str(tmp_path / "r.csv")]) == 0
+    assert [row["benchmark"] for row in read_csv(tmp_path / "r.csv")] == ["bench"] * 3
+    assert capsys.readouterr().out.startswith("bench: energy 37.5% of baseline")
 
 
 # --- exhaustive ----------------------------------------------------------------

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cacheopt.evolve
 from cacheopt.cachesim import DOMAINS, CacheConfig
 from cacheopt.errors import GrammarError, MappingError
 from cacheopt.evolve import _decoder
 from cacheopt.grammar import (
     DEFAULT_GRAMMAR,
     derivation_count,
-    flat_decoder,
     map_genotype,
     min_codons,
     parse_bnf,
@@ -198,11 +198,11 @@ NON_FLAT_GRAMMARS = (
 )
 
 
-def _decode_or_none(decode, codons):
+def _map_or_none(codons, grammar, max_wraps=3):
     try:
-        return decode(codons)
-    except MappingError as exc:
-        return ("MappingError", str(exc))
+        return map_genotype(codons, grammar, max_wraps)
+    except MappingError:
+        return None
 
 
 @st.composite
@@ -234,34 +234,47 @@ GRAMMARS = st.sampled_from((DEFAULT_GRAMMAR, MULTITOKEN_GRAMMAR, *NON_FLAT_GRAMM
 @settings(max_examples=400, deadline=None)
 @given(text=GRAMMARS, codons=genotypes(), max_wraps=st.integers(1, 4))
 def test_decoders_agree_with_map_genotype(text, codons, max_wraps):
-    """flat_decoder raises or returns exactly what map_genotype does, and
-    evolve's memoized decoder gives map_genotype's text or None for its
+    """evolve's memoized decoder gives map_genotype's text or None for its
     MappingError, on first and on repeated lookups."""
     grammar = parse_bnf(text)
-    expected = _decode_or_none(lambda c: map_genotype(c, grammar, max_wraps), codons)
-    flat = flat_decoder(grammar, max_wraps)
-    assert (flat is None) == (text in NON_FLAT_GRAMMARS)
-    if flat is not None:
-        assert _decode_or_none(flat, codons) == expected
+    want = _map_or_none(codons, grammar, max_wraps)
     decode = _decoder(grammar, max_wraps)
-    want = None if isinstance(expected, tuple) else expected
     assert decode(codons) == want
     assert decode(list(codons)) == want
 
 
 @pytest.mark.parametrize("text", NON_FLAT_GRAMMARS)
-def test_flat_decoder_refuses_non_flat_grammars(text):
-    assert flat_decoder(parse_bnf(text)) is None
+def test_flat_decoder_refuses_non_flat_grammars(text, monkeypatch):
+    """A grammar with no flat decoding goes to map_genotype, once per
+    distinct genotype."""
+    grammar = parse_bnf(text)
+    calls = []
+
+    def counted(codons, *args):
+        calls.append(codons)
+        return map_genotype(codons, *args)
+
+    monkeypatch.setattr(cacheopt.evolve, "map_genotype", counted)
+    decode = _decoder(grammar, 3)
+    genotypes = ([0, 1, 2], [5], [0, 1, 2], [], [5], [1, 1, 1, 1])
+    assert [decode(g) for g in genotypes] == [_map_or_none(g, grammar) for g in genotypes]
+    assert calls == [(0, 1, 2), (5,), (), (1, 1, 1, 1)]
 
 
-def test_flat_decoder_golden_and_wrap():
-    decode = flat_decoder(CACHE_GRAMMAR)
-    assert decode(GOLDEN_CODONS) == map_genotype(GOLDEN_CODONS, CACHE_GRAMMAR)
-    with pytest.raises(MappingError, match="wrap limit"):
-        flat_decoder(CACHE_GRAMMAR, max_wraps=2)([1] * 5)  # 11 slots > 5 x 2
-    # the range check comes before the wrap limit, as in map_genotype
-    with pytest.raises(MappingError, match="8-bit"):
-        flat_decoder(CACHE_GRAMMAR, max_wraps=1)([256])
+def test_flat_decoder_golden_and_wrap(monkeypatch):
+    """The default grammar decodes from its slot tables alone: the golden
+    text, and None where map_genotype raises (wrap limit, 8-bit range)."""
+    golden = map_genotype(GOLDEN_CODONS, CACHE_GRAMMAR)
+
+    def refuse(*args):
+        raise AssertionError("a flat grammar reached map_genotype")
+
+    monkeypatch.setattr(cacheopt.evolve, "map_genotype", refuse)
+    assert _decoder(CACHE_GRAMMAR, 3)(GOLDEN_CODONS) == golden
+    assert _decoder(CACHE_GRAMMAR, 2)([1] * 5) is None  # 11 slots > 5 x 2
+    assert _decoder(CACHE_GRAMMAR, 1)([256]) is None
+    assert _decoder(CACHE_GRAMMAR, 3)([1] * 10 + [256]) is None
+    assert _decoder(CACHE_GRAMMAR, 3)([]) is None
 
 
 def test_memoized_decoder_shares_equal_phenotypes():
