@@ -118,21 +118,22 @@ def load_table(path: str | Path, strict: bool = False) -> CharTable:
         text = fh.read()
     pairs = _plain_pairs(text)
     table = CharTable(())  # filled with pairs, checked as rows are, not CharRows
-    table._table = _checked_pairs(_read_rows(path, text)) if pairs is None else pairs
+    table._table = _checked_pairs(_read_rows(path, text) if pairs is None else pairs)
     if strict:
         table.check_complete()
     return table
 
 
-def _plain_pairs(text: str) -> dict | None:
-    """The lookup dict of a plain table text, built a column at a time, or
-    None for any text or value that only _read_rows may judge.
+def _plain_pairs(text: str) -> list | None:
+    """The (triple, (access_time, access_energy)) items of a plain table
+    text, read a column at a time, or None for any text that only
+    _read_rows may judge.
 
     Plain text is the exact header line, then data lines of exactly four
     commas each, with no `#`, `"` or carriage return anywhere: csv.reader
     splits such a line at its commas alone, and no line is a comment or
-    blank. The lookup dict equals _read_rows' then, in key order and bit
-    for bit, since each field goes through the same int or float.
+    blank. The items equal _read_rows' then, in file order and bit for
+    bit, since each field goes through the same int or float.
     """
     header, _, body = text.partition("\n")
     if header != _HEADER_LINE or "#" in text or '"' in text or "\r" in text:
@@ -141,7 +142,7 @@ def _plain_pairs(text: str) -> dict | None:
     if not lines[-1]:
         lines.pop()  # the empty text after the final newline
     if not lines:
-        return {}
+        return []
     if list(map(str.count, lines, repeat(","))).count(4) != len(lines):
         return None
     limit = csv.field_size_limit()  # csv.reader refuses a longer field
@@ -153,15 +154,9 @@ def _plain_pairs(text: str) -> dict | None:
             keys = list(zip(*(map(_INT_TOKENS.__getitem__, fields[i::5]) for i in range(3))))
         except KeyError:  # a spelling such as "0512" or "5_12": int() reads it
             keys = list(zip(*(map(int, fields[i::5]) for i in range(3))))
-        times = list(map(float, fields[3::5]))
-        energies = list(map(float, fields[4::5]))
+        return list(zip(keys, zip(map(float, fields[3::5]), map(float, fields[4::5]))))
     except ValueError:
         return None
-    for column in (times, energies):
-        if not (all(map((0.0).__lt__, column)) and all(map(math.inf.__gt__, column))):
-            return None
-    table = dict(zip(keys, zip(times, energies)))
-    return table if len(table) == len(keys) else None
 
 
 def _read_rows(path: Path, text: str) -> list[tuple[tuple[int, int, int], tuple[float, float]]]:

@@ -40,7 +40,7 @@ from .charmodel import (
 )
 from .errors import CacheOptError, InfeasibleConfigError, ValidationError
 from .evolve import Evaluator, GEParams, evolve
-from .grammar import DEFAULT_GRAMMAR, Grammar, min_codons, parse_bnf
+from .grammar import DEFAULT_GRAMMAR, Grammar, parse_bnf
 from .objectives import FitnessWeights, MissMode, config_metrics, metrics_from_stats
 from .oracle import Subspace, exhaustive
 from .trace import PROFILES, TraceRecord, synthetic_records, to_din
@@ -95,10 +95,11 @@ def _not_a_flag(token: str) -> ValidationError:
                            f" tokens, not {2 * len(FLAG_ORDER)} (each flag with one value)")
 
 
-def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]]:
+def _check_grammar(grammar: Grammar) -> tuple[set[tuple[int, int, int]], int]:
     """Check that every phenotype of the grammar is flag text that
     CacheConfig.from_flags accepts; return the (size, block, assoc) rows of
-    the feasible sides it derives (none if no point can be feasible).
+    the feasible sides it derives (none if no point can be feasible) and the
+    fewest codons any derivation consumes, wraps included.
 
     A fixed point over the rules reachable from the start symbol finds the
     shapes each symbol derives: (first token, flags held, the flag it ends
@@ -108,7 +109,10 @@ def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]]:
     shape must begin with a flag, end with a value and hold all 11 flags; a
     reachable symbol with no shape derives nothing. One pass per side keeps
     the rows exact when the grammar picks I and D geometry independently,
-    and a superset otherwise.
+    and a superset otherwise. Each visit also sets a symbol's codon count
+    to 1 + the least sum of counts over its alternatives, terminals 0; the
+    root expansion of a single-alternative start rule consumes no codon,
+    as in map_genotype.
     """
     rules, flags_all = grammar.rules, frozenset(FLAG_ORDER)
     reachable = [grammar.start]
@@ -144,15 +148,20 @@ def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]]:
     rows = []
     for side in ([f"-l1-{s}{n}" for n in ("size", "bsize", "assoc")] for s in "id"):
         shapes = {symbol: {} for symbol in reachable}  # dicts as ordered sets
-        used = {}  # the sizes of the shape sets each symbol was last built from
+        codons = dict.fromkeys(reachable, math.inf)
+        used = {}  # the shape-set sizes and codon counts each symbol was last built from
         changed = True
         while changed:
             changed = False
             for symbol in reversed(reachable):
-                sizes = [len(shapes[sym]) for alt in rules[symbol] for sym in alt if sym in rules]
-                if used.get(symbol) == sizes:
+                inputs = [(len(shapes[sym]), codons[sym])
+                          for alt in rules[symbol] for sym in alt if sym in rules]
+                if used.get(symbol) == inputs:
                     continue
-                used[symbol] = sizes
+                used[symbol] = inputs
+                fewest = 1 + min(sum(codons.get(sym, 0) for sym in alt) for alt in rules[symbol])
+                changed |= fewest != codons[symbol]
+                codons[symbol] = fewest
                 for alt in rules[symbol]:
                     acc = of(alt[0])
                     for sym in alt[1:]:
@@ -174,7 +183,10 @@ def _grammar_triples(grammar: Grammar) -> set[tuple[int, int, int]]:
                 raise _not_a_flag(first)
         triples = {tuple(map(dict(shape[3]).get, side)) for shape in shapes[grammar.start]}
         rows.append({triple for triple in triples if n_sets(*triple)})
-    return rows[0] | rows[1] if all(rows) else set()
+    need = codons[grammar.start]
+    if len(rules[grammar.start]) == 1:
+        need -= 1
+    return rows[0] | rows[1] if all(rows) else set(), need
 
 
 def _baseline(args) -> CacheConfig:
@@ -426,12 +438,12 @@ def cmd_optimize(args) -> None:
         Path(args.grammar).read_text() if args.grammar else DEFAULT_GRAMMAR
     )
     grammar = parse_bnf(grammar_text)  # a bad grammar fails before any input is read
-    triples = _grammar_triples(grammar)
+    triples, need = _check_grammar(grammar)
     if not triples:
         raise ValidationError("grammar derives no feasible configuration: on some side,"
                               " every block x assoc it can pick exceeds its cache size")
     params = GEParams(**{name: getattr(args, name) for name in _GE_OPTIONS})
-    budget, need = params.codon_count * params.max_wraps, min_codons(grammar)
+    budget = params.codon_count * params.max_wraps
     if budget < need:
         raise ValidationError(
             f"--codon-count {params.codon_count} x --max-wraps {params.max_wraps} gives"

@@ -6,7 +6,7 @@ import pytest
 import cacheopt.evolve as EVOLVE
 from cacheopt import cli, objectives
 from cacheopt.charmodel import CharRow, CharTable, DramParams, save_table, surrogate_generate
-from cacheopt.cli import RunConfig, _build_parser, _grammar_triples, main, run_optimize
+from cacheopt.cli import RunConfig, _build_parser, _check_grammar, main, run_optimize
 from cacheopt.cachesim import DEFAULT_BASELINE, SideStreams, simulate
 from cacheopt.errors import ValidationError
 from cacheopt.evolve import GEParams
@@ -241,22 +241,51 @@ def test_optimize_grammar_with_no_feasible_point_fails_before_trace_is_read(tmp_
     assert not (tmp_path / "out").exists()
 
 
-def test_optimize_codon_budget_no_derivation_fits_fails_before_trace_is_read(tmp_path, capsys):
-    # The default grammar has 11 slots; 3 codons x 3 wraps give only 9.
-    assert main(["optimize", "--codon-count", "3", "--runs", "2", "--generations", "3",
+# CI's nested.bnf: the I side is one slot of its own, so a derivation takes 7 codons.
+NESTED_GRAMMAR = """\
+<P> ::= <I> -l1-dsize <S> -l1-dbsize 32 -l1-drepl l -l1-dassoc <A> -l1-dfetch d -l1-dwback <W>
+<I> ::= -l1-isize <S> -l1-ibsize 32 -l1-irepl <R> -l1-iassoc <A> -l1-ifetch d
+<S> ::= 1024 | 4096 | 16384
+<A> ::= 1 | 4
+<R> ::= l | r
+<W> ::= a | n
+"""
+
+# (grammar text or None for the default, the largest --codon-count that is
+# refused at the default 3 wraps, the fewest codons a derivation consumes)
+CODON_BUDGETS = {"default": (None, 3, 11), "nested": (NESTED_GRAMMAR, 2, 7)}
+
+
+def _grammar_args(tmp_path, grammar_text):
+    if grammar_text is None:
+        return []
+    path = tmp_path / "g.bnf"
+    path.write_text(grammar_text)
+    return ["--grammar", str(path)]
+
+
+@pytest.mark.parametrize("name", CODON_BUDGETS)
+def test_optimize_codon_budget_no_derivation_fits_fails_before_trace_is_read(
+        tmp_path, capsys, name):
+    # 3 codons x 3 wraps give only 9 of the default grammar's 11; 2 x 3 give 6 of 7.
+    grammar_text, short, need = CODON_BUDGETS[name]
+    assert main(["optimize", "--codon-count", str(short), "--runs", "2", "--generations", "3",
                  "--population", "6", "--trace", str(tmp_path / "absent.din"),
-                 "-o", str(tmp_path / "out")]) == 2
+                 "-o", str(tmp_path / "out"), *_grammar_args(tmp_path, grammar_text)]) == 2
     err = capsys.readouterr().err
-    assert "gives 9 codons" in err and "consumes at least 11" in err
+    assert f"gives {3 * short} codons" in err and f"consumes at least {need}" in err
     assert "absent.din" not in err
     assert not (tmp_path / "out").exists()
 
 
-def test_optimize_codon_budget_that_fits_with_wraps_runs(tmp_path):
+@pytest.mark.parametrize("name", CODON_BUDGETS)
+def test_optimize_codon_budget_that_fits_with_wraps_runs(tmp_path, name):
+    grammar_text, short, _ = CODON_BUDGETS[name]
     trace_path = write_trace(tmp_path / "t.din")
     outdir = tmp_path / "run"
-    assert main(["optimize", "--codon-count", "4", "--runs", "1", "--generations", "2",
-                 "--population", "4", "--trace", str(trace_path), "-o", str(outdir)]) == 0
+    assert main(["optimize", "--codon-count", str(short + 1), "--runs", "1",
+                 "--generations", "2", "--population", "4", "--trace", str(trace_path),
+                 "-o", str(outdir), *_grammar_args(tmp_path, grammar_text)]) == 0
     assert float(read_csv(outdir / "summary.csv")[0]["best_fitness"]) < INFEASIBLE_FITNESS
 
 
@@ -632,30 +661,43 @@ def _table_without(tmp_path, triple):
 
 
 def test_grammar_triples_of_flat_grammars():
-    assert _grammar_triples(parse_bnf(DEFAULT_GRAMMAR)) == Subspace().triples()
+    assert _check_grammar(parse_bnf(DEFAULT_GRAMMAR))[0] == Subspace().triples()
     sub = Subspace(isize=(512, 65536), ibsize=(64,), iassoc=(8, 16), dsize=(1024,),
                    dbsize=(8, 16), dassoc=(1, 128))
-    assert _grammar_triples(parse_bnf(sub.grammar_text())) == sub.triples()
+    assert _check_grammar(parse_bnf(sub.grammar_text()))[0] == sub.triples()
     # A fixed terminal after the flag counts as its one value.
     pinned = ONE_POINT_GRAMMAR.replace("-l1-dsize <S>", "-l1-dsize 512")
-    assert _grammar_triples(parse_bnf(pinned)) == {(16384, 32, 4), (512, 32, 4)}
+    assert _check_grammar(parse_bnf(pinned))[0] == {(16384, 32, 4), (512, 32, 4)}
 
 
 def test_grammar_triples_of_nested_grammars():
     # A geometry flag inside a slot, and a side whose geometry is picked as one unit.
     slotted = ONE_POINT_GRAMMAR.replace("-l1-dsize <S>", "<D>") + "<D> ::= -l1-dsize 512\n"
-    assert _grammar_triples(parse_bnf(slotted)) == {(16384, 32, 4), (512, 32, 4)}
+    assert _check_grammar(parse_bnf(slotted))[0] == {(16384, 32, 4), (512, 32, 4)}
     per_alternative = ONE_POINT_GRAMMAR.replace(
         "-l1-isize <S> -l1-ibsize <B>", "<G>").replace("-l1-iassoc <A>", "") + (
         "<G> ::= -l1-isize 512 -l1-ibsize 8 -l1-iassoc 64 | <H>\n"
         "<H> ::= -l1-isize 65536 -l1-ibsize 64 -l1-iassoc <A> | -l1-iassoc 2 -l1-isize 1024 <B8>\n"
         "<B8> ::= -l1-ibsize 8\n")
-    assert _grammar_triples(parse_bnf(per_alternative)) == {
+    assert _check_grammar(parse_bnf(per_alternative))[0] == {
         (512, 8, 64), (65536, 64, 4), (1024, 8, 2), (16384, 32, 4)}
     # No point is feasible when no I side is.
     no_i_side = ONE_POINT_GRAMMAR.replace("-l1-isize <S>", "-l1-isize 512").replace(
         "-l1-iassoc <A>", "-l1-iassoc 128")
-    assert _grammar_triples(parse_bnf(no_i_side)) == set()
+    assert _check_grammar(parse_bnf(no_i_side))[0] == set()
+    # A slot that reaches its values through a unit cycle: rows and count
+    # come out of a fixed point that runs through <C> and <D>.
+    cycle = ONE_POINT_GRAMMAR.replace("-l1-dsize <S>", "-l1-dsize <C>") + (
+        "<C> ::= <D> | 512\n<D> ::= <C>\n")
+    assert _check_grammar(parse_bnf(cycle)) == ({(16384, 32, 4), (512, 32, 4)}, 11)
+    # Unit rules whose counts settle sweeps after their shapes do: <N1> and
+    # <N3> first reach 32 through the longer <N6>, then through <N0> and <N1>.
+    late = parse_bnf(
+        "<P> ::= -l1-isize 1024 -l1-ibsize <N0> -l1-irepl l -l1-iassoc <N1> -l1-ifetch d"
+        " -l1-dsize 1024 -l1-dbsize <N2> -l1-drepl l -l1-dassoc <N3> -l1-dfetch d -l1-dwback a\n"
+        "<N0> ::= 32\n<N1> ::= <N0> | <N6>\n<N2> ::= <N5>\n<N3> ::= <N1> | <N6>\n"
+        "<N4> ::= 32\n<N5> ::= <N4>\n<N6> ::= <N5>\n")
+    assert _check_grammar(late) == ({(1024, 32, 32)}, 9)
 
 
 @pytest.mark.parametrize("old,new,named", [

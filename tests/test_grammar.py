@@ -6,16 +6,12 @@ from hypothesis import strategies as st
 
 import cacheopt.evolve
 from cacheopt.cachesim import DOMAINS, CacheConfig
+from cacheopt.cli import _check_grammar
 from cacheopt.errors import GrammarError, MappingError
 from cacheopt.evolve import _decoder
-from cacheopt.grammar import (
-    DEFAULT_GRAMMAR,
-    derivation_count,
-    map_genotype,
-    min_codons,
-    parse_bnf,
-)
+from cacheopt.grammar import DEFAULT_GRAMMAR, derivation_count, map_genotype, parse_bnf
 from cacheopt.oracle import Subspace
+from grammar_reference import min_codons
 
 CACHE_GRAMMAR = parse_bnf(DEFAULT_GRAMMAR)
 
@@ -144,6 +140,7 @@ def test_min_codons_is_the_decode_budget(grammar, need, max_wraps):
     none of 2,000; at the shortest length that reaches need, all 2,000
     decode (these grammars derive at one fixed depth)."""
     assert min_codons(grammar) == need
+    assert _check_grammar(grammar)[1] == need
     rng = random.Random(need + max_wraps)
     fits = -(-need // max_wraps)  # the fewest codons whose wraps reach need
     assert (fits - 1) * max_wraps < need <= fits * max_wraps

@@ -6,7 +6,8 @@ folded into new rules, slot alternatives split across rules) and may get
 one fault. The check must
 raise exactly when some phenotype is flag text CacheConfig.from_flags
 rejects or a reachable rule derives nothing; otherwise it must return the
-(size, block, assoc) rows of the feasible configurations derived.
+(size, block, assoc) rows of the feasible configurations derived and the
+fewest codons a derivation consumes.
 """
 
 import math
@@ -17,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cacheopt.cachesim import DOMAINS, VALUE_TOKENS, CacheConfig, validate
-from cacheopt.cli import _grammar_triples
+from cacheopt.cli import _check_grammar
 from cacheopt.errors import ValidationError
 from cacheopt.grammar import derivation_count, parse_bnf
 from cacheopt.oracle import Subspace
+from grammar_reference import min_codons
 
 FAULTS = (None, "repeated-flag", "dropped-flag", "dropped-value", "other-value", "stray-token",
           "extra-value", "unproductive")
@@ -133,10 +135,10 @@ def test_check_raises_exactly_on_bad_phenotypes_and_finds_every_row(case):
             bad = True
     if bad:
         with pytest.raises(ValidationError):
-            _grammar_triples(grammar)
+            _check_grammar(grammar)
     else:
-        assert _grammar_triples(grammar) == {
+        assert _check_grammar(grammar) == ({
             row for config in configs if validate(config)
             for row in ((config.isize, config.ibsize, config.iassoc),
-                        (config.dsize, config.dbsize, config.dassoc))}
+                        (config.dsize, config.dbsize, config.dassoc))}, min_codons(grammar))
     assert bad == (fault is not None)  # every fault drawn is a real one
