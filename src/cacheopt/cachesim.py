@@ -147,39 +147,25 @@ _from_checked = partial(tuple.__new__, CacheConfig)
 DEFAULT_BASELINE = CacheConfig(16384, 32, "l", 4, "d", 16384, 32, "l", 4, "d", "a")
 
 
-@dataclass(frozen=True)
-class Feasibility:
-    feasible: bool
-    problems: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.feasible
-
-
 def n_sets(size: int, block: int, assoc: int) -> int:
     return size // (block * assoc)
 
 
-_FEASIBLE = Feasibility(True)
+def geometry_problems(config: CacheConfig) -> tuple[str, ...]:
+    """Check cache geometry: each side must hold at least one full set.
 
-
-def validate(config: CacheConfig) -> Feasibility:
-    """Check cache geometry: size must hold at least one full set.
-
-    Every domain is a power of two, so a set span no larger than the
-    cache always divides it. Every feasible point shares one verdict.
+    Returns one message per side that cannot, I first: empty for a feasible
+    point. Every domain is a power of two, so a set span no larger than the
+    cache always divides it.
     """
-    if (config.ibsize * config.iassoc <= config.isize
-            and config.dbsize * config.dassoc <= config.dsize):
-        return _FEASIBLE
     sides = (
         ("I-cache", config.isize, config.ibsize, config.iassoc),
         ("D-cache", config.dsize, config.dbsize, config.dassoc),
     )
-    return Feasibility(False, tuple(
+    return tuple(
         f"{side}: block {block} B x {assoc} ways = {block * assoc} B exceeds cache size {size} B"
         for side, size, block, assoc in sides if block * assoc > size
-    ))
+    )
 
 
 class _SimCounts(NamedTuple):
@@ -415,8 +401,9 @@ class SideStreams:
         self._imemo: dict[tuple, tuple[SimStats, SimStats]] = {}
         self._dmemo: dict[tuple, tuple[SimStats, SimStats]] = {}
         self._distinct: dict[tuple[str, int], int] = {}
-        self._open: dict[tuple[str, int, str], tuple[tuple[int, ...], array]] = {}
-        self._shares: dict[tuple[str, int, str, int], int] = {}
+        # One open pass per (side, block, fetch): its counters, its filled
+        # blocks and, per n_sets asked about, their largest per-set share.
+        self._open: dict[tuple[str, int, str], tuple[tuple, array, dict[int, int]]] = {}
 
     @classmethod
     def of(cls, trace) -> "SideStreams":
@@ -457,7 +444,7 @@ def _open_counts(
     side draws nothing. Every cache holds size // block blocks, so a side
     with more distinct blocks than that cannot qualify: it costs one lookup
     of a count taken once per (side, block) from its block stream. The
-    largest per-set share is kept per n_sets.
+    pass keeps the largest per-set share of each n_sets asked about.
     """
     n = n_sets(size, block, assoc)
     distinct = streams._distinct.get((side, block))
@@ -468,12 +455,11 @@ def _open_counts(
         return None
     passed = streams._open.get((side, block, fetch))
     if passed is None:
-        passed = streams._open[side, block, fetch] = _run_open(streams, side, block, fetch)
-    counts, filled = passed
-    share = streams._shares.get((side, block, fetch, n))
+        passed = streams._open[side, block, fetch] = (*_run_open(streams, side, block, fetch), {})
+    counts, filled, shares = passed
+    share = shares.get(n)
     if share is None:
-        share = max(Counter(map((n - 1).__and__, filled)).values(), default=0)
-        streams._shares[side, block, fetch, n] = share
+        share = shares[n] = max(Counter(map((n - 1).__and__, filled)).values(), default=0)
     return counts if share <= assoc else None
 
 
@@ -618,7 +604,7 @@ def simulate(
             pass
     isize, ibsize, _, iassoc, _, dsize, dbsize, _, dassoc, _, dwback = config
     if ibsize * iassoc > isize or dbsize * dassoc > dsize:
-        raise InfeasibleConfigError("; ".join(validate(config).problems))
+        raise InfeasibleConfigError("; ".join(geometry_problems(config)))
     streams = trace if isinstance(trace, SideStreams) else SideStreams(trace)
     return (_side_pair(streams, "i", streams._imemo, config[:5], rng_seed)[0],
             _side_pair(streams, "d", streams._dmemo, config[5:10], rng_seed)[dwback == "n"])

@@ -16,7 +16,9 @@ from itertools import product, repeat
 from pathlib import Path
 from typing import Iterable
 
-from .cachesim import _MAX_FLOAT, ASSOCIATIVITIES, BLOCK_SIZES, CACHE_SIZES, _check_range
+from .cachesim import (
+    _MAX_FLOAT, ASSOCIATIVITIES, BLOCK_SIZES, CACHE_SIZES, VALUE_TOKENS, _check_range
+)
 from .errors import CharLookupError, CharTableError, ValidationError
 
 ALL_TRIPLES = tuple(product(CACHE_SIZES, BLOCK_SIZES, ASSOCIATIVITIES))
@@ -25,7 +27,7 @@ CSV_HEADER = ("size", "block", "assoc", "access_time_s", "access_energy_j")
 _HEADER_LINE = ",".join(CSV_HEADER)
 
 # size, block and assoc values by their canonical spellings, read without int().
-_INT_TOKENS = {str(v): v for v in {*CACHE_SIZES, *BLOCK_SIZES, *ASSOCIATIVITIES}}
+_INT_TOKENS = {**VALUE_TOKENS["isize"], **VALUE_TOKENS["ibsize"], **VALUE_TOKENS["iassoc"]}
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ from .cachesim import (
     VALUE_TOKENS,
     CacheConfig,
     SideStreams,
+    geometry_problems,
     n_sets,
     simulate,
-    validate,
 )
 from .charmodel import (
     CharTable,
@@ -48,7 +48,9 @@ from .trace import PROFILES, TraceRecord, synthetic_records, to_din
 
 @dataclass
 class RunConfig:
-    """Resolved inputs for one optimization campaign."""
+    """Resolved inputs for one optimization campaign.
+
+    params.rng_seed is not read: run i evolves from seed + i."""
 
     trace: list[TraceRecord] | SideStreams
     table: CharTable
@@ -75,11 +77,8 @@ class RunConfig:
 
 
 def _check_baseline(config: CacheConfig) -> None:
-    verdict = validate(config)
-    if not verdict:
-        raise ValidationError(
-            "baseline configuration is infeasible: " + "; ".join(verdict.problems)
-        )
+    if problems := geometry_problems(config):
+        raise ValidationError("baseline configuration is infeasible: " + "; ".join(problems))
 
 
 def _side_triples(config: CacheConfig) -> set[tuple[int, int, int]]:
@@ -300,9 +299,8 @@ def cmd_characterize(args) -> None:
 
 def cmd_simulate(args) -> None:
     config = CacheConfig.from_flags(args.flags)
-    verdict = validate(config)
-    if not verdict:
-        raise InfeasibleConfigError("; ".join(verdict.problems))
+    if problems := geometry_problems(config):
+        raise InfeasibleConfigError("; ".join(problems))
     table = _load_char_table(args)
     table.check_complete(_side_triples(config))  # before the trace is read
     dram = _load_dram(args)

@@ -22,7 +22,7 @@ from itertools import cycle
 from operator import getitem
 from typing import Callable, NamedTuple
 
-from .cachesim import CacheConfig, SideStreams, validate
+from .cachesim import CacheConfig, SideStreams, geometry_problems
 from .charmodel import CharTable, DramParams
 from .errors import MappingError, ValidationError
 from .grammar import Grammar, map_genotype
@@ -144,7 +144,7 @@ class Evaluator:
 
     def _compute(self, key: str) -> EvalResult:
         config = CacheConfig.from_flags(key)
-        if not validate(config):
+        if geometry_problems(config):
             return EvalResult(False, None, INFEASIBLE_FITNESS)
         metrics = config_metrics(
             config, self.streams, self.table, self.dram, self.miss_mode, self.sim_seed_base

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 
 from . import objectives
 from .cachesim import (
-    DOMAINS, CacheConfig, SideStreams, _check_domain, _from_checked, n_sets, validate
+    DOMAINS, CacheConfig, SideStreams, _check_domain, _from_checked, geometry_problems, n_sets
 )
 from .charmodel import CharTable, DramParams
 from .errors import SubspaceCapError, ValidationError
@@ -66,7 +66,7 @@ class Subspace:
     def parts(self) -> tuple[list[tuple[tuple, bool]], list[tuple[tuple, bool]]]:
         """The I parts and the D parts: each side's value tuples in to_flags()
         text order, with whether the part's geometry holds a set (n_sets,
-        the rule of validate).
+        the rule of geometry_problems).
 
         A point is an I part followed by a D part, feasible when both are,
         and the product with I parts outer is in flag-text order: each
@@ -82,7 +82,7 @@ class Subspace:
 
     def _feasible_sides(self, side: str) -> set[tuple[int, int, int]]:
         """The (size, block, assoc) triples of one side ('i' or 'd') that
-        hold at least one set, the geometry rule of validate."""
+        hold at least one set, the rule of geometry_problems."""
         lists = (getattr(self, side + name) for name in ("size", "bsize", "assoc"))
         return {t for t in product(*lists) if n_sets(*t)}
 
@@ -148,7 +148,7 @@ def exhaustive(
         for j, (dflags, dfeasible) in enumerate(dparts):
             config = _from_checked(iflags + dflags)
             if not (ifeasible and dfeasible):
-                infeasible.append((config, validate(config).problems))
+                infeasible.append((config, geometry_problems(config)))
                 continue
             istats, dstats = simulate(config, streams, sim_seed_base)
             if iterms is None:

@@ -31,8 +31,6 @@ class TraceRecord(NamedTuple):
     address: int
 
 
-PROFILES = ("sequential", "loop", "strided", "random", "mixed")
-
 _MAX_ADDRESS = (1 << 64) - 1
 _HEX_RE = re.compile(r"(0[xX])?[0-9a-fA-F]+")
 _KINDS = {str(int(kind)): kind for kind in AccessKind}  # din label -> kind
@@ -228,3 +226,4 @@ _STREAMS = {
     "random": _random_stream,
     "mixed": _mixed_stream,
 }
+PROFILES = tuple(_STREAMS)  # gentrace --profile choices, in this order

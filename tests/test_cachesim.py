@@ -1,6 +1,7 @@
 import random
 import re
 from array import array
+from collections import Counter
 
 import pytest
 
@@ -11,9 +12,9 @@ from cacheopt.cachesim import (
     CacheConfig,
     CacheUnit,
     config_sim_seed,
+    geometry_problems,
     n_sets,
     simulate,
-    validate,
 )
 from cacheopt.errors import ConfigError, FlagTextError, InfeasibleConfigError
 from cacheopt.trace import AccessKind, TraceRecord, gen_synthetic
@@ -40,27 +41,26 @@ def random_trace(rng, length, span=1 << 12, kinds=(R, W)):
 # --- validation ---------------------------------------------------------
 
 def test_validate_oversized_set_span_infeasible():
-    verdict = validate(cfg(isize=512, ibsize=32, iassoc=64))
-    assert not verdict
-    assert "I-cache" in verdict.problems[0]
-    assert "2048" in verdict.problems[0]
+    problems = geometry_problems(cfg(isize=512, ibsize=32, iassoc=64))
+    assert len(problems) == 1
+    assert "I-cache" in problems[0]
+    assert "2048" in problems[0]
 
 
 def test_validate_baseline_feasible():
-    assert validate(DEFAULT_BASELINE)
+    assert geometry_problems(DEFAULT_BASELINE) == ()
     assert n_sets(16384, 32, 4) == 128
 
 
 def test_validate_fully_associative_boundary():
-    verdict = validate(cfg(isize=512, ibsize=8, iassoc=64))
-    assert verdict.feasible
+    assert geometry_problems(cfg(isize=512, ibsize=8, iassoc=64)) == ()
     assert n_sets(512, 8, 64) == 1
 
 
 def test_validate_names_data_side():
-    verdict = validate(cfg(dsize=512, dbsize=64, dassoc=16))
-    assert not verdict.feasible
-    assert verdict.problems[0].startswith("D-cache")
+    problems = geometry_problems(cfg(dsize=512, dbsize=64, dassoc=16))
+    assert len(problems) == 1
+    assert problems[0].startswith("D-cache")
 
 
 def test_config_domain_enforced():
@@ -220,6 +220,23 @@ def test_distinct_block_count_stops_above_its_cap():
     assert cachesim._count_distinct(array("Q", [b % 50 for b in range(20_000)]), 8192) == 50
     assert cachesim._count_distinct(array("Q", range(8192)) * 3, 8192) == 8192
     assert 8192 < cachesim._count_distinct(array("Q", range(100_000)), 8192) <= 8192 + 4096
+
+
+def test_open_pass_counts_one_share_per_set_count(monkeypatch):
+    # 512 B/4-way and 1024 B/8-way sides of 8 B blocks both have 16 sets, so
+    # the open pass counts its per-set share for 16 sets once, for both.
+    streams = cachesim.SideStreams([TraceRecord(F, 8 * (i % 40)) for i in range(400)])
+    builds = []
+
+    def counting_counter(*args):
+        builds.append(args)
+        return Counter(*args)
+
+    monkeypatch.setattr(cachesim, "Counter", counting_counter)
+    for size, assoc in ((512, 4), (1024, 8)):
+        got = cachesim._open_counts(streams, "i", size, 8, assoc, "d")
+        assert got == cachesim._run_side(streams, "i", size, 8, assoc, "l", "d", 0)
+    assert len(builds) == 1
 
 
 def test_seed_only_matters_for_random_replacement():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cacheopt.cachesim import DOMAINS, VALUE_TOKENS, CacheConfig, validate
+from cacheopt.cachesim import DOMAINS, VALUE_TOKENS, CacheConfig, geometry_problems
 from cacheopt.cli import _check_grammar
 from cacheopt.errors import ValidationError
 from cacheopt.grammar import derivation_count, parse_bnf
@@ -138,7 +138,7 @@ def test_check_raises_exactly_on_bad_phenotypes_and_finds_every_row(case):
             _check_grammar(grammar)
     else:
         assert _check_grammar(grammar) == ({
-            row for config in configs if validate(config)
+            row for config in configs if not geometry_problems(config)
             for row in ((config.isize, config.ibsize, config.iassoc),
                         (config.dsize, config.dbsize, config.dassoc))}, min_codons(grammar))
     assert bad == (fault is not None)  # every fault drawn is a real one

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from cacheopt import cachesim, objectives, oracle
 from cacheopt.cachesim import (
-    DEFAULT_BASELINE, DOMAINS, FLAG_ORDER, CacheConfig, CacheUnit, SideStreams, simulate,
-    validate,
+    DEFAULT_BASELINE, DOMAINS, FLAG_ORDER, CacheConfig, CacheUnit, SideStreams,
+    geometry_problems, simulate,
 )
 from cacheopt.charmodel import CharTable, DramParams, surrogate_generate
 from cacheopt.errors import (
@@ -99,19 +99,19 @@ def test_subspace_triples_are_the_feasible_side_geometries():
 
 
 def test_exhaustive_checks_each_point_once(monkeypatch):
-    """simulate tests each feasible point's geometry inline, so validate runs
-    only for the infeasible point, once, for its problems."""
+    """simulate tests each feasible point's geometry inline, so
+    geometry_problems runs only for the infeasible point, once."""
     trace = gen_synthetic("mixed", 300, 4)
     baseline = baseline_metrics(trace)
     checked = []
 
-    def counting_validate(config):
+    def counting_problems(config):
         checked.append(config)
-        return real_validate(config)
+        return real_problems(config)
 
-    real_validate = cachesim.validate
+    real_problems = cachesim.geometry_problems
     for module in (cachesim, objectives, oracle):
-        monkeypatch.setattr(module, "validate", counting_validate, raising=False)
+        monkeypatch.setattr(module, "geometry_problems", counting_problems, raising=False)
     sub = small_subspace(isize=(512, 1024), ibsize=(64,), iassoc=(8, 16))
     result = exhaustive(sub, trace, TABLE, DRAM, baseline)
     assert (len(result.ranked), len(result.infeasible)) == (3, 1)
@@ -308,13 +308,13 @@ def test_flag_ordered_walk_ranks_as_the_flag_text_sort(sub, trace, base):
     assert exhaustive(reversed_sub, trace, TABLE, DRAM, baseline, sim_seed_base=base) == result
     points = []
     for config in configs:
-        if validate(config):
+        if not geometry_problems(config):
             metrics = config_metrics(config, trace, TABLE, DRAM, rng_seed=base)
             points.append(oracle.RankedConfig(config, metrics, fitness(metrics, baseline)))
     expected = sorted(points, key=lambda r: (r.fitness, r.config.to_flags()))
     assert repr(result.ranked) == repr(tuple(expected))
     assert result.infeasible == tuple(
-        (config, validate(config).problems) for config in configs if not validate(config))
+        (config, geometry_problems(config)) for config in configs if geometry_problems(config))
 
 
 CLASSES = [(repl, fetch) for repl in DOMAINS["irepl"] for fetch in DOMAINS["ifetch"]]
@@ -354,7 +354,7 @@ def test_exhaustive_equals_a_cacheunit_replay(repl, fetch, data, profile, record
     """Independently of objectives' pricing: under both miss modes, each
     ranked point's metrics equal the README's models applied to a CacheUnit
     replay's counters, and its fitness equals fitness(), bit for bit.
-    simulate raises validate's problems for each infeasible point, given
+    simulate raises the text of geometry_problems for each infeasible point, given
     records or a SideStreams, and a direct-mapped side's l, f and r twins
     share one memo entry. Both seed bases price through one SideStreams
     when as_streams."""
@@ -376,7 +376,7 @@ def test_exhaustive_equals_a_cacheunit_replay(repl, fetch, data, profile, record
                 assert tuple(r.metrics) == tuple(metrics), (mode, r.config.to_flags())
                 assert r.fitness == fitness(metrics, baseline, weights), r.config.to_flags()
     for config, problems in result.infeasible:
-        assert problems == validate(config).problems and problems
+        assert problems == geometry_problems(config) and problems
         for given_trace in (trace, streams):
             with pytest.raises(InfeasibleConfigError) as info:
                 simulate(config, given_trace, base)
@@ -401,13 +401,13 @@ def test_subspace_points_equal_checked_configs(sub):
     """exhaustive's walk over the product of Subspace.parts() and canonical
     from_flags build points from values already checked, without
     CacheConfig's domain test: each equals the checked point, is exactly a
-    CacheConfig and hashes alike; and the parts' verdicts give validate's
+    CacheConfig and hashes alike; and the parts' verdicts give geometry_problems's
     verdict on each point, which exhaustive ranks exactly when feasible. On
     an empty trace every point prices at 0, so the stable ranking keeps the
     walk's order, as the infeasible points do."""
     flag_order = sorted(starmap(CacheConfig, product(*(getattr(sub, n) for n in DOMAINS))),
                         key=CacheConfig.to_flags)
-    verdicts = [bool(validate(c)) for c in flag_order]
+    verdicts = [not geometry_problems(c) for c in flag_order]
     result = exhaustive(sub, SideStreams([]), TABLE, DRAM, Metrics(1.0, 1.0))
     ranked = [r.config for r in result.ranked]
     infeasible = [config for config, _ in result.infeasible]
@@ -481,7 +481,7 @@ def test_exhaustive_names_a_missing_row_where_config_metrics_does(monkeypatch, m
                          dbsize=(16,), dassoc=(1, 2, 128), dwback=("a", "n"))
     points = sorted(starmap(CacheConfig, product(*(getattr(sub, n) for n in DOMAINS))),
                     key=CacheConfig.to_flags)
-    feasible = [config for config in points if validate(config)]
+    feasible = [config for config in points if not geometry_problems(config)]
     for reached, config in enumerate(feasible, 1):
         try:
             config_metrics(config, trace, table, DRAM)

@@ -3,7 +3,7 @@ design point.
 
 Each fast path is compared with the rule it replaces, written out here as
 it stood before: flag text joined pair by pair, the general flag parser
-(text in any other order), the per-side problem list of validate, and the
+(text in any other order), the per-side problem list of geometry_problems, and the
 named range checks of the pricing inputs.
 """
 
@@ -27,7 +27,8 @@ from cacheopt.cachesim import (
     FLAG_ORDER,
     CacheConfig,
     SimStats,
-    validate,
+    geometry_problems,
+    n_sets,
 )
 from cacheopt.charmodel import (
     CharRow,
@@ -140,7 +141,7 @@ def test_config_keywords_are_the_field_names():
 
 
 def listed_problems(config: CacheConfig) -> tuple[str, ...]:
-    """validate's problem list, computed side by side as it always was."""
+    """The problem list of geometry_problems, computed side by side as it always was."""
     problems = []
     for side, size, block, assoc in (
         ("I-cache", config.isize, config.ibsize, config.iassoc),
@@ -158,11 +159,10 @@ def test_validate_verdict_matches_the_problem_list_on_every_geometry_pair():
     geometries = list(product(CACHE_SIZES, BLOCK_SIZES, ASSOCIATIVITIES))
     for (isize, ibsize, iassoc), (dsize, dbsize, dassoc) in product(geometries, repeat=2):
         config = CacheConfig(isize, ibsize, "l", iassoc, "d", dsize, dbsize, "l", dassoc, "d", "a")
-        verdict = validate(config)
-        problems = listed_problems(config)
-        assert (bool(verdict), verdict.feasible, verdict.problems) == (
-            not problems, not problems, problems
-        )
+        problems = geometry_problems(config)
+        assert problems == listed_problems(config)
+        assert (problems == ()) == (n_sets(isize, ibsize, iassoc) >= 1
+                                    and n_sets(dsize, dbsize, dassoc) >= 1)
 
 
 TOP = sys.float_info.max
