@@ -29,14 +29,12 @@ _HEADER_LINE = ",".join(CSV_HEADER)
 # size, block and assoc values by their canonical spellings, read without int().
 _INT_TOKENS = {**VALUE_TOKENS["isize"], **VALUE_TOKENS["ibsize"], **VALUE_TOKENS["iassoc"]}
 
+# How save_table writes a value: 11 significant digits, which float() reads
+# back to the float that prints as the same text.
+VALUE_FORMAT = "{:.10e}"
 
-@dataclass(frozen=True)
-class CharRow:
-    size: int
-    block: int
-    assoc: int
-    access_time: float  # seconds per access
-    access_energy: float  # joules per access
+# One table item: (size, block, assoc), then (seconds, joules) per access.
+CharItem = tuple[tuple[int, int, int], tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -57,13 +55,11 @@ class DramParams:
 
 
 class CharTable:
-    """Immutable lookup of (size, block, assoc) -> (access_time, access_energy)."""
+    """Immutable lookup of (size, block, assoc) -> (access_time, access_energy),
+    built from CharItems: one per triple, each value finite and > 0."""
 
-    def __init__(self, rows: Iterable[CharRow]):
-        self._table = _checked_pairs(
-            ((row.size, row.block, row.assoc), (row.access_time, row.access_energy))
-            for row in rows
-        )
+    def __init__(self, items: Iterable[CharItem]):
+        self._table = _checked_pairs(items)
 
     def __len__(self) -> int:
         return len(self._table)
@@ -71,8 +67,9 @@ class CharTable:
     def __contains__(self, key: tuple[int, int, int]) -> bool:
         return key in self._table
 
-    def rows(self) -> list[CharRow]:
-        return [CharRow(*key, *self._table[key]) for key in sorted(self._table)]
+    def rows(self) -> list[CharItem]:
+        """The items in triple order, as save_table writes them."""
+        return sorted(self._table.items())
 
     def lookup(self, size: int, block: int, assoc: int) -> tuple[float, float]:
         """Return the stored (access_time, access_energy); never a default."""
@@ -94,9 +91,8 @@ class CharTable:
                 )
 
 
-def _checked_pairs(items: Iterable[tuple[tuple[int, int, int], tuple[float, float]]]) -> dict:
-    """The lookup dict of (triple, (access_time, access_energy)) items: one
-    per triple, each value finite and > 0."""
+def _checked_pairs(items: Iterable[CharItem]) -> dict:
+    """The lookup dict of CharItems: one per triple, each value finite and > 0."""
     table = {}
     for key, pair in items:
         if key in table:
@@ -119,17 +115,15 @@ def load_table(path: str | Path, strict: bool = False) -> CharTable:
     with path.open(newline="") as fh:
         text = fh.read()
     pairs = _plain_pairs(text)
-    table = CharTable(())  # filled with pairs, checked as rows are, not CharRows
-    table._table = _checked_pairs(_read_rows(path, text) if pairs is None else pairs)
+    table = CharTable(_read_rows(path, text) if pairs is None else pairs)
     if strict:
         table.check_complete()
     return table
 
 
-def _plain_pairs(text: str) -> list | None:
-    """The (triple, (access_time, access_energy)) items of a plain table
-    text, read a column at a time, or None for any text that only
-    _read_rows may judge.
+def _plain_pairs(text: str) -> list[CharItem] | None:
+    """The CharItems of a plain table text, read a column at a time, or
+    None for any text that only _read_rows may judge.
 
     Plain text is the exact header line, then data lines of exactly four
     commas each, with no `#`, `"` or carriage return anywhere: csv.reader
@@ -161,9 +155,9 @@ def _plain_pairs(text: str) -> list | None:
         return None
 
 
-def _read_rows(path: Path, text: str) -> list[tuple[tuple[int, int, int], tuple[float, float]]]:
-    """The (triple, (access_time, access_energy)) items of a table text, read
-    row by row with csv.reader; the only code that names a bad file line.
+def _read_rows(path: Path, text: str) -> list[CharItem]:
+    """The CharItems of a table text, read row by row with csv.reader; the
+    only code that names a bad file line.
 
     The text is split into lines as readlines() splits a file opened with
     newline="": at \\n, \\r and \\r\\n only (str.splitlines also splits at
@@ -203,11 +197,9 @@ def save_table(table: CharTable, path: str | Path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in table.rows():
-            writer.writerow(
-                [row.size, row.block, row.assoc,
-                 f"{row.access_time:.10e}", f"{row.access_energy:.10e}"]
-            )
+        for (size, block, assoc), (access_time, access_energy) in table.rows():
+            writer.writerow([size, block, assoc, VALUE_FORMAT.format(access_time),
+                             VALUE_FORMAT.format(access_energy)])
 
 
 def surrogate_generate(seed: int = 0) -> CharTable:
@@ -217,7 +209,8 @@ def surrogate_generate(seed: int = 0) -> CharTable:
     log2(block) with positive seed-jittered coefficients, so both values
     strictly increase with size at fixed (block, assoc) and with assoc at
     fixed (size, block). Times stay within 1e-10..5e-9 s and energies
-    within 1e-12..1e-9 J for every triple.
+    within 1e-12..1e-9 J for every triple. Each value is rounded to the
+    digits save_table writes, so the table equals its saved file.
     """
     rng = random.Random(seed)
     t0 = rng.uniform(1.2e-10, 2.0e-10)
@@ -228,19 +221,17 @@ def surrogate_generate(seed: int = 0) -> CharTable:
     e_size = rng.uniform(3.0e-11, 6.0e-11)
     e_assoc = rng.uniform(2.0e-11, 5.0e-11)
     e_block = rng.uniform(0.5e-11, 2.0e-11)
-    rows = []
-    for size, block, assoc in ALL_TRIPLES:
+
+    def item(triple):
+        size, block, assoc = triple
         s = math.log2(size / 512)
         a = math.log2(assoc)
         b = math.log2(block / 8)
-        rows.append(
-            CharRow(
-                size, block, assoc,
-                t0 + t_size * s + t_assoc * a + t_block * b,
-                e0 + e_size * s + e_assoc * a + e_block * b,
-            )
-        )
-    return CharTable(rows)
+        pair = (t0 + t_size * s + t_assoc * a + t_block * b,
+                e0 + e_size * s + e_assoc * a + e_block * b)
+        return triple, tuple(float(VALUE_FORMAT.format(v)) for v in pair)
+
+    return CharTable(map(item, ALL_TRIPLES))
 
 
 _DRAM_KEYS = {
@@ -256,10 +247,12 @@ def load_dram_params(path: str | Path) -> DramParams:
     Recognized keys: dram.access_time_s, dram.bandwidth_bps,
     dram.access_power_w. A `[dram]` section header with bare keys is
     accepted too. Missing keys keep their defaults. Each value must be
-    finite and > 0; a bad one is named by its file, line and key.
+    finite and > 0, and each key given once; a bad one is named by its
+    file, line (both lines for a repeat) and key.
     """
     path = Path(path)
     values: dict[str, float] = {}
+    given: dict[str, int] = {}  # key -> the line it was given on
     section = ""
     with path.open() as fh:
         lines = fh.readlines()
@@ -280,6 +273,10 @@ def load_dram_params(path: str | Path) -> DramParams:
             continue
         if key not in _DRAM_KEYS:
             raise ValidationError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in given:
+            raise ValidationError(
+                f"{path}: line {lineno}: {key!r} was already given on line {given[key]}")
+        given[key] = lineno
         try:
             number = float(value.strip().strip('"'))
         except ValueError:

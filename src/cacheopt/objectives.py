@@ -116,10 +116,7 @@ def metrics_from_stats(
     CharLookupError (CharTable.lookup's message), the I row's first.
     """
     isize, ibsize, _, iassoc, _, dsize, dbsize, _, dassoc, _, _ = config
-    try:
-        ichar, dchar = table._table[isize, ibsize, iassoc], table._table[dsize, dbsize, dassoc]
-    except KeyError:
-        ichar, dchar = table.lookup(isize, ibsize, iassoc), table.lookup(dsize, dbsize, dassoc)
+    ichar, dchar = table.lookup(isize, ibsize, iassoc), table.lookup(dsize, dbsize, dassoc)
     it, il, ix, ie, ir, idram = side_terms(istats, ichar, ibsize, dram, miss_mode)
     dt, dl, dx, de, dr, ddram = side_terms(dstats, dchar, dbsize, dram, miss_mode)
     return Metrics(it + il + ix + dt + dl + dx, ie + de + ir + dr + idram + ddram)

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from cacheopt.cachesim import CacheConfig, CacheUnit, DEFAULT_BASELINE, simulate
-from cacheopt.charmodel import CharRow, CharTable, DramParams, surrogate_generate
+from cacheopt.charmodel import CharTable, DramParams, surrogate_generate
 from cacheopt.cli import main
 from cacheopt.evolve import Evaluator, GEParams, evolve
 from cacheopt.grammar import DEFAULT_GRAMMAR, derivation_count, map_genotype, parse_bnf
@@ -131,7 +131,7 @@ def test_model_identities():
     d2 = SimStats(accesses=90, demand_misses=18, prefetch_fills=4)
     # one row per side: 16384/32/4 for I, 8192/32/4 for D
     config = DEFAULT_BASELINE._replace(dsize=8192)
-    rows = CharTable([CharRow(16384, 32, 4, 1e-9, 1e-11), CharRow(8192, 32, 4, 2e-9, 3e-11)])
+    rows = CharTable([((16384, 32, 4), (1e-9, 1e-11)), ((8192, 32, 4), (2e-9, 3e-11))])
     once = metrics_from_stats(istats, dstats, rows, config, DRAM)
     twice = metrics_from_stats(i2, d2, rows, config, DRAM)
     for x1, x2 in zip(once, twice):  # time, then energy

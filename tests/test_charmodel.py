@@ -11,7 +11,6 @@ from cacheopt import charmodel
 from cacheopt.charmodel import (
     ALL_TRIPLES,
     CSV_HEADER,
-    CharRow,
     CharTable,
     DramParams,
     load_dram_params,
@@ -69,61 +68,57 @@ def test_surrogate_monotonic_and_bounded(seed):
         for block in blocks:
             values = [table.lookup(size, block, assoc) for assoc in assocs]
             assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(values, values[1:]))
-    for row in table.rows():
-        assert 1e-10 <= row.access_time <= 5e-9
-        assert 1e-12 <= row.access_energy <= 1e-9
+    for _, (access_time, access_energy) in table.rows():
+        assert 1e-10 <= access_time <= 5e-9
+        assert 1e-12 <= access_energy <= 1e-9
 
 
 def test_lookup_contract():
     table = surrogate_generate(2)
     assert table.lookup(65536, 32, 4) == table.lookup(65536, 32, 4)
-    row = table.rows()[0]
-    assert table.lookup(row.size, row.block, row.assoc) == (
-        row.access_time,
-        row.access_energy,
-    )
+    triple, pair = table.rows()[0]
+    assert table.lookup(*triple) == pair
     with pytest.raises(CharLookupError, match="size=512 block=8 assoc=1"):
-        CharTable([CharRow(1024, 8, 1, 1e-9, 1e-11)]).lookup(512, 8, 1)
+        CharTable([((1024, 8, 1), (1e-9, 1e-11))]).lookup(512, 8, 1)
 
 
 def test_duplicate_triple_rejected():
-    rows = [CharRow(8192, 64, 1, 1e-9, 1e-11), CharRow(8192, 64, 1, 2e-9, 2e-11)]
+    rows = [((8192, 64, 1), (1e-9, 1e-11)), ((8192, 64, 1), (2e-9, 2e-11))]
     with pytest.raises(CharTableError, match="duplicate"):
         CharTable(rows)
 
 
 def test_nonpositive_values_rejected():
     with pytest.raises(CharTableError, match="access_time"):
-        CharTable([CharRow(512, 8, 1, 0.0, 1e-11)])
+        CharTable([((512, 8, 1), (0.0, 1e-11))])
     with pytest.raises(CharTableError, match="access_energy"):
-        CharTable([CharRow(512, 8, 1, 1e-9, -1e-11)])
+        CharTable([((512, 8, 1), (1e-9, -1e-11))])
     # an int past float range is refused here, not when a point is priced
     with pytest.raises(CharTableError, match=r"access_time for \(16384, 32, 4\)"):
-        CharTable([CharRow(16384, 32, 4, 10**400, 1e-11)])
+        CharTable([((16384, 32, 4), (10**400, 1e-11))])
     with pytest.raises(CharTableError, match=r"access_energy for \(16384, 32, 4\)"):
-        CharTable([CharRow(16384, 32, 4, 1e-9, 10**400)])
+        CharTable([((16384, 32, 4), (1e-9, 10**400))])
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, pytest.param(10**400, id="10**400")])
 def test_out_of_range_values_are_named_as_such(value):
     """Not "non-positive": the table says which rule the value breaks."""
     with pytest.raises(CharTableError) as info:
-        CharTable([CharRow(16384, 32, 4, value, 1e-11)])
+        CharTable([((16384, 32, 4), (value, 1e-11))])
     assert str(info.value) == (
         f"access_time for (16384, 32, 4) must be finite and > 0, got {value!r}")
 
 
 def test_save_load_round_trip(tmp_path):
+    """A surrogate table equals its saved file, bit for bit."""
     table = surrogate_generate(3)
     path = tmp_path / "chars.csv"
     save_table(table, path)
     loaded = load_table(path, strict=True)
     assert len(loaded) == 256
     for size, block, assoc in ALL_TRIPLES:
-        got = loaded.lookup(size, block, assoc)
-        want = table.lookup(size, block, assoc)
-        assert got[0] == pytest.approx(want[0], rel=1e-9)
-        assert got[1] == pytest.approx(want[1], rel=1e-9)
+        assert loaded.lookup(size, block, assoc) == table.lookup(size, block, assoc)
+    assert loaded.rows() == table.rows()
 
 
 def test_save_is_byte_stable(tmp_path):
@@ -136,12 +131,11 @@ def test_save_is_byte_stable(tmp_path):
 
 def test_strict_load_names_missing_triple(tmp_path):
     table = surrogate_generate(0)
-    rows = table.rows()[:-1]  # drop the last triple
-    dropped = table.rows()[-1]
+    *rows, ((size, _, _), _) = table.rows()  # drop the last triple
     path = tmp_path / "partial.csv"
     save_table(CharTable(rows), path)
     assert len(load_table(path)) == 255  # non-strict load is fine
-    with pytest.raises(CharTableError, match=f"size={dropped.size}"):
+    with pytest.raises(CharTableError, match=f"size={size}"):
         load_table(path, strict=True)
 
 
@@ -247,6 +241,22 @@ def test_dram_file_unknown_key(tmp_path):
         load_dram_params(path)
 
 
+@pytest.mark.parametrize("text, key, first, second", [
+    ("dram.access_time_s = 4e-9\n[dram]\naccess_time_s = 9e-9\n", "access_time_s", 1, 3),
+    ("dram.bandwidth_bps = 6.4e9\n# again\ndram.bandwidth_bps = 6.4e9\n", "bandwidth_bps", 1, 3),
+    ("[dram]\naccess_power_w = 1.0\n\naccess_power_w = 2.0\n", "access_power_w", 2, 4),
+], ids=["dotted-then-section", "same-value", "section"])
+def test_dram_file_refuses_a_key_given_twice(tmp_path, text, key, first, second):
+    """The last value does not silently win: a repeated key is named with
+    both of its lines."""
+    path = tmp_path / "dram.toml"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as info:
+        load_dram_params(path)
+    assert str(info.value) == (
+        f"{path}: line {second}: 'dram.{key}' was already given on line {first}")
+
+
 @pytest.mark.parametrize("line", [
     "dram.access_time_s = inf", "dram.access_time_s = 1e400", "dram.access_time_s = nan",
     "dram.access_time_s = -inf",
@@ -346,9 +356,9 @@ def table_texts(draw):
     random ones, plain or with mutations that a CSV reader may or may not
     accept."""
     if draw(st.booleans()):
-        rows = [[str(v) for v in (r.size, r.block, r.assoc)]
-                + [f"{r.access_time:.10e}", repr(r.access_energy)]
-                for r in surrogate_generate(draw(st.integers(0, 3))).rows()]
+        rows = [[*map(str, triple), f"{access_time:.10e}", repr(access_energy)]
+                for triple, (access_time, access_energy)
+                in surrogate_generate(draw(st.integers(0, 3))).rows()]
     else:
         triples = draw(st.lists(st.sampled_from(ALL_TRIPLES + ((3, 8, 1), (512, 5, 1))),
                                 max_size=10, unique=True))

@@ -5,7 +5,7 @@ import pytest
 
 import cacheopt.evolve as EVOLVE
 from cacheopt import cli, objectives
-from cacheopt.charmodel import CharRow, CharTable, DramParams, save_table, surrogate_generate
+from cacheopt.charmodel import CharTable, DramParams, save_table, surrogate_generate
 from cacheopt.cli import RunConfig, _build_parser, _check_grammar, main, run_optimize
 from cacheopt.cachesim import DEFAULT_BASELINE, SideStreams, simulate
 from cacheopt.errors import ValidationError
@@ -601,8 +601,7 @@ def test_exhaustive_ranks_default_baseline_at_one(tmp_path):
 def test_exhaustive_missing_table_row_fails_before_simulating(tmp_path, capsys):
     trace_path = write_trace(tmp_path / "t.din", n=100)
     table_path = tmp_path / "chars.csv"
-    rows = [r for r in surrogate_generate(0).rows()
-            if (r.size, r.block, r.assoc) != (65536, 64, 8)]
+    rows = [row for row in surrogate_generate(0).rows() if row[0] != (65536, 64, 8)]
     save_table(CharTable(rows), table_path)
     outdir = tmp_path / "exh"
     rc = main([
@@ -618,7 +617,7 @@ def test_exhaustive_missing_table_row_fails_before_simulating(tmp_path, capsys):
 
 def test_simulate_missing_table_row_fails_before_reading_the_trace(tmp_path, capsys):
     table_path = tmp_path / "chars.csv"
-    save_table(CharTable([CharRow(16384, 32, 4, 1e-9, 1e-11)]), table_path)
+    save_table(CharTable([((16384, 32, 4), (1e-9, 1e-11))]), table_path)
     flags = DEFAULT_BASELINE._replace(isize=512).to_flags()
     rc = main(["simulate", "--table", str(table_path), "--flags", flags,
                "--trace", str(tmp_path / "absent.din")])
@@ -655,7 +654,7 @@ def test_exhaustive_table_with_an_overlong_field_exits_2(tmp_path, capsys):
 
 def _table_without(tmp_path, triple):
     table_path = tmp_path / "chars.csv"
-    rows = [r for r in surrogate_generate(0).rows() if (r.size, r.block, r.assoc) != triple]
+    rows = [row for row in surrogate_generate(0).rows() if row[0] != triple]
     save_table(CharTable(rows), table_path)
     return table_path
 

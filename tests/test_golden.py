@@ -77,56 +77,56 @@ SIMULATE_FLAGS = (
 GOLDEN = {
     "exhaustive": {
         "infeasible.csv": "abae49586d710b5074d66491c450b549518bcea4e28cc84f00c25a12dbb39d1a",
-        "ranked.csv": "63be64722d56892c5f1c82b84b6a2d529fe69e64773c8330f43b66fb3769ef53",
+        "ranked.csv": "540532da9915398c3228366463f1a3e9d497f4dab8c900481f3388420d696387",
     },
     "exhaustive_lru_fifo": {
         "infeasible.csv": "e079c0f6c7d731256d5f754232a0a32ec0db4cda67f6b7e4c51a526827db7130",
-        "ranked.csv": "90d8f175b6bd3c24df92c1445eb5916ce48d2c9cd04c823e35570ebca8ee78cf",
+        "ranked.csv": "424b1cae4aea68ebe795db7759fe479ec6ffb1c9fda0aff1be044565586fa99b",
     },
     "optimize_lru_fifo": {
-        "best.txt": "d1aa75b6591bb93e434ea078c99ad3412ac2ea1191087938fc1f36b649e4ee2a",
-        "run_00_log.csv": "1805ceb31e308c5a8f350463911a6cc93c94634e72e054c376ff86d940bf98db",
-        "run_01_log.csv": "a5ff247887b34dfe23b08e898e20625c6133d8c39d5bc71ab55045a1cdcaeb9f",
-        "runs.csv": "1b0061b016d91ee70e09c3ac5e6c951960079e2d3b6fcc41a8c857a0890b70ae",
-        "summary.csv": "d021c3b56441b007a287e2ae9cc12edc7a8c51a6f315737e43beaec20beea92b",
+        "best.txt": "8e385e5a2c2d8ec31ca4c16dcbcb0ba310908632771c8fe9381309f02363aed9",
+        "run_00_log.csv": "7b2a2aaa269054f8b1243872ef88c7f45f9d687ed3d7ddf03d4befe505419195",
+        "run_01_log.csv": "c05384cadfdeba2c39418a6d53dc7ccb468edcaa6a69bd942f90e35a898147ba",
+        "runs.csv": "dffaca261bf80ca4b3742c92fc543b1bb4551d2d709de0d18f98b12cb9797421",
+        "summary.csv": "de023f97bffeb20e0ceb635f23539ae28b428518fff356f4ee79e4fe3b8765c4",
     },
     "optimize_multitoken": {
-        "best.txt": "f1c569a3f73f95db38f1df1210ec23532fe029175e4c4e0358b57c851a1d759b",
-        "run_00_log.csv": "74d2a3ff27dc173ee1ed9e570afc2e1243b44a7c99fd3a0cf5b5df4d4b607eb5",
-        "run_01_log.csv": "e6172301639636503574967b2a2178de94ebe7840355a2619f71ce0650f77d78",
-        "runs.csv": "c8ece8c21ea995dc393b220077a9f37191fe9558fb025848abd3a2af89dc2821",
-        "summary.csv": "640778d026734c0221384da58f46ad937aacab8b9e08f0ac11204f4b1b64efdc",
+        "best.txt": "36540c5496e1ac0d42696d78c311d8a41dc613767938d93bfcfa4f485d22078f",
+        "run_00_log.csv": "f8cd842537ddb4d9afc13051d8ee5f6a04b641346c89ecaf4dde5680b857837f",
+        "run_01_log.csv": "dac1c1d0477eafdd142bc2d77d59abc5b376c62d16fac4ee8bde447092a8bb0d",
+        "runs.csv": "74f8444444cf8ec7ea111288308ae048b5f7e5a0af9262b6ca1ac7d6b06e98a6",
+        "summary.csv": "d766e605052fd43ed7dacb18080861b7721fec80c9c7db03669ed0d2cb89bef0",
     },
     "optimize_nonflat": {
-        "best.txt": "8e7e5eb18ace0028ddf8425edeae9f296082db26c7825e0d00f14b32a098bde9",
-        "run_00_log.csv": "40d7b98c50d62f182828b2a601ca0a20056bb274b62653e7e62a7ba7077869a1",
-        "run_01_log.csv": "e31a6fe16f255d8eee207571c2fda729cb0e345e990284e4ea54b84322ba8102",
-        "runs.csv": "defab9e4535fa7b3f805a8d6110df78416229c0831257db758edfd0b45284708",
-        "summary.csv": "52f68678f9a12b8762c483fed62a9f4f2977257f74b2859d8d147ce97f700f0e",
+        "best.txt": "a99798c953ef34d8b9079e41f6524e098f31bb139672d95c103db5515905c61d",
+        "run_00_log.csv": "cac9ecfcacf881b3da8b3a869e8b1b920cd5c9ea9cc96e098638afd8e31de22a",
+        "run_01_log.csv": "729b7f95f25d086913831d914e6a9c80798c3c6bbc39c0b4381a0066b8319513",
+        "runs.csv": "24e73e26ee15c879c3effac616505ecb75ccc52e69ffcb3600e13b00748064ea",
+        "summary.csv": "4c1979fdee43cde10cf59ab1e0e1f6d5fb44169dd763c4cc0833c518b70ceb37",
     },
     "optimize_shared": {
-        "best.txt": "21ed3c890ffaccb40c919d4736087f08f4a4abec8aaf3a4ab8df46c3f0af255e",
-        "run_00_log.csv": "552398bd59b06e6d8c2ffd9b206e8a469c58b8bc19141c857ff3dc833fcb094b",
-        "run_01_log.csv": "9a144de1c965cfac24fec75f650846d75ad458e910f1c2f523cf764861822790",
-        "runs.csv": "66434e48afd04b8ea9707c4c74b7176542fd9470ab94779494058d0904e845c6",
-        "summary.csv": "0abf8b719c2d4412e29b392eb0398284b1f90ef9a3cab86fd26cb378674c6450",
+        "best.txt": "76ffd8d2e3e06d195369d97898f6316c2390f8bc2e9417467804dfccb5752ef9",
+        "run_00_log.csv": "472444a950b0fff474ae5586b1764139e4f85aa97bb0384821dadcc7bc3526ea",
+        "run_01_log.csv": "067198dfaa179686770e5f444982cd5ffb1c0a43c0fa6f2ad4bf89dff785fc76",
+        "runs.csv": "551988e9f133be7383b9c621b658ddec9476a9b3e0dd73a9bab674c4fcbba666",
+        "summary.csv": "c23cb06d859b40f9b69111a3ccbbc9765d358ed8033daf07bc0d4e4b455e0f3c",
     },
     "optimize_unshared": {
-        "best.txt": "21ed3c890ffaccb40c919d4736087f08f4a4abec8aaf3a4ab8df46c3f0af255e",
-        "run_00_log.csv": "552398bd59b06e6d8c2ffd9b206e8a469c58b8bc19141c857ff3dc833fcb094b",
-        "run_01_log.csv": "4cc5be175a62f310c2e0d7b91bac18cf83f090926f963a5eb7eec2384841c11e",
-        "runs.csv": "66434e48afd04b8ea9707c4c74b7176542fd9470ab94779494058d0904e845c6",
-        "summary.csv": "0abf8b719c2d4412e29b392eb0398284b1f90ef9a3cab86fd26cb378674c6450",
+        "best.txt": "76ffd8d2e3e06d195369d97898f6316c2390f8bc2e9417467804dfccb5752ef9",
+        "run_00_log.csv": "472444a950b0fff474ae5586b1764139e4f85aa97bb0384821dadcc7bc3526ea",
+        "run_01_log.csv": "53835d8d59cab1f8cb8fbd168c6ab52e8d06c465dde8d345338fa68639f1f41a",
+        "runs.csv": "551988e9f133be7383b9c621b658ddec9476a9b3e0dd73a9bab674c4fcbba666",
+        "summary.csv": "c23cb06d859b40f9b69111a3ccbbc9765d358ed8033daf07bc0d4e4b455e0f3c",
     },
     "optimize_wrap": {
-        "best.txt": "542047710ccfd890c306d8749a884cc7cbfbefddc9547f546ca38d25f97acfeb",
-        "run_00_log.csv": "76af84d498992f0263d84266dd5c47125b88efb8bdd2ff49e0b5665d11dff08d",
-        "run_01_log.csv": "db4a300e05babf5136f5c635560bfc3a199185edd979a2a17a3fd7a0dac52181",
-        "runs.csv": "ebe303a15e4e0c76ac7721efb7c7cdee753150e3b20e445c3a4a1f0742cd5824",
-        "summary.csv": "3ba965f0084252b25c1188780d58277a7c7fbf0cbbb1aec4bcc806ec21aa942d",
+        "best.txt": "c8dc56a9d161966d6cd71adbfff55d1c6f3741d358f12787fed648f6f2c6e19b",
+        "run_00_log.csv": "e152151a30abcb919ab2018b0f109b5b52f97331a19918994b218164168d6432",
+        "run_01_log.csv": "e0e03e580c9bc0448ca1af8dd9c58b183580c38d2568685b2a05c7c46936fb22",
+        "runs.csv": "02a6077954ec2ac6abfee6b68801eb5c1cbda233b55badb96e16b968035ed6e9",
+        "summary.csv": "8ac74f64f3870946a15d0f6e2757baa555d1afb0f8791951adcbad216e7ad60f",
     },
     "simulate": {
-        "counters.csv": "8eeb07c1162abe4a6a61143b19bd3637a762c8b607a0ae70d8c5148859845cbd",
+        "counters.csv": "192b8af36eb70800d98933c214ef6626bd1121e194d6a7b7e6da14b37f5a6023",
     },
 }
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from cacheopt.cachesim import DEFAULT_BASELINE, CacheConfig, SideStreams, SimStats, simulate
-from cacheopt.charmodel import CharRow, CharTable, DramParams, surrogate_generate
+from cacheopt.charmodel import CharTable, DramParams, surrogate_generate
 from cacheopt.errors import CharLookupError, ValidationError
 from cacheopt.objectives import (
     INFEASIBLE_FITNESS,
@@ -22,7 +22,7 @@ DCHAR = (2e-9, 3e-11)
 # The I side keeps the baseline's 16384/32/4 row and the D side reads the
 # 8192/32/4 row, so each side is priced with its own characterization.
 CONFIG = DEFAULT_BASELINE._replace(dsize=8192)
-TABLE = CharTable([CharRow(16384, 32, 4, *ICHAR), CharRow(8192, 32, 4, *DCHAR)])
+TABLE = CharTable([((16384, 32, 4), ICHAR), ((8192, 32, 4), DCHAR)])
 
 
 def stats(accesses=0, misses=0, prefetch=0) -> SimStats:
@@ -95,9 +95,9 @@ def test_negative_and_nonfinite_inputs_rejected():
     with pytest.raises(ValidationError, match="counter prefetch_fills"):
         stats(prefetch=float("nan"))
     with pytest.raises(ValidationError):  # a bad row is refused when the table is built
-        CharTable([CharRow(8192, 32, 4, 2e-9, -1.0)])
+        CharTable([((8192, 32, 4), (2e-9, -1.0))])
     with pytest.raises(ValidationError):
-        CharTable([CharRow(16384, 32, 4, float("nan"), 1e-11)])
+        CharTable([((16384, 32, 4), (float("nan"), 1e-11))])
     with pytest.raises(ValidationError):
         Metrics(exec_time=-1.0, energy=0.0)
     with pytest.raises(ValidationError):
@@ -195,8 +195,8 @@ def test_config_metrics_checks_each_side_once(monkeypatch):
 
 
 @pytest.mark.parametrize("rows, missing", [
-    ([CharRow(8192, 32, 4, *DCHAR)], "size=16384 block=32 assoc=4"),
-    ([CharRow(16384, 32, 4, *ICHAR)], "size=8192 block=32 assoc=4"),
+    ([((8192, 32, 4), DCHAR)], "size=16384 block=32 assoc=4"),
+    ([((16384, 32, 4), ICHAR)], "size=8192 block=32 assoc=4"),
     ([], "size=16384 block=32 assoc=4"),
 ], ids=["no-I-row", "no-D-row", "no-rows"])
 def test_a_missing_row_is_named_the_I_row_first(rows, missing):

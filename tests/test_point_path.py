@@ -31,7 +31,6 @@ from cacheopt.cachesim import (
     n_sets,
 )
 from cacheopt.charmodel import (
-    CharRow,
     CharTable,
     DramParams,
     load_dram_params,
@@ -206,7 +205,7 @@ def test_counter_checks_raise_as_the_named_check(a, b, c):
 def test_characterization_and_metrics_checks_raise_as_the_named_check(a, b):
     # Characterization values are checked once, when the table is built:
     # each must be positive and within float range, an int too.
-    accepted = raised(CharTable, [CharRow(512, 8, 1, a, b)]) is None
+    accepted = raised(CharTable, [((512, 8, 1), (a, b))]) is None
     assert accepted == (0 < a <= TOP and 0 < b <= TOP)
     assert raised(Metrics, a, b) == raised(named_metrics, a, b)
 
@@ -232,7 +231,7 @@ def test_every_range_site_takes_one_rule_per_bound(value):
     ]
     positive = [
         raised(lambda: DramParams(bandwidth=value)),
-        raised(CharTable, [CharRow(512, 8, 1, 1e-9, value)]),
+        raised(CharTable, [((512, 8, 1), (1e-9, value))]),
     ]
     if isinstance(value, float):  # a file value is read back exactly as float(repr(value))
         positive.append(dram_file_outcome(f"dram.access_power_w = {value!r}"))
@@ -275,7 +274,7 @@ def test_ints_too_long_for_text_are_refused_by_sign_and_bit_length(value):
         ValidationError, f"energy must be finite and >= 0, got {shown}")
     assert raised(lambda: DramParams(access_time=value)) == (
         ValidationError, f"dram access_time must be finite and > 0, got {shown}")
-    assert raised(CharTable, [CharRow(16384, 32, 4, 1e-9, value)]) == (
+    assert raised(CharTable, [((16384, 32, 4), (1e-9, value))]) == (
         CharTableError, f"access_energy for (16384, 32, 4) must be finite and > 0, got {shown}")
 
 
