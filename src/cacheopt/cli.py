@@ -26,6 +26,7 @@ from .cachesim import (
     VALUE_TOKENS,
     CacheConfig,
     SideStreams,
+    SimStats,
     geometry_problems,
     n_sets,
     simulate,
@@ -307,30 +308,16 @@ def cmd_simulate(args) -> None:
     trace = _load_trace(args)
     istats, dstats = simulate(config, trace, rng_seed=args.seed)
     metrics = metrics_from_stats(istats, dstats, table, config, dram, MissMode(args.miss_mode))
-    rows = [
-        ("icache_accesses", istats.accesses),
-        ("icache_demand_misses", istats.demand_misses),
-        ("icache_prefetch_fills", istats.prefetch_fills),
-        ("dcache_accesses", dstats.accesses),
-        ("dcache_demand_misses", dstats.demand_misses),
-        ("dcache_prefetch_fills", dstats.prefetch_fills),
-        ("dcache_write_backs", dstats.write_backs),
-        ("dcache_write_throughs", dstats.write_throughs),
-        ("dcache_final_flush", dstats.final_flush),
-        ("exec_time_s", _fmt(metrics.exec_time)),
-        ("energy_j", _fmt(metrics.energy)),
-    ]
-    print(
-        f"I-cache: accesses={istats.accesses} demand_misses={istats.demand_misses} "
-        f"prefetch_fills={istats.prefetch_fills}"
-    )
-    print(
-        f"D-cache: accesses={dstats.accesses} demand_misses={dstats.demand_misses} "
-        f"prefetch_fills={dstats.prefetch_fills} write_backs={dstats.write_backs} "
-        f"write_throughs={dstats.write_throughs} final_flush={dstats.final_flush}"
-    )
-    print(f"exec_time_s = {_fmt(metrics.exec_time)}")
-    print(f"energy_j = {_fmt(metrics.energy)}")
+    # The I-cache sees no write, so it reports only its first three counters.
+    rows = [(f"{side}_{name}", value)
+            for side, stats in (("icache", istats[:3]), ("dcache", dstats))
+            for name, value in zip(SimStats._fields, stats)]
+    rows += [("exec_time_s", _fmt(metrics.exec_time)), ("energy_j", _fmt(metrics.energy))]
+    for label, side in (("I-cache", "icache_"), ("D-cache", "dcache_")):
+        counters = (f"{key[len(side):]}={value}" for key, value in rows if key.startswith(side))
+        print(f"{label}: {' '.join(counters)}")
+    for key, value in rows[-2:]:
+        print(f"{key} = {value}")
     if args.out:
         _write_csv(Path(args.out), ("key", "value"), rows)
 
@@ -486,7 +473,8 @@ def cmd_exhaustive(args) -> None:
     dram = _load_dram(args)
     # Every row the baseline and the enumeration will look up, checked
     # before anything is simulated.
-    table.check_complete(sub.triples() | _side_triples(baseline_config))
+    triples = _check_grammar(parse_bnf(sub.grammar_text()))[0]
+    table.check_complete(triples | _side_triples(baseline_config))
     trace = _load_campaign_trace(args)
     baseline = config_metrics(baseline_config, trace, table, dram, miss_mode, args.seed)
     result = exhaustive(

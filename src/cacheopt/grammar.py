@@ -11,7 +11,6 @@ general decoder; evolve's run decoder compiles flat grammars to tables.
 
 from __future__ import annotations
 
-import math
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -139,29 +138,3 @@ def map_genotype(codons: Sequence[int], grammar: Grammar, max_wraps: int = 3) ->
         pending.extendleft(reversed(alts[codon % k]))
     return " ".join(out)
 
-
-def derivation_count(grammar: Grammar) -> int:
-    """Number of distinct phenotypes the grammar derives.
-
-    Computed as products of alternative counts, never by enumeration.
-    Recursive grammars (unbounded phenotype sets) are rejected.
-    """
-    memo: dict[str, int] = {}
-    visiting: set[str] = set()
-
-    def count(symbol: str) -> int:
-        if symbol not in grammar.rules:
-            return 1
-        if symbol in memo:
-            return memo[symbol]
-        if symbol in visiting:
-            raise GrammarError(f"recursive grammar: cannot count derivations through {symbol}")
-        visiting.add(symbol)
-        total = sum(
-            math.prod(count(sym) for sym in alt) for alt in grammar.rules[symbol]
-        )
-        visiting.discard(symbol)
-        memo[symbol] = total
-        return total
-
-    return count(grammar.start)

@@ -76,24 +76,12 @@ class Subspace:
         space, which sorts below every digit, as the shorter text sorts first.
         """
         lists = [sorted(getattr(self, name), key=str) for name in DOMAINS]
-        iside, dside = self._feasible_sides("i"), self._feasible_sides("d")
-        return ([(p, (p[0], p[1], p[3]) in iside) for p in product(*lists[:5])],
-                [(p, (p[0], p[1], p[3]) in dside) for p in product(*lists[5:])])
-
-    def _feasible_sides(self, side: str) -> set[tuple[int, int, int]]:
-        """The (size, block, assoc) triples of one side ('i' or 'd') that
-        hold at least one set, the rule of geometry_problems."""
-        lists = (getattr(self, side + name) for name in ("size", "bsize", "assoc"))
-        return {t for t in product(*lists) if n_sets(*t)}
-
-    def triples(self) -> set[tuple[int, int, int]]:
-        """(size, block, assoc) of the I and D sides of every feasible point,
-        i.e. the characterization rows that exhaustive looks up."""
-        iside, dside = self._feasible_sides("i"), self._feasible_sides("d")
-        return iside | dside if iside and dside else set()
+        return ([(p, n_sets(p[0], p[1], p[3]) > 0) for p in product(*lists[:5])],
+                [(p, n_sets(p[0], p[1], p[3]) > 0) for p in product(*lists[5:])])
 
     def grammar_text(self) -> str:
-        """BNF restricting the decoder to exactly this subspace."""
+        """BNF restricting the decoder to exactly this subspace; its grammar
+        check (cli._check_grammar) gives the rows exhaustive looks up."""
         lines = ["<DineroParams> ::= " + " ".join(f"-l1-{name} <{name}>" for name in DOMAINS)]
         for name in DOMAINS:
             lines.append(f"<{name}> ::= " + " | ".join(str(v) for v in getattr(self, name)))

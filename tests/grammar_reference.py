@@ -1,6 +1,6 @@
-"""The fewest codons a derivation consumes, counted on its own: the
-reference that the optimize grammar check's count is tested against.
-Imported by tests/test_grammar.py and tests/test_grammar_check.py."""
+"""Grammar counts taken on their own, as references for the tests: the
+fewest codons a derivation consumes (the optimize grammar check's count
+is tested against it) and the number of phenotypes a grammar derives."""
 
 import math
 
@@ -35,3 +35,30 @@ def min_codons(grammar: Grammar) -> int:
     if need == math.inf:
         raise GrammarError(f"no derivation from {grammar.start} ends: every one recurses")
     return need
+
+
+def derivation_count(grammar: Grammar) -> int:
+    """Number of distinct phenotypes the grammar derives.
+
+    Computed as products of alternative counts, never by enumeration.
+    Recursive grammars (unbounded phenotype sets) are rejected.
+    """
+    memo: dict[str, int] = {}
+    visiting: set[str] = set()
+
+    def count(symbol: str) -> int:
+        if symbol not in grammar.rules:
+            return 1
+        if symbol in memo:
+            return memo[symbol]
+        if symbol in visiting:
+            raise GrammarError(f"recursive grammar: cannot count derivations through {symbol}")
+        visiting.add(symbol)
+        total = sum(
+            math.prod(count(sym) for sym in alt) for alt in grammar.rules[symbol]
+        )
+        visiting.discard(symbol)
+        memo[symbol] = total
+        return total
+
+    return count(grammar.start)

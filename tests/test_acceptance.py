@@ -9,14 +9,16 @@ import time
 
 import pytest
 
-from cacheopt.cachesim import CacheConfig, CacheUnit, DEFAULT_BASELINE, simulate
+from cacheopt.cachesim import CacheConfig, DEFAULT_BASELINE, simulate
 from cacheopt.charmodel import CharTable, DramParams, surrogate_generate
 from cacheopt.cli import main
 from cacheopt.evolve import Evaluator, GEParams, evolve
-from cacheopt.grammar import DEFAULT_GRAMMAR, derivation_count, map_genotype, parse_bnf
+from cacheopt.grammar import DEFAULT_GRAMMAR, map_genotype, parse_bnf
 from cacheopt.objectives import config_metrics, fitness, metrics_from_stats
 from cacheopt.oracle import Subspace, exhaustive, reference_lru
 from cacheopt.trace import AccessKind, TraceRecord, gen_synthetic
+from cache_reference import CacheUnit
+from grammar_reference import derivation_count
 
 R, W, F = AccessKind.READ, AccessKind.WRITE, AccessKind.IFETCH
 

@@ -10,7 +10,6 @@ from cacheopt.cachesim import (
     ASSOCIATIVITIES,
     DEFAULT_BASELINE,
     CacheConfig,
-    CacheUnit,
     config_sim_seed,
     geometry_problems,
     n_sets,
@@ -18,6 +17,7 @@ from cacheopt.cachesim import (
 )
 from cacheopt.errors import ConfigError, FlagTextError, InfeasibleConfigError
 from cacheopt.trace import AccessKind, TraceRecord, gen_synthetic
+from cache_reference import CacheUnit
 
 R, W, F = AccessKind.READ, AccessKind.WRITE, AccessKind.IFETCH
 

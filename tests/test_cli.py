@@ -1,5 +1,6 @@
 import csv
 from dataclasses import fields
+from itertools import product
 
 import pytest
 
@@ -7,7 +8,7 @@ import cacheopt.evolve as EVOLVE
 from cacheopt import cli, objectives
 from cacheopt.charmodel import CharTable, DramParams, save_table, surrogate_generate
 from cacheopt.cli import RunConfig, _build_parser, _check_grammar, main, run_optimize
-from cacheopt.cachesim import DEFAULT_BASELINE, SideStreams, simulate
+from cacheopt.cachesim import DEFAULT_BASELINE, SideStreams, n_sets, simulate
 from cacheopt.errors import ValidationError
 from cacheopt.evolve import GEParams
 from cacheopt.grammar import DEFAULT_GRAMMAR, parse_bnf
@@ -660,10 +661,17 @@ def _table_without(tmp_path, triple):
 
 
 def test_grammar_triples_of_flat_grammars():
-    assert _check_grammar(parse_bnf(DEFAULT_GRAMMAR))[0] == Subspace().triples()
+    def feasible_rows(sub):
+        """Each side's (size, block, assoc) product that holds a set; none
+        unless both sides have one."""
+        sides = [{t for t in product(getattr(sub, s + "size"), getattr(sub, s + "bsize"),
+                                     getattr(sub, s + "assoc")) if n_sets(*t)} for s in "id"]
+        return sides[0] | sides[1] if all(sides) else set()
+
+    assert _check_grammar(parse_bnf(DEFAULT_GRAMMAR))[0] == feasible_rows(Subspace())
     sub = Subspace(isize=(512, 65536), ibsize=(64,), iassoc=(8, 16), dsize=(1024,),
                    dbsize=(8, 16), dassoc=(1, 128))
-    assert _check_grammar(parse_bnf(sub.grammar_text()))[0] == sub.triples()
+    assert _check_grammar(parse_bnf(sub.grammar_text()))[0] == feasible_rows(sub)
     # A fixed terminal after the flag counts as its one value.
     pinned = ONE_POINT_GRAMMAR.replace("-l1-dsize <S>", "-l1-dsize 512")
     assert _check_grammar(parse_bnf(pinned))[0] == {(16384, 32, 4), (512, 32, 4)}

@@ -9,9 +9,9 @@ from cacheopt.cachesim import DOMAINS, CacheConfig
 from cacheopt.cli import _check_grammar
 from cacheopt.errors import GrammarError, MappingError
 from cacheopt.evolve import _decoder
-from cacheopt.grammar import DEFAULT_GRAMMAR, derivation_count, map_genotype, parse_bnf
+from cacheopt.grammar import DEFAULT_GRAMMAR, map_genotype, parse_bnf
 from cacheopt.oracle import Subspace
-from grammar_reference import min_codons
+from grammar_reference import derivation_count, min_codons
 
 CACHE_GRAMMAR = parse_bnf(DEFAULT_GRAMMAR)
 

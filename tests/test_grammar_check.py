@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from cacheopt.cachesim import DOMAINS, VALUE_TOKENS, CacheConfig, geometry_problems
 from cacheopt.cli import _check_grammar
 from cacheopt.errors import ValidationError
-from cacheopt.grammar import derivation_count, parse_bnf
+from cacheopt.grammar import parse_bnf
 from cacheopt.oracle import Subspace
-from grammar_reference import min_codons
+from grammar_reference import derivation_count, min_codons
 
 FAULTS = (None, "repeated-flag", "dropped-flag", "dropped-value", "other-value", "stray-token",
           "extra-value", "unproductive")

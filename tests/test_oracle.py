@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from cacheopt import cachesim, objectives, oracle
 from cacheopt.cachesim import (
-    DEFAULT_BASELINE, DOMAINS, FLAG_ORDER, CacheConfig, CacheUnit, SideStreams,
+    DEFAULT_BASELINE, DOMAINS, FLAG_ORDER, CacheConfig, SideStreams,
     geometry_problems, simulate,
 )
 from cacheopt.charmodel import CharTable, DramParams, surrogate_generate
+from cacheopt.cli import _check_grammar
 from cacheopt.errors import (
     CharLookupError, InfeasibleConfigError, MappingError, SubspaceCapError, ValidationError,
 )
@@ -21,6 +22,8 @@ from cacheopt.grammar import DEFAULT_GRAMMAR, map_genotype, parse_bnf
 from cacheopt.objectives import Metrics, MissMode, config_metrics, fitness
 from cacheopt.oracle import Subspace, exhaustive, reference_lru
 from cacheopt.trace import PROFILES, AccessKind, TraceRecord, gen_synthetic
+from cache_reference import CacheUnit
+from grammar_reference import derivation_count
 
 TABLE = surrogate_generate(1)
 DRAM = DramParams()
@@ -56,8 +59,6 @@ def test_subspace_validation():
 def test_subspace_grammar_round_trip():
     sub = small_subspace(isize=(512, 65536), dwback=("a", "n"))
     grammar = parse_bnf(sub.grammar_text())
-    from cacheopt.grammar import derivation_count, map_genotype
-
     assert derivation_count(grammar) == sub.cardinality() == 4
     config = CacheConfig.from_flags(map_genotype([1] * 11, grammar))
     assert config.isize == 65536 and config.dwback == "n"
@@ -93,9 +94,11 @@ def test_subspace_triples_are_the_feasible_side_geometries():
     sub = small_subspace(isize=(512, 1024), ibsize=(64,), iassoc=(8, 16),
                          dsize=(2048,), dbsize=(8,), dassoc=(1,))
     # 512 B cannot hold 64 B x 16 ways
-    assert sub.triples() == {(512, 64, 8), (1024, 64, 8), (1024, 64, 16), (2048, 8, 1)}
+    assert _check_grammar(parse_bnf(sub.grammar_text()))[0] == {
+        (512, 64, 8), (1024, 64, 8), (1024, 64, 16), (2048, 8, 1)}
     # no feasible D side: no point is feasible, so nothing is looked up
-    assert small_subspace(dsize=(512,), dbsize=(64,), dassoc=(16,)).triples() == set()
+    infeasible = small_subspace(dsize=(512,), dbsize=(64,), dassoc=(16,))
+    assert _check_grammar(parse_bnf(infeasible.grammar_text()))[0] == set()
 
 
 def test_exhaustive_checks_each_point_once(monkeypatch):

@@ -28,7 +28,6 @@ from cacheopt.cachesim import (
     REPL_POLICIES,
     WRITE_POLICIES,
     CacheConfig,
-    CacheUnit,
     SideStreams,
     SimStats,
     _open_counts,
@@ -39,6 +38,7 @@ from cacheopt.charmodel import DramParams, surrogate_generate
 from cacheopt.objectives import Metrics
 from cacheopt.oracle import Subspace, exhaustive
 from cacheopt.trace import PROFILES, AccessKind, TraceRecord, gen_synthetic, to_din
+from cache_reference import CacheUnit
 
 CLASSES = [(repl, fetch) for repl in REPL_POLICIES for fetch in FETCH_POLICIES]
 PROPERTY = settings(max_examples=40, deadline=None)
