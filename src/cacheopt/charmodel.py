@@ -19,7 +19,7 @@ from typing import Iterable
 from .cachesim import (
     _MAX_FLOAT, ASSOCIATIVITIES, BLOCK_SIZES, CACHE_SIZES, VALUE_TOKENS, _check_range
 )
-from .errors import CharLookupError, CharTableError, ValidationError
+from .errors import CharLookupError, CharTableError
 
 ALL_TRIPLES = tuple(product(CACHE_SIZES, BLOCK_SIZES, ASSOCIATIVITIES))
 
@@ -80,9 +80,8 @@ class CharTable:
                 f"no characterization row for size={size} block={block} assoc={assoc}"
             ) from None
 
-    def check_complete(self, triples: Iterable[tuple[int, int, int]] = ALL_TRIPLES) -> None:
-        """Require one row per triple; by default every grammar triple
-        (8 sizes x 4 blocks x 8 assocs)."""
+    def check_complete(self, triples: Iterable[tuple[int, int, int]]) -> None:
+        """Require a row for each of the triples, naming the least missing one."""
         for key in sorted(triples):
             if key not in self._table:
                 raise CharTableError(
@@ -105,20 +104,16 @@ def _checked_pairs(items: Iterable[CharItem]) -> dict:
     return table
 
 
-def load_table(path: str | Path, strict: bool = False) -> CharTable:
+def load_table(path: str | Path) -> CharTable:
     """Load a characterization CSV; `#` lines are comments. A bad row is
-    named by the file line it starts on.
-
-    strict additionally demands completeness over all 256 grammar triples.
+    named by the file line it starts on. Rows may be missing: each command
+    checks the rows it will look up (CharTable.check_complete).
     """
     path = Path(path)
     with path.open(newline="") as fh:
         text = fh.read()
     pairs = _plain_pairs(text)
-    table = CharTable(_read_rows(path, text) if pairs is None else pairs)
-    if strict:
-        table.check_complete()
-    return table
+    return CharTable(_read_rows(path, text) if pairs is None else pairs)
 
 
 def _plain_pairs(text: str) -> list[CharItem] | None:
@@ -233,56 +228,3 @@ def surrogate_generate(seed: int = 0) -> CharTable:
 
     return CharTable(map(item, ALL_TRIPLES))
 
-
-_DRAM_KEYS = {
-    "dram.access_time_s": "access_time",
-    "dram.bandwidth_bps": "bandwidth",
-    "dram.access_power_w": "access_power",
-}
-
-
-def load_dram_params(path: str | Path) -> DramParams:
-    """Read DRAM constants from a flat TOML/INI-style key-value file.
-
-    Recognized keys: dram.access_time_s, dram.bandwidth_bps,
-    dram.access_power_w. A `[dram]` section header with bare keys is
-    accepted too. Missing keys keep their defaults. Each value must be
-    finite and > 0, and each key given once; a bad one is named by its
-    file, line (both lines for a repeat) and key.
-    """
-    path = Path(path)
-    values: dict[str, float] = {}
-    given: dict[str, int] = {}  # key -> the line it was given on
-    section = ""
-    with path.open() as fh:
-        lines = fh.readlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].split(";", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}: line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if section:
-            key = f"{section}.{key}"
-        if not key.startswith("dram."):
-            continue
-        if key not in _DRAM_KEYS:
-            raise ValidationError(f"{path}: line {lineno}: unknown key {key!r}")
-        if key in given:
-            raise ValidationError(
-                f"{path}: line {lineno}: {key!r} was already given on line {given[key]}")
-        given[key] = lineno
-        try:
-            number = float(value.strip().strip('"'))
-        except ValueError:
-            raise ValidationError(
-                f"{path}: line {lineno}: non-numeric value for {key!r}"
-            ) from None
-        _check_range(f"{path}: line {lineno}: {key!r}", number, positive=True)
-        values[_DRAM_KEYS[key]] = number
-    return DramParams(**values)

@@ -34,7 +34,6 @@ from .cachesim import (
 from .charmodel import (
     CharTable,
     DramParams,
-    load_dram_params,
     load_table,
     save_table,
     surrogate_generate,
@@ -63,7 +62,9 @@ class RunConfig:
     grammar_text: str
     outdir: Path
     runs: int = 10
-    jobs: int = 1  # only 1: evaluation is serial; perfbench/worker.py still passes jobs=1
+    # Only the values perfbench/worker.py still passes: evaluation is
+    # serial, and one memo serves every run. Nothing reads either field.
+    jobs: int = 1
     shared_memo: bool = True
     seed: int = 0
 
@@ -72,6 +73,9 @@ class RunConfig:
             raise ValidationError("runs must be >= 1")
         if self.jobs != 1:
             raise ValidationError(f"jobs must be 1 (evaluation is serial), got {self.jobs}")
+        if self.shared_memo is not True:
+            raise ValidationError(
+                f"shared_memo must be True (one memo serves every run), got {self.shared_memo}")
         if not self.trace:
             raise ValidationError("the trace holds no records")
         _check_baseline(self.baseline)
@@ -225,15 +229,13 @@ def _load_campaign_trace(args) -> SideStreams:
 
 def _load_char_table(args) -> CharTable:
     if args.table is not None:
-        return load_table(args.table, strict=args.strict_table)
+        return load_table(args.table)
     return surrogate_generate(args.surrogate_seed)
 
 
 def _load_dram(args) -> DramParams:
-    dram = load_dram_params(args.dram_config) if args.dram_config else DramParams()
-    overrides = {name: value for name in ("access_time", "bandwidth", "access_power")
-                 if (value := getattr(args, "dram_" + name)) is not None}
-    return replace(dram, **overrides) if overrides else dram
+    return DramParams(**{name: value for name in ("access_time", "bandwidth", "access_power")
+                         if (value := getattr(args, "dram_" + name)) is not None})
 
 
 def _add_trace_options(parser) -> None:
@@ -247,28 +249,23 @@ def _add_trace_options(parser) -> None:
 def _add_table_options(parser) -> None:
     parser.add_argument("--table", default=None, help="characterization CSV file")
     parser.add_argument(
-        "--strict-table", action="store_true",
-        help="require all 256 hardware triples in --table",
-    )
-    parser.add_argument(
         "--surrogate-seed", type=int, default=0, metavar="SEED",
         help="generate a surrogate table with this seed when --table is absent",
     )
 
 
-def _add_dram_options(parser) -> None:
-    parser.add_argument("--dram-config", default=None, help="dram.* key-value file")
-    parser.add_argument("--dram-access-time", type=float, default=None, metavar="S")
-    parser.add_argument("--dram-bandwidth", type=float, default=None, metavar="BPS")
-    parser.add_argument("--dram-access-power", type=float, default=None, metavar="W")
-
-
-def _add_model_options(parser) -> None:
+def _add_pricing_options(parser) -> None:
     parser.add_argument(
         "--miss-mode", choices=[m.value for m in MissMode],
         default=MissMode.DEMAND_PLUS_PREFETCH.value,
         help="whether prefetch fills are priced like demand misses",
     )
+    parser.add_argument("--dram-access-time", type=float, default=None, metavar="S")
+    parser.add_argument("--dram-bandwidth", type=float, default=None, metavar="BPS")
+    parser.add_argument("--dram-access-power", type=float, default=None, metavar="W")
+
+
+def _add_fitness_options(parser) -> None:
     parser.add_argument(
         "--w-time", type=float, default=FitnessWeights.w_time, metavar="W",
         help="fitness weight on execution time (energy gets 1-W)",
@@ -325,25 +322,17 @@ def cmd_simulate(args) -> None:
 def run_optimize(rc: RunConfig) -> dict:
     """Execute the multi-run campaign and write the result bundle.
 
-    Run i uses seed rc.seed + i. With rc.shared_memo one evaluator serves
-    every run; otherwise each run gets its own, which prices the baseline
-    again.
+    Run i uses seed rc.seed + i. One evaluator, built before the first
+    run, serves every run, so the baseline is priced once and each
+    distinct point once per campaign.
     """
     grammar = parse_bnf(rc.grammar_text)
     rc.outdir.mkdir(parents=True, exist_ok=True)
-    streams = SideStreams.of(rc.trace)
-    evaluator = None
+    evaluator = Evaluator(rc.trace, rc.table, rc.dram, rc.baseline, rc.weights, rc.miss_mode,
+                          sim_seed_base=rc.seed)
     bests = []
-    total_sims = 0
     for run in range(rc.runs):
-        if evaluator is None or not rc.shared_memo:
-            evaluator = Evaluator(
-                streams, rc.table, rc.dram, rc.baseline, rc.weights, rc.miss_mode,
-                sim_seed_base=rc.seed,
-            )
-        sims_before = evaluator.stats().sim_invocations
         result = evolve(replace(rc.params, rng_seed=rc.seed + run), grammar, evaluator)
-        total_sims += evaluator.stats().sim_invocations - sims_before
         bests.append(result.best)
         _write_csv(
             rc.outdir / f"run_{run:02d}_log.csv",
@@ -351,7 +340,8 @@ def run_optimize(rc: RunConfig) -> dict:
             ((row.generation, _fmt(row.best), _fmt(row.mean), _fmt(row.worst),
               row.unique_evals, row.memo_hits) for row in result.log),
         )
-    baseline = evaluator.baseline_metrics  # every evaluator prices the same baseline
+    baseline = evaluator.baseline_metrics
+    total_sims = evaluator.stats().sim_invocations
 
     best_fits = [best.fitness for best in bests]
     best_fitness = min(best_fits)
@@ -450,7 +440,6 @@ def cmd_optimize(args) -> None:
         grammar_text=grammar_text,
         outdir=Path(args.outdir),
         runs=args.runs,
-        shared_memo=not args.no_shared_memo,
         seed=args.seed,
     )
     run_optimize(rc)
@@ -553,11 +542,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate one configuration over a trace")
     _add_trace_options(p)
     _add_table_options(p)
-    _add_dram_options(p)
+    _add_pricing_options(p)
     p.add_argument("--flags", default=DEFAULT_BASELINE.to_flags(),
                    help="configuration as simulator flag text (default: baseline)")
-    p.add_argument("--miss-mode", choices=[m.value for m in MissMode],
-                   default=MissMode.DEMAND_PLUS_PREFETCH.value)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", default=None, help="also write counters as CSV")
     p.set_defaults(func=cmd_simulate)
@@ -565,24 +552,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="evolve cache configurations against a trace")
     _add_trace_options(p)
     _add_table_options(p)
-    _add_dram_options(p)
-    _add_model_options(p)
+    _add_pricing_options(p)
+    _add_fitness_options(p)
     p.add_argument("--grammar", default=None, help="BNF grammar file (default: built-in)")
     p.add_argument("--runs", type=int, default=RunConfig.runs)
     for name in _GE_OPTIONS:
         default = getattr(GEParams, name)
         p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--seed", type=int, default=0, help="master seed; run i uses seed+i")
-    p.add_argument("--no-shared-memo", action="store_true",
-                   help="give each run its own evaluation memo")
     p.add_argument("-o", "--outdir", required=True)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("exhaustive", help="rank every configuration of a subspace")
     _add_trace_options(p)
     _add_table_options(p)
-    _add_dram_options(p)
-    _add_model_options(p)
+    _add_pricing_options(p)
+    _add_fitness_options(p)
     for name in DOMAINS:
         p.add_argument(f"--{name}", default=None, metavar="V1,V2,...",
                        help=f"allowed {name} values (default: full set)")

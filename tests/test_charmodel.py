@@ -13,7 +13,6 @@ from cacheopt.charmodel import (
     CSV_HEADER,
     CharTable,
     DramParams,
-    load_dram_params,
     load_table,
     save_table,
     surrogate_generate,
@@ -114,7 +113,7 @@ def test_save_load_round_trip(tmp_path):
     table = surrogate_generate(3)
     path = tmp_path / "chars.csv"
     save_table(table, path)
-    loaded = load_table(path, strict=True)
+    loaded = load_table(path)
     assert len(loaded) == 256
     for size, block, assoc in ALL_TRIPLES:
         assert loaded.lookup(size, block, assoc) == table.lookup(size, block, assoc)
@@ -130,13 +129,19 @@ def test_save_is_byte_stable(tmp_path):
 
 
 def test_strict_load_names_missing_triple(tmp_path):
+    """A table may lack rows when loaded; a check of the rows a command
+    needs, here all 256, names the missing one."""
     table = surrogate_generate(0)
-    *rows, ((size, _, _), _) = table.rows()  # drop the last triple
+    *rows, ((size, block, assoc), _) = table.rows()  # drop the last triple
     path = tmp_path / "partial.csv"
     save_table(CharTable(rows), path)
-    assert len(load_table(path)) == 255  # non-strict load is fine
-    with pytest.raises(CharTableError, match=f"size={size}"):
-        load_table(path, strict=True)
+    loaded = load_table(path)
+    assert len(loaded) == 255
+    loaded.check_complete([triple for triple, _ in rows])
+    with pytest.raises(CharTableError) as info:
+        loaded.check_complete(ALL_TRIPLES)
+    assert str(info.value) == (
+        f"missing characterization row for size={size} block={block} assoc={assoc}")
 
 
 def test_load_rejects_duplicate_row(tmp_path):
@@ -194,82 +199,7 @@ def test_load_names_the_file_line_of_a_bad_row(tmp_path):
     assert len(load_table(path)) == 5
 
 
-def test_dram_file_dotted_keys(tmp_path):
-    path = tmp_path / "dram.toml"
-    path.write_text(
-        "dram.access_time_s = 4.0e-9\n"
-        "dram.bandwidth_bps = 6.4e9\n"
-        "dram.access_power_w = 1.0\n"
-    )
-    dram = load_dram_params(path)
-    assert dram.access_time == 4.0e-9
-    assert dram.bandwidth == 6.4e9
-    assert dram.access_power == 1.0
-
-
-def test_dram_file_ini_section_and_defaults(tmp_path):
-    path = tmp_path / "dram.ini"
-    path.write_text("[dram]\naccess_time_s = 5e-9  # slower part\n")
-    dram = load_dram_params(path)
-    assert dram.access_time == 5e-9
-    assert dram.bandwidth == DramParams().bandwidth  # untouched keys keep defaults
-
-
-def test_dram_file_is_closed_after_reading(tmp_path, monkeypatch):
-    good, bad = tmp_path / "good.toml", tmp_path / "bad.toml"
-    good.write_text("dram.access_time_s = 4e-9\n")
-    bad.write_text("dram.access_time_s = 4e-9\nno equals sign\n")
-    handles = []
-    real_open = Path.open
-
-    def recording_open(self, *args, **kwargs):
-        handles.append(real_open(self, *args, **kwargs))
-        return handles[-1]
-
-    monkeypatch.setattr(Path, "open", recording_open)
-    assert load_dram_params(good).access_time == 4e-9
-    with pytest.raises(ValidationError, match="bad.toml: line 2: expected 'key = value'"):
-        load_dram_params(bad)
-    assert len(handles) == 2
-    assert all(fh.closed for fh in handles)
-
-
-def test_dram_file_unknown_key(tmp_path):
-    path = tmp_path / "dram.ini"
-    path.write_text("dram.latency = 1e-9\n")
-    with pytest.raises(ValidationError, match="unknown key"):
-        load_dram_params(path)
-
-
-@pytest.mark.parametrize("text, key, first, second", [
-    ("dram.access_time_s = 4e-9\n[dram]\naccess_time_s = 9e-9\n", "access_time_s", 1, 3),
-    ("dram.bandwidth_bps = 6.4e9\n# again\ndram.bandwidth_bps = 6.4e9\n", "bandwidth_bps", 1, 3),
-    ("[dram]\naccess_power_w = 1.0\n\naccess_power_w = 2.0\n", "access_power_w", 2, 4),
-], ids=["dotted-then-section", "same-value", "section"])
-def test_dram_file_refuses_a_key_given_twice(tmp_path, text, key, first, second):
-    """The last value does not silently win: a repeated key is named with
-    both of its lines."""
-    path = tmp_path / "dram.toml"
-    path.write_text(text)
-    with pytest.raises(ValidationError) as info:
-        load_dram_params(path)
-    assert str(info.value) == (
-        f"{path}: line {second}: 'dram.{key}' was already given on line {first}")
-
-
-@pytest.mark.parametrize("line", [
-    "dram.access_time_s = inf", "dram.access_time_s = 1e400", "dram.access_time_s = nan",
-    "dram.access_time_s = -inf",
-])
-def test_dram_file_rejects_non_finite_values(tmp_path, line):
-    path = tmp_path / "dram.toml"
-    path.write_text("dram.bandwidth_bps = 6.4e9\n" + line + "\n")
-    key = line.split(" = ")[0]
-    with pytest.raises(ValidationError, match=f"dram.toml: line 2: '{key}' must be finite"):
-        load_dram_params(path)
-
-
-def row_reader_items(path: Path, strict: bool = False) -> list:
+def row_reader_items(path: Path) -> list:
     """The reference: load_table's csv.reader row path as it stood before the
     bulk path, with its row checks, returning the table's items in order."""
     with path.open(newline="") as fh:
@@ -304,21 +234,14 @@ def row_reader_items(path: Path, strict: bool = False) -> list:
                 raise CharTableError(
                     f"{name} for {key} must be finite and > 0, got {value!r}")
         table[key] = (access_time, access_energy)
-    if strict:
-        for key in sorted(ALL_TRIPLES):
-            if key not in table:
-                raise CharTableError(
-                    f"missing characterization row for size={key[0]} "
-                    f"block={key[1]} assoc={key[2]}"
-                )
     return list(table.items())
 
 
-def outcome(load, path: Path, strict: bool):
+def outcome(load, path: Path):
     """repr of the items (key order, int types and every float bit), or the
     error's type and message."""
     try:
-        return repr(load(path, strict))
+        return repr(load(path))
     except Exception as exc:  # noqa: BLE001 -- the two loaders must raise alike
         return type(exc).__name__, str(exc)
 
@@ -421,30 +344,29 @@ HEADER = ",".join(CSV_HEADER) + "\n"
 
 
 @settings(max_examples=500, deadline=None)
-@given(text=table_texts(), strict=st.booleans())
-@example(HEADER + "512,8,1,1\n512,8,2,3,4,5\n", False)
-@example(HEADER + "512,8,1,1e-9,1e-11\r\n\r\n# note\r\n1024,8,1,2e-9,2e-11\r\n", False)
-@example(HEADER + '512,8,1,"1e-9",1e-11\n1024,8,1,2e-9,2e-11\n', False)
-@example(HEADER + "512,8,1,1e-9\f,1e-11\n512,8,2,1e-9,1e-11\f\n", False)
-@example(HEADER + "512,8\r,1,1e-9,1e-11\n", False)
-@example(HEADER + "0512,8,1,1e-9,1e-11\n+1024,8,1,1e-9,1e-11\n2_048,8,1,1e-9,1e-11\n", False)
-@example(HEADER + "512,8,1,1e-9,1e-11\n1024,8,1,inf,1e-11\n", False)
-@example(HEADER + "512,8,1,1e-9,nan\n", False)
-@example(HEADER + "512,8,1,0,1e-11\n", False)
-@example(HEADER + "512,8,1,1e-9,-1e-11\n", False)
-@example(HEADER + "512,8,1,1e-9,1e-11\n512,8,1,2e-9,2e-11\n", False)
-@example(HEADER, False)
-@example(HEADER, True)
-@example(HEADER + "512,8,1,1e-9,1e-11", False)
-def test_load_table_matches_the_row_reader(text, strict):
+@given(text=table_texts())
+@example(HEADER + "512,8,1,1\n512,8,2,3,4,5\n")
+@example(HEADER + "512,8,1,1e-9,1e-11\r\n\r\n# note\r\n1024,8,1,2e-9,2e-11\r\n")
+@example(HEADER + '512,8,1,"1e-9",1e-11\n1024,8,1,2e-9,2e-11\n')
+@example(HEADER + "512,8,1,1e-9\f,1e-11\n512,8,2,1e-9,1e-11\f\n")
+@example(HEADER + "512,8\r,1,1e-9,1e-11\n")
+@example(HEADER + "0512,8,1,1e-9,1e-11\n+1024,8,1,1e-9,1e-11\n2_048,8,1,1e-9,1e-11\n")
+@example(HEADER + "512,8,1,1e-9,1e-11\n1024,8,1,inf,1e-11\n")
+@example(HEADER + "512,8,1,1e-9,nan\n")
+@example(HEADER + "512,8,1,0,1e-11\n")
+@example(HEADER + "512,8,1,1e-9,-1e-11\n")
+@example(HEADER + "512,8,1,1e-9,1e-11\n512,8,1,2e-9,2e-11\n")
+@example(HEADER)
+@example(HEADER + "512,8,1,1e-9,1e-11")
+def test_load_table_matches_the_row_reader(text):
     """The bulk path returns the row reader's table, in key order and bit
     for bit, or leaves the text to the row reader, which raises as before."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         with path.open("w", newline="") as fh:
             fh.write(text)
-        got = outcome(lambda p, s: list(load_table(p, s)._table.items()), path, strict)
-        assert got == outcome(row_reader_items, path, strict)
+        got = outcome(lambda p: list(load_table(p)._table.items()), path)
+        assert got == outcome(row_reader_items, path)
 
 
 def test_plain_tables_never_reach_the_row_reader(tmp_path, monkeypatch):
@@ -455,9 +377,9 @@ def test_plain_tables_never_reach_the_row_reader(tmp_path, monkeypatch):
 
     path = tmp_path / "t.csv"
     save_table(surrogate_generate(1), path)
-    expected = row_reader_items(path, strict=True)
+    expected = row_reader_items(path)
     monkeypatch.setattr(charmodel, "_read_rows", no_rows)
-    assert list(load_table(path, strict=True)._table.items()) == expected
+    assert list(load_table(path)._table.items()) == expected
     path.write_text(",".join(CSV_HEADER) + "\n0512,8,1,1e-9,1e-11\n5_12,8,2,2e-9,2e-11")
     assert list(load_table(path)._table.items()) == [
         ((512, 8, 1), (1e-9, 1e-11)), ((512, 8, 2), (2e-9, 2e-11))]

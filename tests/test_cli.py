@@ -106,6 +106,28 @@ def test_simulate_repeat_trace_matches_library(tmp_path, capsys):
     assert float(rows["energy_j"]) == expected.energy
 
 
+@pytest.mark.parametrize("field, value", [
+    ("access_time", 7.25e-9), ("bandwidth", 1.6e9), ("access_power", 2.375),
+])
+def test_each_dram_flag_reaches_the_model(tmp_path, field, value):
+    """A --dram-* flag sets its DramParams field and leaves the others at
+    their defaults: simulate -o prices with DramParams(field=value), bit
+    for bit, which differs from the default pricing."""
+    trace_path = write_trace(tmp_path / "t.din")
+    out_csv = tmp_path / "stats.csv"
+    assert main(["simulate", "--trace", str(trace_path), "--seed", "3",
+                 "--dram-" + field.replace("_", "-"), repr(value), "-o", str(out_csv)]) == 0
+    rows = {r["key"]: r["value"] for r in read_csv(out_csv)}
+    with trace_path.open() as fh:
+        istats, dstats = simulate(DEFAULT_BASELINE, parse_din(fh), rng_seed=3)
+    table = surrogate_generate(0)
+    expected = metrics_from_stats(istats, dstats, table, DEFAULT_BASELINE,
+                                  DramParams(**{field: value}))
+    assert (rows["exec_time_s"], rows["energy_j"]) == (repr(expected.exec_time),
+                                                       repr(expected.energy))
+    assert expected != metrics_from_stats(istats, dstats, table, DEFAULT_BASELINE, DramParams())
+
+
 def test_simulate_infeasible_flags_exit_2(tmp_path, capsys):
     trace_path = write_trace(tmp_path / "t.din", n=10)
     flags = DEFAULT_BASELINE.to_flags().replace(
@@ -199,23 +221,6 @@ def test_bad_flags_fail_before_trace_is_read(tmp_path, capsys, args, named):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("line, named", [
-    ("dram.access_time_s = 1e400", "'dram.access_time_s' must be finite and > 0, got inf"),
-    ("dram.access_time_s = -1", "'dram.access_time_s' must be finite and > 0, got -1.0"),
-    ("dram.access_time_s = 0", "'dram.access_time_s' must be finite and > 0, got 0.0"),
-    ("dram.size_bytes = 67108864", "unknown key 'dram.size_bytes'"),
-], ids=["infinite", "negative", "zero", "size"])
-def test_bad_dram_file_fails_before_trace_is_read(tmp_path, capsys, line, named):
-    dram_path = tmp_path / "dram.toml"
-    dram_path.write_text(line + "\n")
-    assert main(["optimize", "--dram-config", str(dram_path), "--trace",
-                 str(tmp_path / "absent.din"), "-o", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert f"{dram_path}: line 1: {named}" in err
-    assert "absent.din" not in err
-    assert not (tmp_path / "out").exists()
-
-
 def test_optimize_bad_grammar_fails_before_trace_is_read(tmp_path, capsys):
     grammar_path = tmp_path / "bad.bnf"
     grammar_path.write_text("<A> ::= <B>\n")
@@ -298,11 +303,15 @@ def run_config_kwargs(tmp_path, trace):
     )
 
 
-def test_run_config_accepts_only_one_job(tmp_path):
+@pytest.mark.parametrize("name, other", [("jobs", 2), ("shared_memo", False)])
+def test_run_config_pins_jobs_and_shared_memo(tmp_path, name, other):
+    """Fields that only perfbench still passes: each takes its default and
+    refuses any other value."""
     kwargs = run_config_kwargs(tmp_path, [TraceRecord(AccessKind.IFETCH, 0)])
-    assert RunConfig(**kwargs, jobs=1).jobs == 1
-    with pytest.raises(ValidationError, match="jobs"):
-        RunConfig(**kwargs, jobs=2)
+    default = next(f.default for f in fields(RunConfig) if f.name == name)
+    assert getattr(RunConfig(**kwargs, **{name: default}), name) == default
+    with pytest.raises(ValidationError, match=name):
+        RunConfig(**kwargs, **{name: other})
 
 
 def test_optimize_defaults_are_the_library_defaults():
@@ -450,23 +459,9 @@ def test_report_identity_runs_are_100_percent(tmp_path, capsys):
     assert float(rows[0]["pct_time"]) == pytest.approx(100.0)
 
 
-def test_optimize_no_shared_memo_resimulates(tmp_path):
-    trace_path = write_trace(tmp_path / "t.din")
-    grammar_path = tmp_path / "one.bnf"
-    grammar_path.write_text(ONE_POINT_GRAMMAR)
-    args = ["--trace", str(trace_path), "--grammar", str(grammar_path),
-            "--runs", "2", "--generations", "3", "--population", "6"]
-    shared, solo = tmp_path / "shared", tmp_path / "solo"
-    assert main(["optimize", *args, "-o", str(shared)]) == 0
-    assert main(["optimize", *args, "--no-shared-memo", "-o", str(solo)]) == 0
-    assert int(read_csv(shared / "summary.csv")[0]["unique_evals"]) == 1
-    assert int(read_csv(solo / "summary.csv")[0]["unique_evals"]) == 2
-
-
-def test_shared_and_unshared_memos_write_the_same_results(tmp_path, monkeypatch):
-    """The memo only saves work: runs.csv, best.txt and each run's fitness
-    columns are the same with one evaluator for the campaign or one per run,
-    and every evaluator prices the baseline exactly once."""
+def test_a_campaign_prices_the_baseline_once(tmp_path, monkeypatch):
+    """One evaluator serves every run: the baseline is priced once, and
+    each other priced point is one of summary's unique_evals."""
     real = EVOLVE.config_metrics
     priced = []
     monkeypatch.setattr(EVOLVE, "config_metrics",
@@ -477,24 +472,11 @@ def test_shared_and_unshared_memos_write_the_same_results(tmp_path, monkeypatch)
         isize=(512, 1024), ibsize=(32,), irepl=("l", "r"), iassoc=(4,), ifetch=("d",),
         dsize=(512, 1024, 2048), dbsize=(32,), drepl=("l",), dassoc=(1, 2), dfetch=("d",),
     ).grammar_text()
-    runs, outputs, sims = 3, {}, {}
-    for shared in (True, False):
-        priced.clear()
-        kwargs = run_config_kwargs(tmp_path / str(shared), gen_synthetic("mixed", 300, 4))
-        kwargs.update(params=GEParams(generations=4, population=8), grammar_text=grammar)
-        summary = run_optimize(RunConfig(**kwargs, runs=runs, shared_memo=shared, seed=5))
-        evaluators = 1 if shared else runs
-        assert priced.count(DEFAULT_BASELINE) == evaluators
-        assert len(priced) == summary["unique_evals"] + evaluators
-        sims[shared] = summary["unique_evals"]
-        outdir = kwargs["outdir"]
-        logs = [[line.split(",")[:4]
-                 for line in (outdir / f"run_{run:02d}_log.csv").read_text().splitlines()]
-                for run in range(runs)]
-        outputs[shared] = ((outdir / "runs.csv").read_bytes(),
-                           (outdir / "best.txt").read_bytes(), logs)
-    assert outputs[True] == outputs[False]
-    assert sims[True] < sims[False]  # the shared memo served later runs
+    kwargs = run_config_kwargs(tmp_path, gen_synthetic("mixed", 300, 4))
+    kwargs.update(params=GEParams(generations=4, population=8), grammar_text=grammar)
+    summary = run_optimize(RunConfig(**kwargs, runs=3, seed=5))
+    assert priced.count(DEFAULT_BASELINE) == 1
+    assert len(priced) == summary["unique_evals"] + 1
 
 
 def test_gentrace_negative_count_exit_2(tmp_path, capsys):

@@ -111,13 +111,6 @@ GOLDEN = {
         "runs.csv": "551988e9f133be7383b9c621b658ddec9476a9b3e0dd73a9bab674c4fcbba666",
         "summary.csv": "c23cb06d859b40f9b69111a3ccbbc9765d358ed8033daf07bc0d4e4b455e0f3c",
     },
-    "optimize_unshared": {
-        "best.txt": "76ffd8d2e3e06d195369d97898f6316c2390f8bc2e9417467804dfccb5752ef9",
-        "run_00_log.csv": "472444a950b0fff474ae5586b1764139e4f85aa97bb0384821dadcc7bc3526ea",
-        "run_01_log.csv": "53835d8d59cab1f8cb8fbd168c6ab52e8d06c465dde8d345338fa68639f1f41a",
-        "runs.csv": "551988e9f133be7383b9c621b658ddec9476a9b3e0dd73a9bab674c4fcbba666",
-        "summary.csv": "c23cb06d859b40f9b69111a3ccbbc9765d358ed8033daf07bc0d4e4b455e0f3c",
-    },
     "optimize_wrap": {
         "best.txt": "c8dc56a9d161966d6cd71adbfff55d1c6f3741d358f12787fed648f6f2c6e19b",
         "run_00_log.csv": "e152151a30abcb919ab2018b0f109b5b52f97331a19918994b218164168d6432",
@@ -162,8 +155,6 @@ def _run(case, trace, out):
                      "--codon-count", "5", "--max-wraps", "3", "-o", out])
     if case == "optimize_shared":
         return main(["optimize", "--trace", trace, *OPTIMIZE, "-o", out])
-    if case == "optimize_unshared":
-        return main(["optimize", "--trace", trace, *OPTIMIZE, "--no-shared-memo", "-o", out])
     if case == "exhaustive":
         return main(["exhaustive", "--trace", trace, *EXHAUSTIVE, "-o", out])
     if case == "exhaustive_lru_fifo":

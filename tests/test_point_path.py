@@ -10,9 +10,7 @@ named range checks of the pricing inputs.
 import math
 import pickle
 import sys
-import tempfile
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,7 +31,6 @@ from cacheopt.cachesim import (
 from cacheopt.charmodel import (
     CharTable,
     DramParams,
-    load_dram_params,
     surrogate_generate,
 )
 from cacheopt.errors import CharTableError, ConfigError, ValidationError
@@ -210,19 +207,11 @@ def test_characterization_and_metrics_checks_raise_as_the_named_check(a, b):
     assert raised(Metrics, a, b) == raised(named_metrics, a, b)
 
 
-def dram_file_outcome(text: str):
-    """raised() of load_dram_params on a file whose line 1 is text."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "dram.toml"
-        path.write_text(text + "\n")
-        return raised(load_dram_params, path)
-
-
 @settings(max_examples=300, deadline=None)
 @given(value=values)
 def test_every_range_site_takes_one_rule_per_bound(value):
-    """SimStats and Metrics accept [0, TOP]; DramParams, CharTable and a
-    DRAM file accept (0, TOP]. Each refusal ends in one message per bound."""
+    """SimStats and Metrics accept [0, TOP]; DramParams and CharTable
+    accept (0, TOP]. Each refusal ends in one message per bound."""
     at_least_zero = [
         raised(SimStats, value),
         raised(SimStats._make, (0, 0, value, 0, 0, 0)),
@@ -233,8 +222,6 @@ def test_every_range_site_takes_one_rule_per_bound(value):
         raised(lambda: DramParams(bandwidth=value)),
         raised(CharTable, [((512, 8, 1), (1e-9, value))]),
     ]
-    if isinstance(value, float):  # a file value is read back exactly as float(repr(value))
-        positive.append(dram_file_outcome(f"dram.access_power_w = {value!r}"))
     for outcomes, accepted, bound in ((at_least_zero, 0 <= value <= TOP, ">="),
                                       (positive, 0 < value <= TOP, ">")):
         for outcome in outcomes:
