@@ -19,7 +19,7 @@ from typing import Iterable
 from .cachesim import (
     _MAX_FLOAT, ASSOCIATIVITIES, BLOCK_SIZES, CACHE_SIZES, VALUE_TOKENS, _check_range
 )
-from .errors import CharLookupError, CharTableError
+from .errors import CharTableError
 
 ALL_TRIPLES = tuple(product(CACHE_SIZES, BLOCK_SIZES, ASSOCIATIVITIES))
 
@@ -76,18 +76,14 @@ class CharTable:
         try:
             return self._table[(size, block, assoc)]
         except KeyError:
-            raise CharLookupError(
-                f"no characterization row for size={size} block={block} assoc={assoc}"
+            raise CharTableError(
+                f"missing characterization row for size={size} block={block} assoc={assoc}"
             ) from None
 
     def check_complete(self, triples: Iterable[tuple[int, int, int]]) -> None:
         """Require a row for each of the triples, naming the least missing one."""
         for key in sorted(triples):
-            if key not in self._table:
-                raise CharTableError(
-                    f"missing characterization row for size={key[0]} "
-                    f"block={key[1]} assoc={key[2]}"
-                )
+            self.lookup(*key)
 
 
 def _checked_pairs(items: Iterable[CharItem]) -> dict:

@@ -3,7 +3,7 @@
 Subcommands: gentrace, characterize, simulate, optimize, exhaustive,
 report. Every command is deterministic given its flags and --seed; data
 files carry no timestamps, so reruns overwrite byte-identical outputs.
-Exit codes: 0 success, 2 validation error, 1 internal error.
+Exit codes: 0 success, 2 validation error, 1 internal error (with its traceback).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .charmodel import (
     save_table,
     surrogate_generate,
 )
-from .errors import CacheOptError, InfeasibleConfigError, ValidationError
+from .errors import InfeasibleConfigError, ValidationError
 from .evolve import Evaluator, GEParams, evolve
 from .grammar import DEFAULT_GRAMMAR, Grammar, parse_bnf
 from .objectives import FitnessWeights, MissMode, config_metrics, metrics_from_stats
@@ -83,7 +83,7 @@ class RunConfig:
 
 def _check_baseline(config: CacheConfig) -> None:
     if problems := geometry_problems(config):
-        raise ValidationError("baseline configuration is infeasible: " + "; ".join(problems))
+        raise InfeasibleConfigError("baseline configuration is infeasible: " + "; ".join(problems))
 
 
 def _side_triples(config: CacheConfig) -> set[tuple[int, int, int]]:
@@ -230,7 +230,7 @@ def _load_campaign_trace(args) -> SideStreams:
 def _load_char_table(args) -> CharTable:
     if args.table is not None:
         return load_table(args.table)
-    return surrogate_generate(args.surrogate_seed)
+    return surrogate_generate(args.surrogate_seed or 0)
 
 
 def _load_dram(args) -> DramParams:
@@ -247,10 +247,14 @@ def _add_trace_options(parser) -> None:
 
 
 def _add_table_options(parser) -> None:
-    parser.add_argument("--table", default=None, help="characterization CSV file")
-    parser.add_argument(
-        "--surrogate-seed", type=int, default=0, metavar="SEED",
-        help="generate a surrogate table with this seed when --table is absent",
+    # The seed defaults to None, not 0: argparse counts an option as given
+    # only when its value is not the default object, so a 0 default would let
+    # --table F --surrogate-seed 0 through.
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--table", default=None, help="characterization CSV file")
+    source.add_argument(
+        "--surrogate-seed", type=int, default=None, metavar="SEED",
+        help="generate the surrogate table of this seed (default 0) instead of reading --table",
     )
 
 
@@ -288,8 +292,6 @@ def cmd_gentrace(args) -> None:
 
 
 def cmd_characterize(args) -> None:
-    if not args.surrogate:
-        raise ValidationError("only surrogate generation is supported; pass --surrogate")
     table = surrogate_generate(args.seed)
     save_table(table, args.out)
     print(f"wrote {len(table)} characterization rows to {args.out}")
@@ -532,9 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default=None, help="output din file (default stdout)")
     p.set_defaults(func=cmd_gentrace)
 
-    p = sub.add_parser("characterize", help="emit a characterization table CSV")
-    p.add_argument("--surrogate", action="store_true",
-                   help="generate the surrogate table (the only supported source)")
+    p = sub.add_parser("characterize", help="emit the surrogate characterization table CSV")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_characterize)
@@ -592,9 +592,6 @@ def main(argv=None) -> int:
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CacheOptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

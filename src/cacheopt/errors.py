@@ -33,10 +33,6 @@ class CharTableError(ValidationError):
     """Malformed or incomplete characterization table."""
 
 
-class CharLookupError(CacheOptError):
-    """Characterization row absent for a requested (size, block, assoc)."""
-
-
 class GrammarError(ValidationError):
     """Malformed BNF grammar text."""
 

@@ -61,7 +61,6 @@ def parse_bnf(text: str) -> Grammar:
     start symbol.
     """
     raw_rules: dict[str, list[str]] = {}
-    order: list[str] = []
     current: str | None = None
     for raw in text.splitlines():
         line = raw.strip()
@@ -75,18 +74,17 @@ def parse_bnf(text: str) -> Grammar:
             if lhs in raw_rules:
                 raise GrammarError(f"duplicate rule for {lhs}")
             raw_rules[lhs] = [rhs]
-            order.append(lhs)
             current = lhs
         else:
             if current is None:
                 raise GrammarError(f"production text before any rule: {line!r}")
             raw_rules[current].append(line)
-    if not order:
+    if not raw_rules:
         raise GrammarError("grammar has no rules")
     rules: dict[str, tuple[tuple[str, ...], ...]] = {}
-    for lhs in order:
+    for lhs, lines in raw_rules.items():
         alts = []
-        for alt in " ".join(raw_rules[lhs]).split("|"):
+        for alt in " ".join(lines).split("|"):
             symbols = tuple(alt.split())
             if not symbols:
                 raise GrammarError(f"empty alternative in rule {lhs}")
@@ -97,7 +95,7 @@ def parse_bnf(text: str) -> Grammar:
             for sym in alt:
                 if is_nonterminal(sym) and sym not in rules:
                     raise GrammarError(f"undefined nonterminal {sym} referenced from {lhs}")
-    return Grammar(start=order[0], rules=rules)
+    return Grammar(start=next(iter(rules)), rules=rules)
 
 
 def map_genotype(codons: Sequence[int], grammar: Grammar, max_wraps: int = 3) -> str:

@@ -113,7 +113,7 @@ def metrics_from_stats(
     three I terms, then the three D terms; E alternates I and D. Its
     inputs were checked where they were made: a SimStats checks its
     counters when built, a CharTable its rows. A missing row raises
-    CharLookupError (CharTable.lookup's message), the I row's first.
+    CharTable.lookup's CharTableError, the I row's first.
     """
     isize, ibsize, _, iassoc, _, dsize, dbsize, _, dassoc, _, _ = config
     ichar, dchar = table.lookup(isize, ibsize, iassoc), table.lookup(dsize, dbsize, dassoc)

@@ -17,7 +17,7 @@ from cacheopt.charmodel import (
     save_table,
     surrogate_generate,
 )
-from cacheopt.errors import CharLookupError, CharTableError, ValidationError
+from cacheopt.errors import CharTableError, ValidationError
 
 
 def test_dram_defaults():
@@ -77,8 +77,12 @@ def test_lookup_contract():
     assert table.lookup(65536, 32, 4) == table.lookup(65536, 32, 4)
     triple, pair = table.rows()[0]
     assert table.lookup(*triple) == pair
-    with pytest.raises(CharLookupError, match="size=512 block=8 assoc=1"):
-        CharTable([((1024, 8, 1), (1e-9, 1e-11))]).lookup(512, 8, 1)
+    partial = CharTable([((1024, 8, 1), (1e-9, 1e-11))])
+    message = "^missing characterization row for size=512 block=8 assoc=1$"
+    with pytest.raises(CharTableError, match=message):
+        partial.lookup(512, 8, 1)
+    with pytest.raises(CharTableError, match=message):  # the least missing triple
+        partial.check_complete([(2048, 8, 1), (1024, 8, 1), (512, 8, 1)])
 
 
 def test_duplicate_triple_rejected():

@@ -74,16 +74,12 @@ def test_gentrace_chunks_write_one_text(tmp_path, capsys, monkeypatch, chunk, n)
 
 
 def test_characterize_is_byte_identical(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["characterize", "--surrogate", "--seed", "1", "-o", str(a)]) == 0
-    assert main(["characterize", "--surrogate", "--seed", "1", "-o", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    a, b, saved = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "saved.csv"
+    assert main(["characterize", "--seed", "1", "-o", str(a)]) == 0
+    assert main(["characterize", "--seed", "1", "-o", str(b)]) == 0
+    save_table(surrogate_generate(1), saved)
+    assert a.read_bytes() == b.read_bytes() == saved.read_bytes()
     assert len(a.read_text().splitlines()) == 257  # header + 256 rows
-
-
-def test_characterize_requires_surrogate_flag(tmp_path, capsys):
-    assert main(["characterize", "-o", str(tmp_path / "x.csv")]) == 2
-    assert "surrogate" in capsys.readouterr().err
 
 
 # --- simulate ----------------------------------------------------------------
@@ -221,6 +217,26 @@ def test_bad_flags_fail_before_trace_is_read(tmp_path, capsys, args, named):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "optimize", "exhaustive"])
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_table_and_surrogate_seed_conflict_before_any_file_is_read(
+    tmp_path, capsys, command, seed
+):
+    """--table and --surrogate-seed are two sources of one table: argparse
+    refuses the pair, seed 0 included, before the table or trace is opened."""
+    args = [command, "--table", str(tmp_path / "absent.csv"), "--surrogate-seed", seed,
+            "--trace", str(tmp_path / "absent.din")]
+    if command != "simulate":
+        args += ["-o", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as info:
+        main(args)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --surrogate-seed: not allowed with argument --table" in err
+    assert "absent" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_optimize_bad_grammar_fails_before_trace_is_read(tmp_path, capsys):
     grammar_path = tmp_path / "bad.bnf"
     grammar_path.write_text("<A> ::= <B>\n")
@@ -303,10 +319,10 @@ def run_config_kwargs(tmp_path, trace):
     )
 
 
-@pytest.mark.parametrize("name, other", [("jobs", 2), ("shared_memo", False)])
+@pytest.mark.parametrize("name, other", [("jobs", 2), ("shared_memo", False), ("runs", 0)])
 def test_run_config_pins_jobs_and_shared_memo(tmp_path, name, other):
-    """Fields that only perfbench still passes: each takes its default and
-    refuses any other value."""
+    """Each checked field takes its default and refuses a bad value: jobs
+    and shared_memo, which only perfbench still passes, any other value."""
     kwargs = run_config_kwargs(tmp_path, [TraceRecord(AccessKind.IFETCH, 0)])
     default = next(f.default for f in fields(RunConfig) if f.name == name)
     assert getattr(RunConfig(**kwargs, **{name: default}), name) == default
@@ -885,10 +901,12 @@ ALL_BUT_DWBACK = (
     ("<P> ::= -l1-isize 1024 -l1-ibsize 32 -l1-irepl <R> -l1-iassoc 4 -l1-ifetch d"
      " -l1-dsize 1024 -l1-dbsize 32 -l1-drepl l -l1-dassoc 4 -l1-dfetch d -l1-dwback a\n"
      "<R> ::= l | f | x\n", "-l1-irepl the value 'x'"),
+    ("P ::= -l1-isize 512\n", "rule left-hand side is not a <NonTerminal>: 'P'"),
 ], ids=["value-of-another-flag", "0512", "through-follow", "flag-at-the-end", "repeated-flag",
         "repeated-flag-alone", "recursive-flag", "recursive-repeat", "repeated-geometry-flag",
         "unproductive-recursion", "unproductive-loop", "missing-nested-flags", "missing-flag",
-        "extra-value", "recursive-value", "stray-after-a-value", "flat-irepl-x"])
+        "extra-value", "recursive-value", "stray-after-a-value", "flat-irepl-x",
+        "bare-left-hand-side"])
 def test_optimize_grammar_with_a_value_its_flag_cannot_take_fails_up_front(
     tmp_path, capsys, grammar, named
 ):

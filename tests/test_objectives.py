@@ -4,7 +4,7 @@ import pytest
 
 from cacheopt.cachesim import DEFAULT_BASELINE, CacheConfig, SideStreams, SimStats, simulate
 from cacheopt.charmodel import CharTable, DramParams, surrogate_generate
-from cacheopt.errors import CharLookupError, ValidationError
+from cacheopt.errors import CharTableError, ValidationError
 from cacheopt.objectives import (
     INFEASIBLE_FITNESS,
     FitnessWeights,
@@ -203,11 +203,11 @@ def test_a_missing_row_is_named_the_I_row_first(rows, missing):
     """Both pricing entry points name the missing row as CharTable.lookup
     does, the I side's before the D side's."""
     table = CharTable(rows)
-    message = f"^no characterization row for {missing}$"
-    with pytest.raises(CharLookupError, match=message):
+    message = f"^missing characterization row for {missing}$"
+    with pytest.raises(CharTableError, match=message):
         metrics_from_stats(stats(10, 1), stats(10, 1), table, CONFIG, DRAM)
     streams = SideStreams(gen_synthetic("mixed", 50, 1))
-    with pytest.raises(CharLookupError, match=message):
+    with pytest.raises(CharTableError, match=message):
         config_metrics(CONFIG, streams, table, DRAM)
 
 

@@ -15,7 +15,7 @@ from cacheopt.cachesim import (
 from cacheopt.charmodel import CharTable, DramParams, surrogate_generate
 from cacheopt.cli import _check_grammar
 from cacheopt.errors import (
-    CharLookupError, InfeasibleConfigError, MappingError, SubspaceCapError, ValidationError,
+    CharTableError, InfeasibleConfigError, MappingError, SubspaceCapError, ValidationError,
 )
 from cacheopt.evolve import Evaluator, GEParams, evolve
 from cacheopt.grammar import DEFAULT_GRAMMAR, map_genotype, parse_bnf
@@ -474,7 +474,7 @@ def test_a_baseline_point_inside_a_sweep_ranks_at_exactly_one():
     [(512, 8, 1), (4096, 16, 128)],  # the D row is met first
 ])
 def test_exhaustive_names_a_missing_row_where_config_metrics_does(monkeypatch, missing):
-    """A missing row raises config_metrics's CharLookupError at the walk's
+    """A missing row raises config_metrics's CharTableError at the walk's
     first point that needs it, the I row first: the simulations before the
     error are the feasible points up to and including that point."""
     trace = gen_synthetic("mixed", 300, 8)
@@ -487,12 +487,12 @@ def test_exhaustive_names_a_missing_row_where_config_metrics_does(monkeypatch, m
     for reached, config in enumerate(feasible, 1):
         try:
             config_metrics(config, trace, table, DRAM)
-        except CharLookupError as error:
+        except CharTableError as error:
             expected = str(error)
             break
     baseline = baseline_metrics(trace)
     calls = count_simulations(monkeypatch)
-    with pytest.raises(CharLookupError) as info:
+    with pytest.raises(CharTableError) as info:
         exhaustive(sub, trace, table, DRAM, baseline)
     assert str(info.value) == expected
     assert calls == feasible[:reached]
